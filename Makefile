@@ -128,12 +128,14 @@ fleet-smoke:
 # Fleet benchmark: devices/sec throughput plus the binary-vs-JSONL
 # encoding comparison, written as BENCH_fleet.new.json and compared
 # against the committed BENCH_fleet.json baseline (fails if the
-# jsonl-to-binary ratio drops below 5 or throughput halves). The same
-# trace then replays with 1 and $(FLEET_REPLAY_WORKERS) workers: the
-# reports must be byte-identical (the in-order-commit contract) and
-# the measured speedup lands in the bench document. The ≥4x speedup
-# floor is only asserted on machines with ≥ 8 CPUs — a 1-core CI
-# runner can prove determinism but not parallelism.
+# jsonl-to-binary ratio drops below 5 or binary bytes/event grows more
+# than 10%; throughput is recorded, not gated). The same trace then
+# replays with 1 and $(FLEET_REPLAY_WORKERS) workers: the reports must
+# be byte-identical (the in-order-commit contract) and the measured
+# speedup lands in the bench document beside the host (CPUs,
+# GOMAXPROCS, Go version). The ≥4x speedup floor is only asserted on
+# machines with ≥ 8 CPUs — a 1-core CI runner can prove determinism
+# but not parallelism.
 # Regenerate the baseline by copying the fresh document.
 FLEET_BENCH_DEVICES ?= 2000
 FLEET_REPLAY_WORKERS ?= 8
@@ -144,7 +146,8 @@ fleet-bench:
 	./bin/dvfsfleet -devices $(FLEET_BENCH_DEVICES) -platforms a7,x86 \
 		-workload-mix sha:3,rijndael:1 -jobs 10 -seed 42 -progress 0 \
 		-out /tmp/fleet-bench.bin -bench BENCH_fleet.new.json > /dev/null
-	@t0=$$(date +%s%N); \
+	@gover=$$(go env GOVERSION); \
+	t0=$$(date +%s%N); \
 	./bin/dvfsreplay -input /tmp/fleet-bench.bin -workers 1 > /tmp/fleet-replay-w1.txt; \
 	t1=$$(date +%s%N); \
 	./bin/dvfsreplay -input /tmp/fleet-bench.bin -workers $(FLEET_REPLAY_WORKERS) > /tmp/fleet-replay-wn.txt; \
@@ -159,6 +162,7 @@ doc['replay_seconds_w1'] = s1; \
 doc['replay_seconds_wn'] = sn; \
 doc['replay_speedup'] = s1 / sn if sn > 0 else 0.0; \
 doc['replay_cpus'] = os.cpu_count(); \
+doc['go_version'] = '$$gover'; \
 json.dump(doc, open('BENCH_fleet.new.json', 'w'), indent=2); \
 assert os.cpu_count() < 8 or doc['replay_speedup'] >= 4, \
     f\"fleet-bench: replay speedup {doc['replay_speedup']:.2f}x below the 4x floor on {os.cpu_count()} CPUs\"; \

@@ -53,7 +53,7 @@ type FleetDeviceResult struct {
 	Predicted int    `json:"predicted"`
 	// TracedEnergyJ and TracedMisses reconstruct what the device
 	// actually spent — identical to a single-device replay.Run over
-	// the same events (the fleet engine calls it).
+	// the same events (the fleet engine runs Run's per-device body).
 	TracedEnergyJ float64 `json:"traced_energy_j"`
 	TracedMisses  int     `json:"traced_misses"`
 	// MarginEnergyJ and MarginMisses align index-for-index with
@@ -138,10 +138,17 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 	if len(events) == 0 {
 		return nil, fmt.Errorf("replay: empty fleet trace")
 	}
-	margins := opts.Margins
-	if margins == nil {
-		margins = Options{}.withDefaults().Margins
-	}
+	// devOpts is every device's replay configuration, defaulted once
+	// exactly as Run defaults it, so each device's result is the one a
+	// single-device Run over its events returns.
+	devOpts := Options{
+		Seed:        opts.Seed,
+		Rho:         opts.Rho,
+		Margins:     opts.Margins,
+		Alphas:      []float64{}, // fleet sweeps margins only
+		TracedAlpha: opts.TracedAlpha,
+	}.withDefaults()
+	margins := devOpts.Margins
 
 	byDevice := map[string][]obs.DecisionEvent{}
 	var ids []string
@@ -160,7 +167,7 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 	resolve := func(name string) (*platform.Platform, error) {
 		if name == "" {
 			if opts.Plat == nil {
-				return nil, fmt.Errorf("replay: trace events carry no platform and no fallback was given")
+				return nil, fmt.Errorf("trace events carry no platform and no fallback was given")
 			}
 			return opts.Plat, nil
 		}
@@ -169,21 +176,28 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		}
 		p, err := platform.ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
+			return nil, err
 		}
 		plats[name] = p
 		return p, nil
 	}
-	// Resolve every device's platform serially before the pool starts:
-	// the memo map stays single-threaded, and resolution errors surface
-	// at the same device regardless of worker count.
+	// Resolve every device's platform, and measure each distinct
+	// platform's switch table, serially before the pool starts: the
+	// memo maps stay single-threaded, resolution errors surface at the
+	// same device regardless of worker count, and workers only read
+	// the tables.
 	devPlats := make([]*platform.Platform, len(ids))
+	devTables := make([]*platform.SwitchTable, len(ids))
+	tables := map[*platform.Platform]*platform.SwitchTable{}
 	for i, id := range ids {
 		p, err := resolve(byDevice[id][0].Platform)
 		if err != nil {
 			return nil, fmt.Errorf("replay: device %s: %w", id, err)
 		}
-		devPlats[i] = p
+		if tables[p] == nil {
+			tables[p] = switchTable(p, devOpts.Seed)
+		}
+		devPlats[i], devTables[i] = p, tables[p]
 	}
 
 	workers := opts.Workers
@@ -214,14 +228,9 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				r, err := Run(byDevice[ids[i]], Options{
-					Plat:        devPlats[i],
-					Seed:        opts.Seed,
-					Rho:         opts.Rho,
-					Margins:     margins,
-					Alphas:      []float64{}, // fleet sweeps margins only
-					TracedAlpha: opts.TracedAlpha,
-				})
+				o := devOpts
+				o.Plat = devPlats[i]
+				r, err := replayDevice(byDevice[ids[i]], o, devTables[i])
 				if err != nil {
 					err = fmt.Errorf("replay: device %s: %w", ids[i], err)
 					abort.Do(func() { close(aborted) })

@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,19 +16,25 @@ import (
 
 // fleetTrace simulates a small heterogeneous fleet and returns its
 // binary trace decoded back to events, plus the simulation result.
-func fleetTrace(t *testing.T) ([]obs.DecisionEvent, *fleet.Result) {
+func fleetTrace(t testing.TB) ([]obs.DecisionEvent, *fleet.Result) {
 	t.Helper()
-	var buf bytes.Buffer
-	bw := trace.NewBinaryWriter(&buf)
-	cfg := fleet.Config{
+	return simulateFleet(t, fleet.Config{
 		Devices:   6,
 		Platforms: []string{"a7", "x86"},
 		Mix:       []fleet.MixEntry{{Workload: "sha", Weight: 1}},
 		Governor:  "prediction",
 		Jobs:      12,
 		Seed:      11,
-		Sink:      bw,
-	}
+	})
+}
+
+// simulateFleet runs cfg through a binary trace and decodes it back
+// to events, plus the simulation result.
+func simulateFleet(t testing.TB, cfg fleet.Config) ([]obs.DecisionEvent, *fleet.Result) {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := trace.NewBinaryWriter(&buf)
+	cfg.Sink = bw
 	res, err := fleet.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,68 +50,95 @@ func fleetTrace(t *testing.T) ([]obs.DecisionEvent, *fleet.Result) {
 }
 
 // TestFleetReplayMatchesSingleDevice is the acceptance bound: each
-// device's traced energy in the fleet report must equal a standalone
-// single-device replay of the same events exactly (same code path),
-// and stay within the existing <=1% cross-validation bound of the
-// simulator's energy for that device.
+// device's traced energy and margin sweep in the fleet report must
+// equal a standalone single-device replay of the same events exactly
+// (same code path, same switch table), and the traced energy must stay
+// within the existing <=1% cross-validation bound of the simulator's
+// energy for that device. Only the margin sweep reads the switch
+// table, so it is what catches a fleet table measured from a seed Run
+// would not use; seed 0 checks the fleet defaults it as Run does.
 func TestFleetReplayMatchesSingleDevice(t *testing.T) {
 	events, simRes := fleetTrace(t)
-	fr, err := replay.RunFleet(events, replay.FleetOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Devices != 6 || len(fr.PerDevice) != 6 {
-		t.Fatalf("fleet replay covers %d devices, want 6", fr.Devices)
-	}
-
 	simEnergy := map[string]float64{}
 	for _, d := range simRes.PerDevice {
 		simEnergy[d.Spec.ID] = d.EnergyJ
 	}
-	for _, d := range fr.PerDevice {
-		// Standalone single-device replay over the same events.
-		var devEvents []obs.DecisionEvent
-		for _, e := range events {
-			if e.Device == d.ID {
-				devEvents = append(devEvents, e)
+	for _, seed := range []int64{0, 7} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			fr, err := replay.RunFleet(events, replay.FleetOptions{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		plat, err := platform.ByName(d.Platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, err := replay.Run(devEvents, replay.Options{Plat: plat, Seed: 1})
-		if err != nil {
-			t.Fatalf("device %s: %v", d.ID, err)
-		}
-		var singleEnergy float64
-		var singleMisses int
-		for _, g := range single.Groups {
-			singleEnergy += g.Traced.EnergyJ
-			singleMisses += g.Traced.Misses
-		}
-		if d.TracedEnergyJ != singleEnergy || d.TracedMisses != singleMisses {
-			t.Fatalf("device %s: fleet traced {%v J, %d misses} != single-device replay {%v J, %d misses}",
-				d.ID, d.TracedEnergyJ, d.TracedMisses, singleEnergy, singleMisses)
-		}
-		// And the reconstruction stays within 1% of the simulator.
-		sim := simEnergy[d.ID]
-		if sim == 0 {
-			t.Fatalf("device %s missing from simulation result", d.ID)
-		}
-		if rel := math.Abs(d.TracedEnergyJ-sim) / sim; rel > 0.01 {
-			t.Fatalf("device %s: replayed %v J vs simulated %v J (%.2f%% off, bound 1%%)",
-				d.ID, d.TracedEnergyJ, sim, 100*rel)
-		}
-	}
+			if fr.Devices != 6 || len(fr.PerDevice) != 6 {
+				t.Fatalf("fleet replay covers %d devices, want 6", fr.Devices)
+			}
+			for _, d := range fr.PerDevice {
+				// Standalone single-device replay over the same events.
+				var devEvents []obs.DecisionEvent
+				for _, e := range events {
+					if e.Device == d.ID {
+						devEvents = append(devEvents, e)
+					}
+				}
+				plat, err := platform.ByName(d.Platform)
+				if err != nil {
+					t.Fatal(err)
+				}
+				single, err := replay.Run(devEvents, replay.Options{Plat: plat, Seed: seed})
+				if err != nil {
+					t.Fatalf("device %s: %v", d.ID, err)
+				}
+				var singleEnergy float64
+				var singleMisses int
+				marginEnergy := make([]float64, len(fr.Margins))
+				marginMisses := make([]int, len(fr.Margins))
+				for _, g := range single.Groups {
+					singleEnergy += g.Traced.EnergyJ
+					singleMisses += g.Traced.Misses
+					for mi, m := range fr.Margins {
+						if len(g.MarginSweep) == 0 {
+							marginEnergy[mi] += g.Traced.EnergyJ
+							marginMisses[mi] += g.Traced.Misses
+							continue
+						}
+						if g.MarginSweep[mi].Param != m.Margin {
+							t.Fatalf("device %s: single-device sweep point %d is margin %v, fleet's is %v",
+								d.ID, mi, g.MarginSweep[mi].Param, m.Margin)
+						}
+						marginEnergy[mi] += g.MarginSweep[mi].EnergyJ
+						marginMisses[mi] += g.MarginSweep[mi].Misses
+					}
+				}
+				if d.TracedEnergyJ != singleEnergy || d.TracedMisses != singleMisses {
+					t.Fatalf("device %s: fleet traced {%v J, %d misses} != single-device replay {%v J, %d misses}",
+						d.ID, d.TracedEnergyJ, d.TracedMisses, singleEnergy, singleMisses)
+				}
+				for mi, m := range fr.Margins {
+					if d.MarginEnergyJ[mi] != marginEnergy[mi] || d.MarginMisses[mi] != marginMisses[mi] {
+						t.Fatalf("device %s margin %v: fleet {%v J, %d misses} != single-device replay {%v J, %d misses}",
+							d.ID, m.Margin, d.MarginEnergyJ[mi], d.MarginMisses[mi], marginEnergy[mi], marginMisses[mi])
+					}
+				}
+				// And the reconstruction stays within 1% of the simulator.
+				sim := simEnergy[d.ID]
+				if sim == 0 {
+					t.Fatalf("device %s missing from simulation result", d.ID)
+				}
+				if rel := math.Abs(d.TracedEnergyJ-sim) / sim; rel > 0.01 {
+					t.Fatalf("device %s: replayed %v J vs simulated %v J (%.2f%% off, bound 1%%)",
+						d.ID, d.TracedEnergyJ, sim, 100*rel)
+				}
+			}
 
-	// Fleet totals are the per-device sums.
-	var sumE float64
-	for _, d := range fr.PerDevice {
-		sumE += d.TracedEnergyJ
-	}
-	if math.Abs(sumE-fr.TracedEnergyJ) > 1e-9 {
-		t.Fatalf("fleet traced energy %v != per-device sum %v", fr.TracedEnergyJ, sumE)
+			// Fleet totals are the per-device sums.
+			var sumE float64
+			for _, d := range fr.PerDevice {
+				sumE += d.TracedEnergyJ
+			}
+			if math.Abs(sumE-fr.TracedEnergyJ) > 1e-9 {
+				t.Fatalf("fleet traced energy %v != per-device sum %v", fr.TracedEnergyJ, sumE)
+			}
+		})
 	}
 }
 
@@ -164,6 +198,34 @@ func TestFleetReplayDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(run(), run()) {
 		t.Fatal("fleet replay reports are not bit-identical across runs")
+	}
+}
+
+// TestFleetReplayDeviceErrorsNamePackageOnce: a per-device failure
+// names the device and its cause behind a single "replay:" prefix.
+func TestFleetReplayDeviceErrorsNamePackageOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		event obs.DecisionEvent
+		want  string
+	}{
+		{"unknown platform", obs.DecisionEvent{Platform: "nope"}, `platform: unknown platform "nope"`},
+		{"no platform and no fallback", obs.DecisionEvent{}, "carry no platform and no fallback"},
+		{"frequency not a level", obs.DecisionEvent{Platform: "a7", FreqKHz: 1}, "1 kHz which is not a level of platform"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.event
+			e.Seq, e.Device, e.Workload, e.Done = 1, "d1", "sha", true
+			_, err := replay.RunFleet([]obs.DecisionEvent{e}, replay.FleetOptions{})
+			if err == nil {
+				t.Fatal("expected an error")
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "replay: device d1: ") || strings.Count(msg, "replay:") != 1 ||
+				!strings.Contains(msg, tc.want) {
+				t.Fatalf("error %q: want one \"replay: device d1: \" prefix and %q", msg, tc.want)
+			}
+		})
 	}
 }
 

@@ -179,10 +179,10 @@ func oraclePolicy(g *group, plat *platform.Platform) policy {
 	}
 }
 
-// analyzeGroup reconstructs the trace and runs every counterfactual.
-func analyzeGroup(g *group, opts Options) GroupResult {
+// analyzeGroup reconstructs the trace and runs every counterfactual,
+// pricing transitions from table (switchTable(opts.Plat, opts.Seed)).
+func analyzeGroup(g *group, opts Options, table *platform.SwitchTable) GroupResult {
 	plat := opts.Plat
-	table := platform.MeasureSwitchTable(plat, 500, 0.95, opts.Seed+2000)
 
 	gr := GroupResult{
 		Workload:  g.workload,

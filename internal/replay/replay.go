@@ -41,7 +41,10 @@ type Options struct {
 	Plat *platform.Platform
 	// Seed drives the counterfactual timelines' switch-latency jitter
 	// and the switch-table measurement; the same seed reproduces every
-	// number bit-for-bit. Zero → 1.
+	// number bit-for-bit. Zero → 1. Counterfactual transitions are
+	// priced from one 95th-percentile switch table per (platform,
+	// seed), measured once per Run or RunFleet and only read by every
+	// group and worker.
 	Seed int64
 	// Rho is the fallback memory-time fraction ρ = Tmem/t used to
 	// translate observed execution times across frequencies when a
@@ -260,6 +263,25 @@ func Run(events []obs.DecisionEvent, opts Options) (*Result, error) {
 	if opts.Plat == nil {
 		return nil, fmt.Errorf("replay: Options.Plat is required")
 	}
+	res, err := replayDevice(events, opts, switchTable(opts.Plat, opts.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	return res, nil
+}
+
+// switchTable measures the 95th-percentile table that prices every
+// counterfactual transition. It is a pure function of (plat, seed), so
+// one table serves every group of a Run and every device of a
+// RunFleet on that platform.
+func switchTable(plat *platform.Platform, seed int64) *platform.SwitchTable {
+	return platform.MeasureSwitchTable(plat, 500, 0.95, seed+2000)
+}
+
+// replayDevice is Run after defaulting: opts has been through
+// withDefaults, and table is switchTable(opts.Plat, opts.Seed), which
+// it only reads. Its errors carry no package prefix; callers add it.
+func replayDevice(events []obs.DecisionEvent, opts Options, table *platform.SwitchTable) (*Result, error) {
 	res := &Result{Platform: opts.Plat.Name, Events: len(events)}
 	res.SeqGaps = obs.Analyze(events).SeqGaps
 
@@ -273,12 +295,12 @@ func Run(events []obs.DecisionEvent, opts Options) (*Result, error) {
 		}
 		if e.FreqKHz != 0 {
 			if _, ok := opts.Plat.LevelByFreqKHz(e.FreqKHz); !ok {
-				return nil, fmt.Errorf("replay: event seq %d runs at %d kHz which is not a level of platform %s — was the trace recorded on a different platform?",
+				return nil, fmt.Errorf("event seq %d runs at %d kHz which is not a level of platform %s — was the trace recorded on a different platform?",
 					e.Seq, e.FreqKHz, opts.Plat.Name)
 			}
 		}
 		if e.Level < 0 || e.Level >= opts.Plat.NumLevels() {
-			return nil, fmt.Errorf("replay: event seq %d selects level %d outside platform %s's %d levels",
+			return nil, fmt.Errorf("event seq %d selects level %d outside platform %s's %d levels",
 				e.Seq, e.Level, opts.Plat.Name, opts.Plat.NumLevels())
 		}
 		key := e.Workload + "\x00" + e.Governor
@@ -298,8 +320,7 @@ func Run(events []obs.DecisionEvent, opts Options) (*Result, error) {
 		if len(g.jobs) == 0 {
 			continue
 		}
-		gr := analyzeGroup(g, opts)
-		res.Groups = append(res.Groups, gr)
+		res.Groups = append(res.Groups, analyzeGroup(g, opts, table))
 	}
 	return res, nil
 }

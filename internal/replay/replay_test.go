@@ -19,7 +19,7 @@ import (
 // tracedRun mirrors dvfssim's trace pipeline: run one governor on sha,
 // capture live controller events when the governor is a prediction
 // controller, and merge the simulator's ground truth over them.
-func tracedRun(t *testing.T, gName string, jobs int) (*sim.Result, []obs.DecisionEvent) {
+func tracedRun(t testing.TB, gName string, jobs int) (*sim.Result, []obs.DecisionEvent) {
 	t.Helper()
 	w, err := workload.ByName("sha")
 	if err != nil {
@@ -264,8 +264,12 @@ func TestReplayBenchRoundTripAndCompare(t *testing.T) {
 
 func TestReplayRejectsWrongPlatform(t *testing.T) {
 	_, events := tracedRun(t, "performance", 20)
-	if _, err := replay.Run(events, replay.Options{Plat: platform.IntelI7()}); err == nil {
+	_, err := replay.Run(events, replay.Options{Plat: platform.IntelI7()})
+	if err == nil {
 		t.Fatal("replaying an a7 trace against the x86 platform should fail")
+	}
+	if msg := err.Error(); strings.Count(msg, "replay:") != 1 || !strings.Contains(msg, "not a level of platform") {
+		t.Fatalf("error %q: want one \"replay:\" prefix and the mismatched level", msg)
 	}
 }
 
