@@ -183,7 +183,8 @@ print(f\"fleet-bench: {new['devices_per_sec']:.0f} devices/sec, \" \
 # scoring, roll the trace up offline with dvfstrace -by-device, prove
 # the parallel fleet replay is byte-identical across worker counts
 # (with the keyed SLO burn section rendered), then boot dvfsd, ingest
-# the same binary trace over HTTP, and assert the /debug/fleet
+# the same binary trace over HTTP, and assert the ingest ack (all 120
+# devices, the same event total as the snapshot), the /debug/fleet
 # dashboard, the /v1/fleet snapshot, and the fleet Prometheus gauges
 # all serve it live.
 FLEET_OBS_ADDR ?= 127.0.0.1:8095
@@ -210,12 +211,13 @@ fleet-obs-smoke:
 	for i in $$(seq 1 50); do \
 		curl -fsS http://$(FLEET_OBS_ADDR)/healthz > /dev/null 2>&1 && break; sleep 0.1; \
 	done; \
-	curl -fsS --data-binary @/tmp/fleet-obs.bin http://$(FLEET_OBS_ADDR)/v1/fleet/ingest \
-		| grep -q '"format":"binary"' \
+	curl -fsS --data-binary @/tmp/fleet-obs.bin http://$(FLEET_OBS_ADDR)/v1/fleet/ingest > /tmp/fleet-obs-ack.json \
+		&& grep -q '"format":"binary"' /tmp/fleet-obs-ack.json \
 		|| { echo "fleet-obs-smoke: binary ingest failed"; exit 1; }; \
-	curl -fsS http://$(FLEET_OBS_ADDR)/v1/fleet \
-		| python3 -c "import json, sys; s = json.load(sys.stdin); assert s['devices'] == 120, s" \
-		|| { echo "fleet-obs-smoke: /v1/fleet snapshot wrong"; exit 1; }; \
+	curl -fsS http://$(FLEET_OBS_ADDR)/v1/fleet > /tmp/fleet-obs-status.json \
+		&& python3 -c "import json; a = json.load(open('/tmp/fleet-obs-ack.json')); s = json.load(open('/tmp/fleet-obs-status.json')); \
+			assert s['devices'] == 120, s['devices']; assert a['devices'] == 120, a; assert a['events'] == s['events'], (a, s['events'])" \
+		|| { echo "fleet-obs-smoke: ingest ack or /v1/fleet snapshot wrong"; exit 1; }; \
 	curl -fsS http://$(FLEET_OBS_ADDR)/debug/fleet > /tmp/fleet-obs-dash.html; \
 	grep -q 'Worst devices' /tmp/fleet-obs-dash.html \
 		|| { echo "fleet-obs-smoke: /debug/fleet missing the worst-devices table"; exit 1; }; \

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -216,6 +218,7 @@ type FleetTracker struct {
 	cfg    FleetConfig
 	shards []*fleetShard
 
+	devices   atomic.Int64 // bumped by Emit when it first sees a device
 	events    atomic.Uint64
 	completed atomic.Uint64
 	misses    atomic.Uint64
@@ -261,6 +264,7 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 	if st == nil {
 		st = &deviceState{device: dev}
 		sh.dev[dev] = st
+		t.devices.Add(1)
 	}
 	if st.platform == "" {
 		st.platform = e.Platform
@@ -361,16 +365,22 @@ func (t *FleetTracker) mergedResiduals() *QuantileSketch {
 	return out
 }
 
+// Counts returns how many devices the tracker holds and how many
+// completed jobs it has seen: the Snapshot fields Devices and
+// Completed, read from running counters without scoring the fleet.
+func (t *FleetTracker) Counts() (devices int, completed uint64) {
+	return int(t.devices.Load()), t.completed.Load()
+}
+
 // DeviceHealths returns every tracked device's scored state, sorted by
 // device ID. The energy component normalizes against the fleet median
 // energy/job, so it is only computable fleet-wide at read time.
 func (t *FleetTracker) DeviceHealths() []DeviceHealth {
-	out, _ := t.scoredDevices()
-	return out
+	return t.scoredDevices()
 }
 
-func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
-	var all []DeviceHealth
+func (t *FleetTracker) scoredDevices() []DeviceHealth {
+	all := make([]DeviceHealth, 0, t.devices.Load())
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		for _, st := range sh.dev {
@@ -393,7 +403,7 @@ func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Device < all[j].Device })
+	slices.SortFunc(all, func(a, b DeviceHealth) int { return strings.Compare(a.Device, b.Device) })
 
 	// Fleet median energy/job over classified devices anchors the
 	// energy-excess component.
@@ -411,7 +421,7 @@ func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
 	for i := range all {
 		t.score(&all[i], medEPJ)
 	}
-	return all, medEPJ
+	return all
 }
 
 // sat maps [0,∞) onto [0,1): x/(1+x). A component at exactly its
@@ -468,7 +478,7 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		s.MissRate = float64(s.Misses) / float64(s.Completed)
 	}
 
-	all, _ := t.scoredDevices()
+	all := t.scoredDevices()
 	s.Devices = len(all)
 	missSk := NewQuantileSketch(t.cfg.Compression)
 	epjSk := NewQuantileSketch(t.cfg.Compression)
@@ -492,22 +502,7 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 	s.DeviceEnergyPerJob = sketchQuantiles(epjSk)
 	s.ResidualFrac = sketchQuantiles(t.mergedResiduals())
 
-	classified := all[:0:0]
-	for _, d := range all {
-		if d.Class != ClassFresh {
-			classified = append(classified, d)
-		}
-	}
-	sort.SliceStable(classified, func(i, j int) bool {
-		if classified[i].Score != classified[j].Score {
-			return classified[i].Score > classified[j].Score
-		}
-		return classified[i].Device < classified[j].Device
-	})
-	if len(classified) > t.cfg.TopK {
-		classified = classified[:t.cfg.TopK]
-	}
-	s.Worst = classified
+	s.Worst = worstDevices(all, t.cfg.TopK)
 
 	hh := NewHeavyHitters(t.cfg.HeavyK)
 	for _, sh := range t.shards {
@@ -521,4 +516,61 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 	s.History = append([]FleetPoint(nil), t.history...)
 	t.histMu.Unlock()
 	return s
+}
+
+// worstFirst orders the worst-devices ranking: score descending, then
+// device ID ascending. IDs are unique, so the order is total and the
+// top k under it are the first k of a full sort.
+func worstFirst(a, b *DeviceHealth) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Device, b.Device)
+}
+
+// worstDevices returns the k classified (non-fresh) devices of all
+// that rank first under worstFirst, in that order. It keeps the k that
+// rank first among those seen so far in a bounded heap of indices, so
+// it moves ints instead of sorting every ~150-byte record: O(n log k).
+func worstDevices(all []DeviceHealth, k int) []DeviceHealth {
+	h := make([]int, 0, min(k, len(all)))
+	// down restores the heap order below slot p: each slot ranks after
+	// its children, so h[0] is the kept device that ranks last.
+	down := func(p int) {
+		for {
+			c := 2*p + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && worstFirst(&all[h[c+1]], &all[h[c]]) > 0 {
+				c++
+			}
+			if worstFirst(&all[h[c]], &all[h[p]]) < 0 {
+				return
+			}
+			h[p], h[c] = h[c], h[p]
+			p = c
+		}
+	}
+	for i := range all {
+		switch {
+		case all[i].Class == ClassFresh:
+		case len(h) < k:
+			h = append(h, i)
+			if len(h) == k {
+				for p := k/2 - 1; p >= 0; p-- {
+					down(p)
+				}
+			}
+		case worstFirst(&all[i], &all[h[0]]) < 0:
+			h[0] = i
+			down(0)
+		}
+	}
+	slices.SortFunc(h, func(i, j int) int { return worstFirst(&all[i], &all[j]) })
+	out := make([]DeviceHealth, len(h))
+	for i, d := range h {
+		out[i] = all[d]
+	}
+	return out
 }

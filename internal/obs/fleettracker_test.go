@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -152,9 +154,16 @@ func TestFleetTrackerRace(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		var lastDev int
+		var lastDone uint64
 		for i := 0; i < 20; i++ {
 			_ = tr.Snapshot()
 			_ = tr.DeviceHealths()
+			dev, completed := tr.Counts()
+			if dev < lastDev || completed < lastDone || dev > 64 || completed > writers*perWriter {
+				t.Errorf("Counts = %d devices, %d completed after %d, %d", dev, completed, lastDev, lastDone)
+			}
+			lastDev, lastDone = dev, completed
 		}
 	}()
 	wg.Wait()
@@ -166,6 +175,9 @@ func TestFleetTrackerRace(t *testing.T) {
 	}
 	if s.Devices != 64 {
 		t.Errorf("Devices = %d, want 64", s.Devices)
+	}
+	if dev, completed := tr.Counts(); dev != s.Devices || completed != s.Completed {
+		t.Errorf("Counts = %d, %d; Snapshot has %d, %d", dev, completed, s.Devices, s.Completed)
 	}
 	var jobs int64
 	for _, d := range tr.DeviceHealths() {
@@ -194,5 +206,68 @@ func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	a, b := build(), build()
 	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 		t.Fatalf("snapshots differ across identical feeds:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestFleetTrackerWorstMatchesFullSort: Snapshot's top-K equals the
+// reference ranking — DeviceHealths without fresh devices, fully
+// sorted by score descending then device ascending, truncated — on a
+// feed where most devices tie on score with several others.
+func TestFleetTrackerWorstMatchesFullSort(t *testing.T) {
+	// 300 devices in four behaviours (miss period, 0 = never; residual
+	// fraction), so each score is shared by dozens of devices. They are
+	// emitted in an order unrelated to their IDs, and every seventh
+	// device stays fresh.
+	kinds := []struct {
+		missEvery int
+		resid     float64
+	}{{0, 0.01}, {2, 0.01}, {0, 0.6}, {3, 0.3}}
+	feed := func(tr *FleetTracker) {
+		for j := 0; j < 12; j++ {
+			for i := 0; i < 300; i++ {
+				d := (i * 113) % 300
+				if d%7 == 0 && j >= 3 {
+					continue
+				}
+				k := kinds[d%4]
+				missed := k.missEvery > 0 && j%k.missEvery == 0
+				tr.Emit(fleetEvent(fmt.Sprintf("dev-%03d", d), missed, k.resid))
+			}
+		}
+	}
+	for _, topK := range []int{1, 10, 1000} {
+		t.Run(fmt.Sprintf("topk=%d", topK), func(t *testing.T) {
+			tr := NewFleetTracker(FleetConfig{MinJobs: 8, TopK: topK})
+			feed(tr)
+			var want []DeviceHealth
+			for _, d := range tr.DeviceHealths() {
+				if d.Class != ClassFresh {
+					want = append(want, d)
+				}
+			}
+			scores := map[float64]int{}
+			for _, d := range want {
+				scores[d.Score]++
+			}
+			if len(want) != 257 || len(scores) > 8 {
+				t.Fatalf("feed gave %d classified devices over %d scores, want 257 over few", len(want), len(scores))
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				if want[i].Score != want[j].Score {
+					return want[i].Score > want[j].Score
+				}
+				return want[i].Device < want[j].Device
+			})
+			if len(want) > topK {
+				want = want[:topK]
+			}
+			s := tr.Snapshot()
+			if !reflect.DeepEqual(s.Worst, want) {
+				t.Errorf("Worst differs from the full sort:\n got %+v\nwant %+v", s.Worst, want)
+			}
+			if dev, completed := tr.Counts(); dev != s.Devices || completed != s.Completed {
+				t.Errorf("Counts = %d, %d; Snapshot has %d, %d", dev, completed, s.Devices, s.Completed)
+			}
+		})
 	}
 }

@@ -274,9 +274,15 @@ func (p *Platform) SampleSwitchLatency(from, to Level, rng *rand.Rand) float64 {
 	if from.Index == to.Index {
 		return 0
 	}
-	mean := p.switchMean(from, to)
-	jitter := math.Exp(p.SwitchJitterSigma * rng.NormFloat64())
-	return mean * jitter
+	return p.jittered(p.switchMean(from, to), rng)
+}
+
+// jittered draws one latency around a transition's deterministic mean:
+// mean·exp(σ·z), z standard normal. SampleSwitchLatency and
+// MeasureSwitchTable both draw through it, so a simulator and a
+// measured table fed the same RNG stream see bit-identical latencies.
+func (p *Platform) jittered(mean float64, rng *rand.Rand) float64 {
+	return mean * math.Exp(p.SwitchJitterSigma*rng.NormFloat64())
 }
 
 // switchMean is the deterministic part of a transition's latency.

@@ -3,6 +3,7 @@ package platform
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -190,7 +191,61 @@ func TestMeanSwitchTable(t *testing.T) {
 	}
 }
 
+// refSwitchTables is the sort-based reference MeasureSwitchTable must
+// equal: the same RNG stream, each pair's draws taken through
+// SampleSwitchLatency, fully sorted, and read at int(q·(samples−1)).
+// The draws do not depend on q, so one pass yields a table per q.
+func refSwitchTables(p *Platform, samples int, qs []float64, seed int64) []*SwitchTable {
+	rng := rand.New(rand.NewSource(seed))
+	n := p.NumLevels()
+	out := make([]*SwitchTable, len(qs))
+	for i := range out {
+		out[i] = &SwitchTable{Seconds: make([][]float64, n)}
+		for from := range out[i].Seconds {
+			out[i].Seconds[from] = make([]float64, n)
+		}
+	}
+	buf := make([]float64, samples)
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from == to {
+				continue
+			}
+			for s := range buf {
+				buf[s] = p.SampleSwitchLatency(p.Levels[from], p.Levels[to], rng)
+			}
+			sort.Float64s(buf)
+			for i, q := range qs {
+				out[i].Seconds[from][to] = buf[int(q*float64(samples-1))]
+			}
+		}
+	}
+	return out
+}
+
+// TestSwitchTableDeterministic: a table is a pure function of its
+// inputs, and equals the sort-based reference entry for entry on every
+// platform, at sample counts down to one and quantiles at both ends.
 func TestSwitchTableDeterministic(t *testing.T) {
+	qs := []float64{0, 0.5, 0.95, 1}
+	for _, p := range []*Platform{ODROIDXU3A7(), IntelI7(), BigLITTLE()} {
+		for _, seed := range []int64{5, 97, 2001} {
+			for _, samples := range []int{1, 2, 300, 500} {
+				want := refSwitchTables(p, samples, qs, seed)
+				for i, q := range qs {
+					got := MeasureSwitchTable(p, samples, q, seed)
+					for from := range got.Seconds {
+						for to, v := range got.Seconds[from] {
+							if w := want[i].Seconds[from][to]; v != w {
+								t.Fatalf("%s seed %d samples %d q %g (%d,%d): %g, reference %g",
+									p.Name, seed, samples, q, from, to, v, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 	p := ODROIDXU3A7()
 	a := MeasureSwitchTable(p, 100, 0.95, 5)
 	b := MeasureSwitchTable(p, 100, 0.95, 5)
@@ -198,6 +253,38 @@ func TestSwitchTableDeterministic(t *testing.T) {
 		for j := range a.Seconds[i] {
 			if a.Seconds[i][j] != b.Seconds[i][j] {
 				t.Fatalf("same seed gave different tables at (%d,%d)", i, j)
+			}
+		}
+	}
+}
+
+// TestSelectKthMatchesSort: on random tie-heavy slices of every length
+// 1–40, shuffled, ascending and descending, selectKth returns the
+// element sort.Float64s puts at each k.
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 40; n++ {
+		for trial := 0; trial < 30; trial++ {
+			distinct := 1 + rng.Intn(n)
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = float64(rng.Intn(distinct)) / 4
+			}
+			sorted := append([]float64(nil), a...)
+			sort.Float64s(sorted)
+			switch trial % 3 {
+			case 1:
+				copy(a, sorted)
+			case 2:
+				for i := range a {
+					a[i] = sorted[n-1-i]
+				}
+			}
+			for k := 0; k < n; k++ {
+				b := append([]float64(nil), a...)
+				if got := selectKth(b, k); got != sorted[k] {
+					t.Fatalf("selectKth(%v, %d) = %g, want %g", a, k, got, sorted[k])
+				}
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // SwitchTable holds per-transition DVFS switch-time estimates, indexed
 // [from][to]. The paper microbenchmarks every (start, end) frequency
@@ -35,27 +32,74 @@ func (t *SwitchTable) Max() float64 {
 
 // MeasureSwitchTable microbenchmarks the platform's DVFS transitions:
 // it samples every (from, to) pair `samples` times and records the
-// q-quantile (the paper uses q = 0.95). It reproduces Fig 11.
+// q-quantile (the paper uses q = 0.95). It reproduces Fig 11. The
+// quantile is the order statistic at index int(q·(samples−1)) of the
+// sorted draws, selected in place rather than by sorting them.
 func MeasureSwitchTable(p *Platform, samples int, q float64, seed int64) *SwitchTable {
 	rng := rand.New(rand.NewSource(seed))
 	n := p.NumLevels()
 	tbl := &SwitchTable{Seconds: make([][]float64, n)}
 	buf := make([]float64, samples)
+	idx := int(q * float64(samples-1))
 	for from := 0; from < n; from++ {
 		tbl.Seconds[from] = make([]float64, n)
 		for to := 0; to < n; to++ {
 			if from == to {
 				continue
 			}
-			for s := 0; s < samples; s++ {
-				buf[s] = p.SampleSwitchLatency(p.Levels[from], p.Levels[to], rng)
+			mean := p.switchMean(p.Levels[from], p.Levels[to])
+			for s := range buf {
+				buf[s] = p.jittered(mean, rng)
 			}
-			sort.Float64s(buf)
-			idx := int(q * float64(samples-1))
-			tbl.Seconds[from][to] = buf[idx]
+			tbl.Seconds[from][to] = selectKth(buf, idx)
 		}
 	}
 	return tbl
+}
+
+// selectKth returns the value sort.Float64s would leave at a[k],
+// reordering a in place: Hoare-partition quickselect with a
+// median-of-three pivot, expected O(len(a)). a must hold no NaN.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[lo], a[mid] = a[mid], a[lo]
+		}
+		if a[hi] < a[lo] {
+			a[lo], a[hi] = a[hi], a[lo]
+		}
+		if a[hi] < a[mid] {
+			a[mid], a[hi] = a[hi], a[mid]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] ≤ pivot ≤ a[i..hi], and everything strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // MeanSwitchTable builds a table of analytic mean latencies, the

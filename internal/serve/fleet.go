@@ -108,23 +108,25 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		err = scanJSONL(br, emit)
 	}
+	if s.fleetG != nil {
+		s.fleetG.ingested.Add(float64(n))
+	}
 	if err != nil {
 		// Events already ingested stay ingested — the tracker is a
-		// monotone accumulator — but the client must know its upload was
-		// cut short.
+		// monotone accumulator, and the counter above counts them — but
+		// the client must know its upload was cut short.
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{
 			Error: fmt.Sprintf("after %d events: %v", n, err)})
 		return
 	}
-	if s.fleetG != nil {
-		s.fleetG.ingested.Add(float64(n))
-	}
-	snap := s.fleet.Snapshot()
+	// The ack echoes running totals only; scoring the fleet for them
+	// would cost every upload a full Snapshot.
+	devices, completed := s.fleet.Counts()
 	writeJSON(w, http.StatusOK, FleetIngestResponse{
 		Events:    n,
 		Format:    format,
-		Devices:   snap.Devices,
-		Completed: snap.Completed,
+		Devices:   devices,
+		Completed: completed,
 	})
 }
 

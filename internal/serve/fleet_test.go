@@ -231,6 +231,97 @@ func TestFleetIngestJSONL(t *testing.T) {
 	if got := ft.Snapshot().Events; got != 11 {
 		t.Errorf("events after partial ingest = %d, want 11", got)
 	}
+	// The cut-short upload's event counts toward the ingest counter too.
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(mb), "dvfsd_fleet_ingested_events_total 11\n") {
+		t.Error("/metrics should count all 11 ingested events in dvfsd_fleet_ingested_events_total")
+	}
+}
+
+// TestFleetIngestAckMatchesStatus: after every upload, the ack's
+// device and completed counts equal GET /v1/fleet's, across binary and
+// JSONL bodies, new and repeat devices, unlabelled events (tracked as
+// the "-" device), and events that are not completed jobs.
+func TestFleetIngestAckMatchesStatus(t *testing.T) {
+	ts, _ := newFleetServer(t)
+	binary := func(evs []obs.DecisionEvent) *bytes.Buffer {
+		var buf bytes.Buffer
+		bw := trace.NewBinaryWriter(&buf)
+		for i := range evs {
+			bw.Emit(&evs[i])
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	jsonl := func(evs []obs.DecisionEvent) *bytes.Buffer {
+		var buf bytes.Buffer
+		for i := range evs {
+			b, _ := json.Marshal(&evs[i])
+			buf.Write(b)
+			buf.WriteByte('\n')
+		}
+		return &buf
+	}
+	jobs := func(n int, devs ...string) []obs.DecisionEvent {
+		var evs []obs.DecisionEvent
+		for j := 0; j < n; j++ {
+			for _, dev := range devs {
+				evs = append(evs, fleetTestEvent(dev, "sha", j, j%3 == 0, 0.2))
+			}
+		}
+		return evs
+	}
+	open := jobs(4, "dev-a", "dev-b")
+	for i := range open {
+		open[i].Done = false
+	}
+	for _, up := range []struct {
+		name    string
+		body    *bytes.Buffer
+		events  int
+		devices int
+	}{
+		{"binary new devices", binary(jobs(10, "dev-a", "dev-b")), 20, 2},
+		{"jsonl new and repeat", jsonl(jobs(5, "dev-a", "dev-c")), 10, 3},
+		{"binary unlabelled", binary(jobs(9, "")), 9, 4},
+		{"jsonl not completed", jsonl(open), 8, 4},
+		{"binary mixed", binary(jobs(3, "dev-d", "", "dev-b")), 9, 5},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/fleet/ingest", "application/octet-stream", up.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack FleetIngestResponse
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: HTTP %d, %v", up.name, resp.StatusCode, err)
+		}
+		resp, err = http.Get(ts.URL + "/v1/fleet")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.FleetStatus
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Events != up.events || ack.Devices != up.devices {
+			t.Errorf("%s: ack %+v, want %d events over %d devices", up.name, ack, up.events, up.devices)
+		}
+		if ack.Devices != snap.Devices || ack.Completed != snap.Completed {
+			t.Errorf("%s: ack has %d devices, %d completed; GET /v1/fleet has %d, %d",
+				up.name, ack.Devices, ack.Completed, snap.Devices, snap.Completed)
+		}
+	}
 }
 
 // TestFleetDisabled: without a FleetTracker the routes don't exist.
