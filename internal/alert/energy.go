@@ -9,17 +9,17 @@ import (
 )
 
 // The online energy meter is the live counterpart of dvfsreplay's
-// offline reconstruction (internal/replay.reconstruct): it charges the
-// same four segments per decision event — the idle gap before the job
-// at IdlePower(from), the predictor slice at ActivePower(from), the
-// DVFS transition at SwitchPower(from, to), and the execution at
-// ActivePower(level) — keyed by (workload, device). The one segment it
-// cannot charge is the replay's final drain to the horizon (the trace
-// has not ended yet), so on an identical trace the two totals agree to
-// within one idle period; the cross-validation test asserts 2%.
+// offline reconstruction (internal/replay.reconstruct): both price each
+// decision event through the same platform.Timeline — the idle gap
+// before the job at IdlePower(from), the predictor slice at
+// ActivePower(from), the DVFS transition at SwitchPower(from, to), and
+// the execution at ActivePower(level) — here keyed by (workload,
+// device). The one segment it cannot charge is the replay's final
+// drain to the horizon (the trace has not ended yet), so on an
+// identical trace the two agree exactly up to that drain.
 //
 // It runs as a tracer sink on the decision path, so Emit is
-// //dvfs:hotpath: pure float arithmetic over precomputed power tables
+// //dvfs:hotpath: pure float arithmetic over read-only power tables
 // under one short mutex, with allocations confined to the first event
 // of a new stream.
 
@@ -63,6 +63,7 @@ func (c EnergyConfig) withDefaults() EnergyConfig {
 
 // EnergyOverflowKey is the stream that absorbs decisions beyond the
 // MaxKeys bound, so totals stay accurate while memory stays bounded.
+// Each event folded into it is still priced on its own platform.
 const EnergyOverflowKey = "_overflow"
 
 // streamKey identifies one metered stream. A struct key keeps the hot
@@ -71,44 +72,15 @@ type streamKey struct {
 	workload, device string
 }
 
-// powerModel is a platform's power curves flattened into index-addressed
-// tables, so the hot path prices a segment with two loads and a
-// multiply instead of a Level lookup that can fail.
-type powerModel struct {
-	active []float64
-	idle   []float64
-	sw     [][]float64 // [from][to]
-}
-
-func newPowerModel(p *platform.Platform) *powerModel {
-	n := p.NumLevels()
-	pm := &powerModel{
-		active: make([]float64, n),
-		idle:   make([]float64, n),
-		sw:     make([][]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		l := p.Levels[i]
-		pm.active[i] = p.ActivePower(l)
-		pm.idle[i] = p.IdlePower(l)
-		pm.sw[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			pm.sw[i][j] = p.SwitchPower(l, p.Levels[j])
-		}
-	}
-	return pm
-}
-
 // energyStream is one (workload, device) accumulator.
 type energyStream struct {
-	pm     *powerModel
-	cursor float64 // accounting clock in trace seconds
+	tl platform.Timeline // segment totals; tl.Now is the stream's clock
 
 	jobs     int64 // events that contributed an execution segment
 	oneShots int64 // of those, priced from the prediction (Done=false)
 
-	totalJ, idleJ, execJ, predJ, switchJ float64
-	predBasisJ                           float64 // exec energy priced from predictions
+	totalJ     float64
+	predBasisJ float64 // exec energy priced from predictions
 
 	fast, slow *burnWin
 }
@@ -153,7 +125,7 @@ func (w *burnWin) watts() float64 {
 type EnergyMeter struct {
 	mu      sync.Mutex
 	cfg     EnergyConfig
-	models  map[string]*powerModel // platform name → tables; nil = unknown
+	own     *platform.PowerTable // cfg.Platform's table; nil without one
 	streams map[streamKey]*energyStream
 	skipped uint64
 }
@@ -161,104 +133,82 @@ type EnergyMeter struct {
 // NewEnergyMeter builds a meter.
 func NewEnergyMeter(cfg EnergyConfig) *EnergyMeter {
 	cfg = cfg.withDefaults()
-	m := &EnergyMeter{
-		cfg:     cfg,
-		models:  map[string]*powerModel{},
-		streams: map[streamKey]*energyStream{},
-	}
+	m := &EnergyMeter{cfg: cfg, streams: map[streamKey]*energyStream{}}
 	if cfg.Platform != nil {
-		m.models[""] = newPowerModel(cfg.Platform)
-		m.models[cfg.Platform.Name] = m.models[""]
-	} else {
-		m.models[""] = nil
+		m.own = platform.NewPowerTable(cfg.Platform)
 	}
 	return m
 }
 
-// Emit implements obs.Sink: price one decision event. The fast path —
-// known stream, known platform — is allocation-free; new streams and
-// platforms allocate once on first sight.
+// table resolves the power table an event is priced on: the configured
+// platform for events that name none (or name it), otherwise the
+// named ByName platform; nil when neither applies.
+func (m *EnergyMeter) table(name string) *platform.PowerTable {
+	if name == "" || (m.cfg.Platform != nil && name == m.cfg.Platform.Name) {
+		return m.own
+	}
+	pt, _ := platform.PowerTableByName(name)
+	return pt
+}
+
+// Emit implements obs.Sink: price one decision event on its own
+// platform's table. The fast path — known stream — is allocation-free;
+// a new stream allocates once on first sight.
 //
 //dvfs:hotpath
 func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
+	pt := m.table(e.Platform)
 	m.mu.Lock()
-	st := m.streams[streamKey{e.Workload, e.Device}]
-	if st == nil {
-		//dvfs:allow-alloc first event of a stream: builds the accumulator and (at most once per platform) the power tables
-		st = m.newStream(e.Workload, e.Device, e.Platform)
-	}
-	pm := st.pm
-	if pm == nil {
+	if pt == nil {
 		// Unknown platform: counting beats guessing at a power curve.
 		m.skipped++
 		m.mu.Unlock()
 		return
 	}
-	from, lv := e.FromLevel, e.Level
-	if from < 0 || from >= len(pm.active) {
-		from = len(pm.active) - 1
+	st := m.streams[streamKey{e.Workload, e.Device}]
+	if st == nil {
+		//dvfs:allow-alloc first event of a stream: builds the accumulator
+		st = m.newStream(e.Workload, e.Device)
 	}
-	if lv < 0 || lv >= len(pm.active) {
-		lv = len(pm.active) - 1
-	}
-	t0 := st.cursor
-	var idle, pred, sw, exec float64
-	if gap := e.TimeSec - st.cursor; gap > 0 {
-		idle = pm.idle[from] * gap
-		st.cursor = e.TimeSec
-	}
-	if e.PredictorSec > 0 {
-		pred = pm.active[from] * e.PredictorSec
-		st.cursor += e.PredictorSec
-	}
+	t0 := st.tl.Now
+	idle := st.tl.IdleUntil(pt, e.TimeSec, e.FromLevel)
 	swSec := e.MeasSwitchSec
-	if swSec == 0 && lv != from {
+	if swSec == 0 && e.Level != e.FromLevel {
 		// The table estimate beats pricing the transition at zero —
 		// the same fallback the offline reconstruction uses.
 		swSec = e.SwitchSec
 	}
-	if swSec > 0 {
-		sw = pm.sw[from][lv] * swSec
-		st.cursor += swSec
-	}
+	var execSec float64
 	switch {
 	case e.Done && e.ActualExecSec > 0:
-		exec = pm.active[lv] * e.ActualExecSec
-		st.cursor += e.ActualExecSec
-		st.jobs++
+		execSec = e.ActualExecSec
 	case !e.Done && e.PredictedExecSec > 0:
 		// One-shot serve decision: the job runs client-side, so price
 		// the prediction — flagged separately in predBasisJ.
-		exec = pm.active[lv] * e.PredictedExecSec
-		st.cursor += e.PredictedExecSec
-		st.jobs++
-		st.oneShots++
-		st.predBasisJ += exec
+		execSec = e.PredictedExecSec
 	}
-	st.idleJ += idle
-	st.predJ += pred
-	st.switchJ += sw
-	st.execJ += exec
-	st.totalJ += idle + pred + sw + exec
+	c := st.tl.Job(pt, e.FromLevel, e.Level, e.PredictorSec, swSec, execSec)
+	if execSec > 0 {
+		st.jobs++
+		if !e.Done {
+			st.oneShots++
+			st.predBasisJ += c.ExecJ
+		}
+	}
+	j := idle + c.PredictorJ + c.SwitchJ + c.ExecJ
+	st.totalJ += j
 	if st.fast != nil {
-		if dt := st.cursor - t0; dt > 0 {
-			st.fast.push(idle+pred+sw+exec, dt)
-			st.slow.push(idle+pred+sw+exec, dt)
+		if dt := st.tl.Now - t0; dt > 0 {
+			st.fast.push(j, dt)
+			st.slow.push(j, dt)
 		}
 	}
 	m.mu.Unlock()
 }
 
-// newStream resolves the event's platform and registers the stream,
-// folding into the overflow stream past MaxKeys. Caller holds m.mu.
-func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream {
-	pm, ok := m.models[platName]
-	if !ok {
-		if p, err := platform.ByName(platName); err == nil {
-			pm = newPowerModel(p)
-		}
-		m.models[platName] = pm
-	}
+// newStream registers a stream, folding into the overflow stream past
+// MaxKeys. Caller holds m.mu.
+func (m *EnergyMeter) newStream(workload, device string) *energyStream {
 	key := streamKey{workload, device}
 	if len(m.streams) >= m.cfg.MaxKeys {
 		key = streamKey{EnergyOverflowKey, EnergyOverflowKey}
@@ -266,8 +216,8 @@ func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream
 			return st
 		}
 	}
-	st := &energyStream{pm: pm}
-	if pm != nil && m.cfg.BudgetW > 0 {
+	st := &energyStream{}
+	if m.cfg.BudgetW > 0 {
 		st.fast = newBurnWin(m.cfg.FastWindow)
 		st.slow = newBurnWin(m.cfg.SlowWindow)
 	}
@@ -306,16 +256,16 @@ func (m *EnergyMeter) Snapshot() []EnergyStreamStats {
 		s := EnergyStreamStats{
 			Workload: key.workload, Device: key.device,
 			Jobs: st.jobs, OneShots: st.oneShots,
-			TotalJ: st.totalJ, IdleJ: st.idleJ, ExecJ: st.execJ,
-			PredictorJ: st.predJ, SwitchJ: st.switchJ,
+			TotalJ: st.totalJ, IdleJ: st.tl.IdleJ, ExecJ: st.tl.ExecJ,
+			PredictorJ: st.tl.PredictorJ, SwitchJ: st.tl.SwitchJ,
 			PredictedBasisJ: st.predBasisJ,
-			DurationSec:     st.cursor,
+			DurationSec:     st.tl.Now,
 		}
 		if st.jobs > 0 {
 			s.PerJobJ = st.totalJ / float64(st.jobs)
 		}
 		if st.totalJ > 0 {
-			s.PredictorShare = st.predJ / st.totalJ
+			s.PredictorShare = st.tl.PredictorJ / st.totalJ
 		}
 		if m.cfg.BudgetW > 0 && st.fast != nil {
 			if st.fast.n >= m.cfg.MinSamples {

@@ -151,6 +151,39 @@ func TestEnergyOverflowFold(t *testing.T) {
 	}
 }
 
+// TestEnergyOverflowPricesPerPlatform: events folded into the overflow
+// stream are each priced on their own platform, and one naming an
+// unknown platform is skipped rather than priced on whichever platform
+// opened the stream.
+func TestEnergyOverflowPricesPerPlatform(t *testing.T) {
+	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7(), MaxKeys: 1})
+	for _, ev := range []struct{ dev, plat string }{
+		{"d0", "a7"}, {"d1", "x86"}, {"d2", "a7"}, {"d3", "nope"},
+	} {
+		m.Emit(&obs.DecisionEvent{Workload: "w", Device: ev.dev, Platform: ev.plat,
+			Level: 0, FromLevel: 0, Done: true, ActualExecSec: 1})
+	}
+	a7, x86 := platform.ODROIDXU3A7(), platform.IntelI7()
+	want := x86.ActivePower(x86.Levels[0]) + a7.ActivePower(a7.Levels[0])
+	var overflow *EnergyStreamStats
+	snap := m.Snapshot()
+	for i := range snap {
+		if snap[i].Workload == EnergyOverflowKey {
+			overflow = &snap[i]
+		}
+	}
+	if overflow == nil {
+		t.Fatalf("no overflow stream in %+v", snap)
+	}
+	if overflow.ExecJ != want || overflow.Jobs != 2 {
+		t.Errorf("overflow exec %v J over %d jobs, want %v J over 2 (x86 + a7 level 0 for 1 s)",
+			overflow.ExecJ, overflow.Jobs, want)
+	}
+	if got := m.Skipped(); got != 1 {
+		t.Errorf("skipped = %d, want 1 (the unknown platform)", got)
+	}
+}
+
 // TestEnergyBudgetBurn drives a constant-power stream and checks the
 // windowed burn converges to watts/budget once MinSamples land.
 func TestEnergyBudgetBurn(t *testing.T) {

@@ -22,15 +22,14 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -273,15 +272,11 @@ func (r *Result) MissRate() float64 {
 	return float64(r.Misses) / float64(r.Jobs)
 }
 
-// defaultWorkers sizes the pool to the scheduler's parallelism.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // devOut carries one finished device from a worker to the commit
 // stage.
 type devOut struct {
 	res    DeviceResult
 	events []obs.DecisionEvent
-	err    error
 }
 
 // Run simulates the fleet. Deterministic for a fixed Config:
@@ -290,13 +285,6 @@ func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("fleet: device count must be positive, got %d", cfg.Devices)
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > cfg.Devices {
-		workers = cfg.Devices
 	}
 
 	// Resolve platforms and pre-train controllers serially: the suite
@@ -337,82 +325,21 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	type indexed struct {
-		i   int
-		out devOut
-	}
-	jobs := make(chan int)
-	outs := make(chan indexed, workers*2)
-	var abort sync.Once
-	aborted := make(chan struct{})
-
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out := runDevice(cfg, cfg.Spec(i), suites, plats)
-				if out.err != nil {
-					abort.Do(func() { close(aborted) })
-				}
-				// Always deliverable: the committer drains outs until
-				// every worker exits, even after an abort.
-				outs <- indexed{i, out}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := 0; i < cfg.Devices; i++ {
-			select {
-			case jobs <- i:
-			case <-aborted:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(outs)
-	}()
-
-	// Commit stage: reassemble device order, then fold. Everything
+	// Workers finish devices out of order; the commit stage folds them
+	// in device-index order, single-threaded, so everything
 	// order-sensitive (float sums, histogram observations, trace
-	// emission, sequence numbering) happens here, single-threaded, in
-	// device-index order.
+	// emission, sequence numbering) is fixed by the configuration.
 	agg := newAggregator(cfg)
-	reorder := make(map[int]devOut, workers*2)
-	next := 0
-	var firstErr error
-	for o := range outs {
-		if o.out.err != nil && firstErr == nil {
-			firstErr = o.out.err
-		}
-		reorder[o.i] = o.out
-		for {
-			out, ok := reorder[next]
-			if !ok {
-				break
+	err := ordered.Run(cfg.Devices, cfg.Workers,
+		func(i int) (devOut, error) { return runDevice(cfg, cfg.Spec(i), suites, plats) },
+		func(i int, out devOut) {
+			agg.commit(&out)
+			if cfg.Progress != nil {
+				cfg.Progress(i+1, cfg.Devices)
 			}
-			delete(reorder, next)
-			if firstErr == nil {
-				agg.commit(&out)
-				if cfg.Progress != nil {
-					cfg.Progress(next+1, cfg.Devices)
-				}
-			}
-			next++
-		}
-		if firstErr != nil {
-			abort.Do(func() { close(aborted) })
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if next != cfg.Devices {
-		return nil, fmt.Errorf("fleet: committed %d of %d devices", next, cfg.Devices)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return agg.result(), nil
 }
@@ -423,15 +350,15 @@ func Run(cfg Config) (*Result, error) {
 // when events are wanted, run, and adapt the outcome. The per-decision
 // work inside the run is the already-annotated //dvfs:hotpath
 // controller path (core.Controller.PredictTrace).
-func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite, plats map[string]*platform.Platform) devOut {
+func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite, plats map[string]*platform.Platform) (devOut, error) {
 	w, err := workload.ByName(spec.Workload)
 	if err != nil {
-		return devOut{err: fmt.Errorf("fleet: device %s: %w", spec.ID, err)}
+		return devOut{}, fmt.Errorf("fleet: device %s: %w", spec.ID, err)
 	}
 	suite := suites[spec.Platform]
 	gov, err := suite.Governor(cfg.Governor, w)
 	if err != nil {
-		return devOut{err: fmt.Errorf("fleet: device %s: %w", spec.ID, err)}
+		return devOut{}, fmt.Errorf("fleet: device %s: %w", spec.ID, err)
 	}
 	var mem *obs.MemorySink
 	if ctl, ok := gov.(*core.Controller); ok {
@@ -444,7 +371,7 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 	}
 	r, err := sim.Run(w, gov, cfg.SimConfig(spec, plats[spec.Platform]))
 	if err != nil {
-		return devOut{err: fmt.Errorf("fleet: device %s: %w", spec.ID, err)}
+		return devOut{}, fmt.Errorf("fleet: device %s: %w", spec.ID, err)
 	}
 	out := devOut{res: DeviceResult{
 		Spec:    spec,
@@ -470,7 +397,7 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 			out.events[i].SpanTotalSec = 0
 		}
 	}
-	return out
+	return out, nil
 }
 
 // aggregator folds committed devices into the fleet result. All state

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // DriftConfig parameterizes the drift monitor. Zero values select
@@ -192,7 +194,7 @@ func (d *DriftMonitor) Quantile(workload string, p float64) float64 {
 		return math.NaN()
 	}
 	sort.Float64s(xs)
-	return quantileSorted(xs, p)
+	return stats.QuantileSorted(xs, p)
 }
 
 // Workloads lists the workloads observed so far, sorted.
@@ -205,18 +207,4 @@ func (d *DriftMonitor) Workloads() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// quantileSorted interpolates the p-quantile of an ascending slice.
-func quantileSorted(xs []float64, p float64) float64 {
-	if len(xs) == 1 {
-		return xs[0]
-	}
-	pos := p * float64(len(xs)-1)
-	i := int(pos)
-	if i >= len(xs)-1 {
-		return xs[len(xs)-1]
-	}
-	frac := pos - float64(i)
-	return xs[i] + frac*(xs[i+1]-xs[i])
 }

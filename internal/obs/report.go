@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Report aggregates a decision log the way the paper's Figs 2/3/19
@@ -144,10 +146,10 @@ func Analyze(events []DecisionEvent) Report {
 			N:         len(residuals),
 			UnderRate: float64(under) / float64(len(residuals)),
 			MeanSec:   sum / float64(len(residuals)),
-			P50Sec:    quantileSorted(residuals, 0.50),
-			P90Sec:    quantileSorted(residuals, 0.90),
-			P95Sec:    quantileSorted(residuals, 0.95),
-			P99Sec:    quantileSorted(residuals, 0.99),
+			P50Sec:    stats.QuantileSorted(residuals, 0.50),
+			P90Sec:    stats.QuantileSorted(residuals, 0.90),
+			P95Sec:    stats.QuantileSorted(residuals, 0.95),
+			P99Sec:    stats.QuantileSorted(residuals, 0.99),
 			MinSec:    residuals[0],
 			MaxSec:    residuals[len(residuals)-1],
 		}

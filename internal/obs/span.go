@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Phase names for the span ledger. A decision's ledger mirrors the
@@ -316,8 +318,8 @@ func AnalyzePhases(events []DecisionEvent) []PhaseStat {
 			Name:    name,
 			N:       len(xs),
 			MeanSec: sum / float64(len(xs)),
-			P50Sec:  quantileSorted(xs, 0.50),
-			P95Sec:  quantileSorted(xs, 0.95),
+			P50Sec:  stats.QuantileSorted(xs, 0.50),
+			P95Sec:  stats.QuantileSorted(xs, 0.95),
 			MaxSec:  xs[len(xs)-1],
 		})
 	}

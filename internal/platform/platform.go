@@ -178,16 +178,18 @@ func IntelI7() *Platform {
 	return p
 }
 
-// ByName returns a platform model by its CLI short name — the mapping
+// constructors maps each CLI short name to its model — the mapping
 // shared by dvfssim, dvfsd, and the experiment drivers.
+var constructors = map[string]func() *Platform{
+	"a7":        ODROIDXU3A7,
+	"x86":       IntelI7,
+	"biglittle": BigLITTLE,
+}
+
+// ByName returns a fresh platform model by its CLI short name.
 func ByName(name string) (*Platform, error) {
-	switch name {
-	case "a7":
-		return ODROIDXU3A7(), nil
-	case "x86":
-		return IntelI7(), nil
-	case "biglittle":
-		return BigLITTLE(), nil
+	if mk, ok := constructors[name]; ok {
+		return mk(), nil
 	}
 	return nil, fmt.Errorf("platform: unknown platform %q (have: a7, x86, biglittle)", name)
 }

@@ -3,7 +3,6 @@ package regress
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrorStats summarizes prediction errors e = ŷ − y. Positive errors
@@ -78,27 +77,4 @@ func Objective(m *Model, X [][]float64, y []float64, alpha, gamma float64) float
 		obj += gamma * math.Abs(c)
 	}
 	return obj
-}
-
-// Quantile returns the q-quantile (0≤q≤1) of xs by linear
-// interpolation on the sorted copy.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

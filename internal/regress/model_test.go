@@ -263,23 +263,6 @@ func TestErrorStats(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 4 {
-		t.Errorf("extremes wrong")
-	}
-	if got := Quantile(xs, 0.5); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("median = %g, want 2.5", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-	// Original slice untouched.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated input")
-	}
-}
-
 // Property: Fit never produces NaN/Inf coefficients on well-formed
 // random data.
 func TestFitFiniteProperty(t *testing.T) {

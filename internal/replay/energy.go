@@ -2,8 +2,6 @@ package replay
 
 import "repro/internal/platform"
 
-const timeEps = 1e-12
-
 // reconstruct rebuilds the energy the traced policy actually spent,
 // segment by segment, the way the simulator's meter integrated it:
 //
@@ -19,63 +17,35 @@ const timeEps = 1e-12
 // cross-validation test asserts within 1%. Where the trace cannot
 // carry a segment (inter-job idle-drop switches, mid-job sampling
 // transitions) the group's Approx list says so.
-func reconstruct(g *group, plat *platform.Platform) Outcome {
+func reconstruct(g *group, pt *platform.PowerTable) Outcome {
 	var out Outcome
-	var brk Breakdown
 	levels := map[int]int{}
 
-	now := 0.0
-	last := plat.MaxLevel()
+	var tl platform.Timeline
 	for _, j := range g.jobs {
-		from, err := plat.Level(j.from)
-		if err != nil {
-			from = plat.MaxLevel()
-		}
-		lv, err := plat.Level(j.level)
-		if err != nil {
-			lv = plat.MaxLevel()
-		}
 		levels[j.level]++
-
-		if gap := j.start - now; gap > timeEps {
-			brk.IdleJ += plat.IdlePower(from) * gap
-			now = j.start
-		}
-		if j.predictorSec > 0 {
-			brk.PredictorJ += plat.ActivePower(from) * j.predictorSec
-			now += j.predictorSec
-		}
+		tl.IdleUntil(pt, j.start, j.from)
 		sw := j.measSwitchSec
 		if sw == 0 && j.level != j.from {
 			// Old logs carry only the table estimate; better than
 			// pricing the transition at zero.
 			sw = j.switchEstSec
 		}
-		if sw > 0 {
-			brk.SwitchJ += plat.SwitchPower(from, lv) * sw
-			now += sw
-		}
-		brk.ExecJ += plat.ActivePower(lv) * j.actual
-		now += j.actual
+		tl.Job(pt, j.from, j.level, j.predictorSec, sw, j.actual)
 		if j.missed {
 			out.Misses++
 		}
-		last = lv
 	}
 
 	// The simulator charges every run the same wall-clock horizon:
 	// the last release plus one period.
 	if n := len(g.jobs); n > 0 {
-		horizon := g.jobs[n-1].release + g.period
-		if horizon > now {
-			brk.IdleJ += plat.IdlePower(last) * (horizon - now)
-			now = horizon
-		}
+		tl.Drain(pt, g.jobs[n-1].release+g.period, g.jobs[n-1].level)
 	}
 
-	out.Breakdown = brk
-	out.EnergyJ = brk.Total()
-	out.DurationSec = now
+	out.Breakdown = tl.Breakdown
+	out.EnergyJ = tl.Total()
+	out.DurationSec = tl.Now
 	if len(g.jobs) > 0 {
 		out.MissRate = float64(out.Misses) / float64(len(g.jobs))
 	}

@@ -9,13 +9,12 @@ package replay
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/ordered"
 	"repro/internal/platform"
+	"repro/internal/stats"
 )
 
 // FleetOptions configures a fleet replay.
@@ -181,78 +180,26 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		plats[name] = p
 		return p, nil
 	}
-	// Resolve every device's platform, and measure each distinct
-	// platform's switch table, serially before the pool starts: the
-	// memo maps stay single-threaded, resolution errors surface at the
-	// same device regardless of worker count, and workers only read
-	// the tables.
+	// Resolve every device's platform, and build each distinct
+	// platform's tables, serially before the pool starts: the memo maps
+	// stay single-threaded, resolution errors surface at the same
+	// device regardless of worker count, and workers only read the
+	// tables.
 	devPlats := make([]*platform.Platform, len(ids))
-	devTables := make([]*platform.SwitchTable, len(ids))
-	tables := map[*platform.Platform]*platform.SwitchTable{}
+	devTables := make([]tables, len(ids))
+	platTables := map[*platform.Platform]tables{}
 	for i, id := range ids {
 		p, err := resolve(byDevice[id][0].Platform)
 		if err != nil {
 			return nil, fmt.Errorf("replay: device %s: %w", id, err)
 		}
-		if tables[p] == nil {
-			tables[p] = switchTable(p, devOpts.Seed)
+		tb, ok := platTables[p]
+		if !ok {
+			tb = newTables(p, devOpts.Seed)
+			platTables[p] = tb
 		}
-		devPlats[i], devTables[i] = p, tables[p]
+		devPlats[i], devTables[i] = p, tb
 	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-
-	// Worker pool + in-order commit (the internal/fleet pattern):
-	// workers replay devices out of order; the commit stage below
-	// reassembles sorted-ID order before any float is summed or any
-	// delta appended, so the result — and every derived report byte —
-	// is identical across worker counts.
-	type indexed struct {
-		i   int
-		r   *Result
-		err error
-	}
-	jobs := make(chan int)
-	outs := make(chan indexed, workers*2)
-	var abort sync.Once
-	aborted := make(chan struct{})
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				o := devOpts
-				o.Plat = devPlats[i]
-				r, err := replayDevice(byDevice[ids[i]], o, devTables[i])
-				if err != nil {
-					err = fmt.Errorf("replay: device %s: %w", ids[i], err)
-					abort.Do(func() { close(aborted) })
-				}
-				outs <- indexed{i, r, err}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := range ids {
-			select {
-			case jobs <- i:
-			case <-aborted:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(outs)
-	}()
 
 	out := &FleetReplayResult{Devices: len(ids), Events: len(events)}
 	byPlat := map[string]*FleetPlatformResult{}
@@ -329,40 +276,20 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		}
 	}
 
-	// Commit stage: drain workers, reassemble device-index order. On
-	// error, keep the error from the smallest device index (the one a
-	// serial run would have hit first) so failures are deterministic
-	// too.
-	reorder := make(map[int]*Result, workers*2)
-	next := 0
-	var firstErr error
-	firstErrIdx := len(ids)
-	for o := range outs {
-		if o.err != nil {
-			if o.i < firstErrIdx {
-				firstErr, firstErrIdx = o.err, o.i
-			}
-			abort.Do(func() { close(aborted) })
-			continue
+	// Workers replay devices out of order; the commit stage runs in
+	// sorted-ID order, so every float sum and delta — and every derived
+	// report byte — is identical across worker counts.
+	err := ordered.Run(len(ids), opts.Workers, func(i int) (*Result, error) {
+		o := devOpts
+		o.Plat = devPlats[i]
+		r, err := replayDevice(byDevice[ids[i]], o, devTables[i])
+		if err != nil {
+			return nil, fmt.Errorf("replay: device %s: %w", ids[i], err)
 		}
-		reorder[o.i] = o.r
-		for {
-			r, ok := reorder[next]
-			if !ok {
-				break
-			}
-			delete(reorder, next)
-			if firstErr == nil {
-				commit(next, r)
-			}
-			next++
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if next != len(ids) {
-		return nil, fmt.Errorf("replay: committed %d of %d devices", next, len(ids))
+		return r, nil
+	}, commit)
+	if err != nil {
+		return nil, err
 	}
 
 	if out.Jobs > 0 {
@@ -378,9 +305,12 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 			pt.MissRate = float64(pt.Misses) / float64(out.Jobs)
 		}
 		pt.DeltaMissPts = 100 * (pt.MissRate - out.TracedMissRate)
-		pt.DeltaEnergyPctP50 = quantileSorted(deltas[mi], 0.50)
-		pt.DeltaEnergyPctP95 = quantileSorted(deltas[mi], 0.95)
-		pt.DeltaEnergyPctP99 = quantileSorted(deltas[mi], 0.99)
+		// Exact, not streamed: a fleet replay already holds every
+		// device in memory.
+		sort.Float64s(deltas[mi])
+		pt.DeltaEnergyPctP50 = stats.QuantileSorted(deltas[mi], 0.50)
+		pt.DeltaEnergyPctP95 = stats.QuantileSorted(deltas[mi], 0.95)
+		pt.DeltaEnergyPctP99 = stats.QuantileSorted(deltas[mi], 0.99)
 		out.Margins = append(out.Margins, pt)
 	}
 	for _, pp := range byPlat {
@@ -394,22 +324,4 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		out.SLOTarget = opts.SLO.Target()
 	}
 	return out, nil
-}
-
-// quantileSorted returns the p-quantile of vs (sorted in place) with
-// linear interpolation; NaN when empty. Exact, not streamed: a fleet
-// replay already holds every device in memory, so there is no reason
-// to give up precision.
-func quantileSorted(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vs)
-	pos := p * float64(len(vs)-1)
-	lo := int(pos)
-	if lo >= len(vs)-1 {
-		return vs[len(vs)-1]
-	}
-	frac := pos - float64(lo)
-	return vs[lo] + frac*(vs[lo+1]-vs[lo])
 }

@@ -8,7 +8,11 @@ import (
 	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/stats"
 )
+
+// timeEps absorbs floating-point residue in the deadline check.
+const timeEps = 1e-12
 
 // policy decides a counterfactual level for each traced job. decide
 // returns the target level and the predictor overhead the policy pays
@@ -30,43 +34,29 @@ type policy struct {
 // horizon. Execution times come from each job's cross-level
 // translation, switch latencies from the platform's jitter model
 // under a fixed seed.
-func runPolicy(g *group, p policy, plat *platform.Platform, seed int64) Outcome {
+func runPolicy(g *group, p policy, plat *platform.Platform, pt *platform.PowerTable, seed int64) Outcome {
 	var out Outcome
-	var brk Breakdown
 	levels := map[int]int{}
 	rng := rand.New(rand.NewSource(seed))
 
-	now := 0.0
+	var tl platform.Timeline
 	cur := plat.MaxLevel()
 	for _, j := range g.jobs {
 		obsLevel, err := plat.Level(j.level)
 		if err != nil {
 			obsLevel = plat.MaxLevel()
 		}
-		if j.release > now {
-			if gap := j.release - now; gap > timeEps {
-				brk.IdleJ += plat.IdlePower(cur) * gap
-			}
-			now = j.release
+		tl.IdleUntil(pt, j.release, cur.Index)
+		target, predSec := p.decide(j, cur, tl.Now)
+		var lat float64
+		if target.Index != cur.Index && !p.free {
+			lat = plat.SampleSwitchLatency(cur, target, rng)
 		}
-		target, predSec := p.decide(j, cur, now)
-		if predSec > 0 {
-			brk.PredictorJ += plat.ActivePower(cur) * predSec
-			now += predSec
-		}
-		if target.Index != cur.Index {
-			if !p.free {
-				lat := plat.SampleSwitchLatency(cur, target, rng)
-				brk.SwitchJ += plat.SwitchPower(cur, target) * lat
-				now += lat
-			}
-			cur = target
-		}
+		exec := j.timeAt(target, obsLevel, g.rho)
+		tl.Job(pt, cur.Index, target.Index, predSec, lat, exec)
+		cur = target
 		levels[cur.Index]++
-		exec := j.timeAt(cur, obsLevel, g.rho)
-		brk.ExecJ += plat.ActivePower(cur) * exec
-		now += exec
-		if now > j.deadline+timeEps {
+		if tl.Now > j.deadline+timeEps {
 			out.Misses++
 		}
 		if p.onEnd != nil {
@@ -74,16 +64,12 @@ func runPolicy(g *group, p policy, plat *platform.Platform, seed int64) Outcome 
 		}
 	}
 	if n := len(g.jobs); n > 0 {
-		horizon := g.jobs[n-1].release + g.period
-		if horizon > now {
-			brk.IdleJ += plat.IdlePower(cur) * (horizon - now)
-			now = horizon
-		}
+		tl.Drain(pt, g.jobs[n-1].release+g.period, cur.Index)
 	}
 
-	out.Breakdown = brk
-	out.EnergyJ = brk.Total()
-	out.DurationSec = now
+	out.Breakdown = tl.Breakdown
+	out.EnergyJ = tl.Total()
+	out.DurationSec = tl.Now
 	if len(g.jobs) > 0 {
 		out.MissRate = float64(out.Misses) / float64(len(g.jobs))
 	}
@@ -179,10 +165,10 @@ func oraclePolicy(g *group, plat *platform.Platform) policy {
 	}
 }
 
-// analyzeGroup reconstructs the trace and runs every counterfactual,
-// pricing transitions from table (switchTable(opts.Plat, opts.Seed)).
-func analyzeGroup(g *group, opts Options, table *platform.SwitchTable) GroupResult {
-	plat := opts.Plat
+// analyzeGroup reconstructs the trace and runs every counterfactual on
+// the platform's tables.
+func analyzeGroup(g *group, opts Options, tb tables) GroupResult {
+	plat, table := opts.Plat, tb.sw
 
 	gr := GroupResult{
 		Workload:  g.workload,
@@ -192,7 +178,7 @@ func analyzeGroup(g *group, opts Options, table *platform.SwitchTable) GroupResu
 		BudgetSec: g.budget,
 		Rho:       g.rho,
 		Approx:    g.approx,
-		Traced:    reconstruct(g, plat),
+		Traced:    reconstruct(g, tb.power),
 	}
 	for _, j := range g.jobs {
 		if j.predicted {
@@ -235,7 +221,7 @@ func analyzeGroup(g *group, opts Options, table *platform.SwitchTable) GroupResu
 	outs := make([]Outcome, len(policies))
 	var perf float64
 	for i, p := range policies {
-		outs[i] = runPolicy(g, p, plat, opts.Seed)
+		outs[i] = runPolicy(g, p, plat, tb.power, opts.Seed)
 		if p.name == "performance" {
 			perf = outs[i].EnergyJ
 		}
@@ -254,7 +240,7 @@ func analyzeGroup(g *group, opts Options, table *platform.SwitchTable) GroupResu
 
 	if gr.Predicted > 0 {
 		for _, m := range opts.Margins {
-			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, opts.Seed)
+			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, tb.power, opts.Seed)
 			gr.MarginSweep = append(gr.MarginSweep, sweepPoint(m, o, perf))
 		}
 		var residuals []float64
@@ -263,13 +249,13 @@ func analyzeGroup(g *group, opts Options, table *platform.SwitchTable) GroupResu
 				residuals = append(residuals, j.residual)
 			}
 		}
-		base := quantile(residuals, opts.TracedAlpha/(1+opts.TracedAlpha))
+		base := stats.Quantile(residuals, opts.TracedAlpha/(1+opts.TracedAlpha))
 		for _, a := range opts.Alphas {
 			shift := 0.0
 			if !math.IsNaN(base) {
-				shift = quantile(residuals, a/(1+a)) - base
+				shift = stats.Quantile(residuals, a/(1+a)) - base
 			}
-			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, opts.Seed)
+			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, tb.power, opts.Seed)
 			gr.AlphaSweep = append(gr.AlphaSweep, sweepPoint(a, o, perf))
 		}
 	}

@@ -24,7 +24,6 @@ package replay
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dvfs"
@@ -85,26 +84,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Breakdown attributes reconstructed energy to activities [J],
-// mirroring sim.EnergyBreakdown.
-type Breakdown struct {
-	ExecJ      float64 `json:"exec_j"`
-	PredictorJ float64 `json:"predictor_j"`
-	SwitchJ    float64 `json:"switch_j"`
-	IdleJ      float64 `json:"idle_j"`
-}
-
-// Total sums the breakdown.
-func (b Breakdown) Total() float64 { return b.ExecJ + b.PredictorJ + b.SwitchJ + b.IdleJ }
-
 // Outcome is one policy's (or the traced reconstruction's) aggregate
 // over a group.
 type Outcome struct {
-	EnergyJ     float64   `json:"energy_j"`
-	Breakdown   Breakdown `json:"breakdown"`
-	DurationSec float64   `json:"duration_sec"`
-	Misses      int       `json:"misses"`
-	MissRate    float64   `json:"miss_rate"`
+	EnergyJ     float64            `json:"energy_j"`
+	Breakdown   platform.Breakdown `json:"breakdown"`
+	DurationSec float64            `json:"duration_sec"`
+	Misses      int                `json:"misses"`
+	MissRate    float64            `json:"miss_rate"`
 	// Levels is per-level decision occupancy, ascending by index.
 	Levels []obs.LevelOccupancy `json:"levels,omitempty"`
 }
@@ -263,25 +250,34 @@ func Run(events []obs.DecisionEvent, opts Options) (*Result, error) {
 	if opts.Plat == nil {
 		return nil, fmt.Errorf("replay: Options.Plat is required")
 	}
-	res, err := replayDevice(events, opts, switchTable(opts.Plat, opts.Seed))
+	res, err := replayDevice(events, opts, newTables(opts.Plat, opts.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	return res, nil
 }
 
-// switchTable measures the 95th-percentile table that prices every
-// counterfactual transition. It is a pure function of (plat, seed), so
-// one table serves every group of a Run and every device of a
-// RunFleet on that platform.
-func switchTable(plat *platform.Platform, seed int64) *platform.SwitchTable {
-	return platform.MeasureSwitchTable(plat, 500, 0.95, seed+2000)
+// tables are what replay on one platform prices with and only reads:
+// the 95th-percentile switch table for counterfactual transitions and
+// the power table for every segment. Both are pure functions of
+// (plat, seed), so one pair serves every group of a Run and every
+// device of a RunFleet on that platform.
+type tables struct {
+	sw    *platform.SwitchTable
+	power *platform.PowerTable
+}
+
+func newTables(plat *platform.Platform, seed int64) tables {
+	return tables{
+		sw:    platform.MeasureSwitchTable(plat, 500, 0.95, seed+2000),
+		power: platform.NewPowerTable(plat),
+	}
 }
 
 // replayDevice is Run after defaulting: opts has been through
-// withDefaults, and table is switchTable(opts.Plat, opts.Seed), which
-// it only reads. Its errors carry no package prefix; callers add it.
-func replayDevice(events []obs.DecisionEvent, opts Options, table *platform.SwitchTable) (*Result, error) {
+// withDefaults, and tb is newTables(opts.Plat, opts.Seed), which it
+// only reads. Its errors carry no package prefix; callers add it.
+func replayDevice(events []obs.DecisionEvent, opts Options, tb tables) (*Result, error) {
 	res := &Result{Platform: opts.Plat.Name, Events: len(events)}
 	res.SeqGaps = obs.Analyze(events).SeqGaps
 
@@ -320,7 +316,7 @@ func replayDevice(events []obs.DecisionEvent, opts Options, table *platform.Swit
 		if len(g.jobs) == 0 {
 			continue
 		}
-		res.Groups = append(res.Groups, analyzeGroup(g, opts, table))
+		res.Groups = append(res.Groups, analyzeGroup(g, opts, tb))
 	}
 	return res, nil
 }
@@ -479,24 +475,4 @@ func levelOccupancy(counts map[int]int, total int) []obs.LevelOccupancy {
 		})
 	}
 	return out
-}
-
-// quantile interpolates the p-quantile of unsorted xs (NaN when
-// empty).
-func quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := p * float64(len(s)-1)
-	i := int(pos)
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(i)
-	return s[i] + frac*(s[i+1]-s[i])
 }

@@ -147,27 +147,9 @@ type Result struct {
 	// sensor's estimate of the same quantity.
 	EnergyJ, SensorEnergyJ float64
 	// Breakdown attributes the energy to activities.
-	Breakdown   EnergyBreakdown
+	Breakdown   platform.Breakdown
 	DurationSec float64
 	Misses      int
-}
-
-// EnergyBreakdown attributes a run's energy to activities [J].
-type EnergyBreakdown struct {
-	// ExecJ is energy spent executing jobs.
-	ExecJ float64
-	// PredictorJ is energy spent running prediction slices (including
-	// helper-core energy under overlapped placements).
-	PredictorJ float64
-	// SwitchJ is energy spent in DVFS transitions.
-	SwitchJ float64
-	// IdleJ is energy spent between jobs.
-	IdleJ float64
-}
-
-// Total sums the breakdown.
-func (b EnergyBreakdown) Total() float64 {
-	return b.ExecJ + b.PredictorJ + b.SwitchJ + b.IdleJ
 }
 
 // MissRate returns the fraction of jobs that missed their deadline.
@@ -237,7 +219,7 @@ type simState struct {
 	// account points at the Breakdown field the current segment's
 	// energy belongs to.
 	account *float64
-	brk     EnergyBreakdown
+	brk     platform.Breakdown
 }
 
 // boundary returns time until the next sampling instant (+Inf when the

@@ -44,24 +44,33 @@ func Summarize(xs []float64) Summary {
 // Percentile returns the p-th percentile (0–100) of xs using linear
 // interpolation between order statistics. Empty input yields NaN.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
+	return Quantile(xs, p/100)
+}
+
+// Quantile returns the q-quantile (0–1) of xs, leaving xs untouched;
+// see QuantileSorted.
+func Quantile(xs []float64, q float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	if p <= 0 {
+	return QuantileSorted(s, q)
+}
+
+// QuantileSorted returns the q-quantile of the ascending slice s,
+// interpolating linearly between order statistics: q ≤ 0 yields the
+// minimum, q ≥ 1 the maximum, and empty input NaN.
+func QuantileSorted(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return math.NaN()
+	}
+	if q <= 0 {
 		return s[0]
 	}
-	if p >= 100 {
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i >= len(s)-1 {
 		return s[len(s)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
 // BoxPlot holds box-and-whisker statistics as the paper defines them

@@ -42,6 +42,36 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestQuantile(t *testing.T) {
+	xs := []float64{4, 1, 3, 2}
+	cases := []struct{ q, want float64 }{
+		{0, 1}, {1, 4}, {-0.5, 1}, {1.5, 4},
+		{0.5, 2.5}, {1.0 / 3, 2}, {0.9, 3.7},
+	}
+	for _, c := range cases {
+		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
+		}
+	}
+	if xs[0] != 4 || xs[1] != 1 {
+		t.Error("Quantile mutated input")
+	}
+	if !math.IsNaN(Quantile(nil, 0.5)) || !math.IsNaN(QuantileSorted(nil, 0.5)) {
+		t.Error("empty quantile should be NaN")
+	}
+	if got := QuantileSorted([]float64{7}, 0.99); got != 7 {
+		t.Errorf("single-element quantile = %g, want 7", got)
+	}
+	// The sorted form reads its input as given, so on an ascending
+	// slice it agrees with the copying form bit for bit.
+	sorted := []float64{1, 2, 3, 4}
+	for q := -0.25; q <= 1.25; q += 0.05 {
+		if a, b := QuantileSorted(sorted, q), Quantile(xs, q); a != b {
+			t.Errorf("q=%g: sorted %v, copying %v", q, a, b)
+		}
+	}
+}
+
 func TestBoxPlot(t *testing.T) {
 	// Data with one clear high outlier.
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 100}
