@@ -248,10 +248,11 @@ func runtimeUndefReads(w *workload.Workload, jobs int) []string {
 	globals := w.FreshGlobals()
 	env := taskir.NewEnv(globals)
 	env.TrackReads()
+	prog := taskir.Lower(w.Prog)
 	for i := 0; i < jobs; i++ {
 		env.ResetLocals()
 		env.SetParams(gen.Next(i))
-		if _, err := taskir.Run(w.Prog, env, taskir.RunOptions{}); err != nil {
+		if _, err := prog.Run(env, taskir.RunOptions{}); err != nil {
 			return env.UndefinedReads()
 		}
 	}

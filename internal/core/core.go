@@ -193,12 +193,13 @@ func Build(w *workload.Workload, cfg Config) (*Controller, error) {
 	traces := make([]*features.Trace, 0, cfg.ProfileJobs)
 	works := make([]taskir.Work, 0, cfg.ProfileJobs)
 	paramSets := make([]map[string]int64, 0, cfg.ProfileJobs)
+	prog := taskir.Lower(ip.Prog)
 	for i := 0; i < cfg.ProfileJobs; i++ {
 		tr := features.NewTrace()
 		env := taskir.NewEnv(globals)
 		params := gen.Next(i)
 		env.SetParams(params)
-		wk, err := taskir.Run(ip.Prog, env, taskir.RunOptions{Recorder: tr})
+		wk, err := prog.Run(env, taskir.RunOptions{Recorder: tr})
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling %s job %d: %w", w.Name, i, err)
 		}

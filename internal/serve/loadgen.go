@@ -73,7 +73,7 @@ func GenerateJobs(name string, jobs int, seed int64) ([]PredictJob, error) {
 	if jobs <= 0 {
 		jobs = w.EvalJobs
 	}
-	ip := instrument.Instrument(w.Prog)
+	prog := taskir.Lower(instrument.Instrument(w.Prog).Prog)
 	gen := w.NewGen(seed)
 	globals := w.FreshGlobals()
 	out := make([]PredictJob, 0, jobs)
@@ -82,7 +82,7 @@ func GenerateJobs(name string, jobs int, seed int64) ([]PredictJob, error) {
 		env := taskir.NewEnv(globals)
 		params := gen.Next(i)
 		env.SetParams(params)
-		if _, err := taskir.Run(ip.Prog, env, taskir.RunOptions{Recorder: tr}); err != nil {
+		if _, err := prog.Run(env, taskir.RunOptions{Recorder: tr}); err != nil {
 			return nil, fmt.Errorf("serve: generating %s job %d: %w", name, i, err)
 		}
 		out = append(out, PredictJob{Features: tr.Wire(), Params: params})

@@ -117,6 +117,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 	out := &MultiResult{PerTask: make([]*Result, len(tasks))}
 	gens := make([]workload.InputGen, len(tasks))
 	globals := make([]map[string]int64, len(tasks))
+	progs := make([]*taskir.Lowered, len(tasks))
 	for i, t := range tasks {
 		out.PerTask[i] = &Result{
 			Workload:  t.W.Name,
@@ -125,6 +126,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 		}
 		gens[i] = t.W.NewGen(cfg.Seed + 1 + int64(i))
 		globals[i] = t.W.FreshGlobals()
+		progs[i] = taskir.Lower(t.W.Prog)
 	}
 
 	for _, mj := range sched {
@@ -136,6 +138,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 		deadline := mj.release + t.BudgetSec
 		params := gens[mj.task].Next(mj.index)
 		g := globals[mj.task]
+		prog := progs[mj.task]
 
 		job := &governor.Job{
 			Index:              mj.index,
@@ -148,7 +151,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 				env := taskir.NewEnv(g)
 				env.Freeze()
 				env.SetParams(params)
-				pw, err := taskir.Run(t.W.Prog, env, taskir.RunOptions{})
+				pw, err := prog.Run(env, taskir.RunOptions{})
 				if err != nil {
 					return taskir.Work{}
 				}
@@ -171,7 +174,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 
 		env := taskir.NewEnv(g)
 		env.SetParams(params)
-		wk, err := taskir.Run(t.W.Prog, env, taskir.RunOptions{})
+		wk, err := prog.Run(env, taskir.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s job %d: %w", t.W.Name, mj.index, err)
 		}

@@ -388,6 +388,9 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 		Records:   make([]JobRecord, 0, cfg.Jobs),
 	}
 
+	// The task runs every job (and every PeekWork), so lower it once.
+	prog := taskir.Lower(w.Prog)
+
 	// paramsFor memoizes inputs so pipelined prediction can look one
 	// job ahead without double-advancing the generator.
 	paramsCache := map[int]map[string]int64{}
@@ -414,7 +417,7 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 				env := taskir.NewEnv(globals)
 				env.Freeze()
 				env.SetParams(params)
-				pw, err := taskir.Run(w.Prog, env, taskir.RunOptions{})
+				pw, err := prog.Run(env, taskir.RunOptions{})
 				if err != nil {
 					return taskir.Work{}
 				}
@@ -458,7 +461,7 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 		// Execute the job for real (this advances the program state).
 		env := taskir.NewEnv(globals)
 		env.SetParams(params)
-		wk, err := taskir.Run(w.Prog, env, taskir.RunOptions{})
+		wk, err := prog.Run(env, taskir.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s job %d: %w", w.Name, i, err)
 		}

@@ -38,6 +38,11 @@ type Slice struct {
 	// Stats records how the extraction behaved, for diagnostics and
 	// for tests that bound the fixpoint.
 	Stats Stats
+
+	// run is Prog lowered once at extraction. It is read-only, so
+	// every controller clone sharing the slice runs it concurrently;
+	// each run keeps its state in its own frame.
+	run *taskir.Lowered
 }
 
 // Stats are per-extraction statistics. The fixpoint iterates while the
@@ -84,6 +89,7 @@ func Extract(ip *instrument.Program, need map[int]bool) *Slice {
 		NeededFIDs: need,
 		FullStmts:  ip.Prog.StmtCount(),
 		Stats:      Stats{FixpointIters: iters, VarsKept: len(sl.vars)},
+		run:        taskir.Lower(prog),
 	}
 	out.SliceStmts = prog.StmtCount()
 	return out
@@ -193,10 +199,11 @@ func (sl *slicerPass) stmt(s taskir.Stmt) taskir.Stmt {
 // read from the live program state but all writes are isolated to
 // local copies (frozen environment). It returns the computed feature
 // trace recorded into rec and the interpreter work of the slice, which
-// the simulator converts into predictor execution time.
+// the simulator converts into predictor execution time. Run is safe
+// for concurrent use on distinct globals maps.
 func (s *Slice) Run(globals map[string]int64, params map[string]int64, rec taskir.FeatureRecorder) (taskir.Work, error) {
 	env := taskir.NewEnv(globals)
 	env.Freeze()
 	env.SetParams(params)
-	return taskir.Run(s.Prog, env, taskir.RunOptions{Recorder: rec})
+	return s.run.Run(env, taskir.RunOptions{Recorder: rec})
 }

@@ -3,6 +3,7 @@ package slicer
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/features"
@@ -488,6 +489,84 @@ func TestExtractFixpointBounded(t *testing.T) {
 		if sl.Stats.VarsKept > distinctVars(ip.Prog) {
 			t.Fatalf("trial %d: kept %d vars, program only has %d",
 				trial, sl.Stats.VarsKept, distinctVars(ip.Prog))
+		}
+	}
+}
+
+// Fleet workers share one extracted slice (Controller.Clone shares it)
+// and run it at the same time, each on its own device's globals, which
+// the device's full job advances between predictions. The slice's
+// lowered form must stay read-only: every device run concurrently must
+// see exactly what it sees run alone. Run under -race -count=10.
+func TestSliceRunConcurrent(t *testing.T) {
+	p := &taskir.Program{
+		Name:    "phased",
+		Params:  []string{"n"},
+		Globals: map[string]int64{"phase": 0},
+		Body: []taskir.Stmt{
+			// The slice keeps this global write: the branch below reads it.
+			&taskir.Assign{Dst: "phase", Expr: taskir.Mod(taskir.Add(taskir.Var("phase"), taskir.Var("n")), taskir.Const(5))},
+			&taskir.If{ID: 1, Cond: taskir.LT(taskir.Var("phase"), taskir.Const(2)), Then: []taskir.Stmt{
+				&taskir.Loop{ID: 2, Count: taskir.Var("n"), IndexVar: "i", Body: []taskir.Stmt{
+					&taskir.Compute{Label: "work", Work: 100},
+				}},
+			}},
+		},
+	}
+	ip := instrument.Instrument(p)
+	sl := Extract(ip, nil)
+	if a, ok := sl.Prog.Body[0].(*taskir.Assign); !ok || a.Dst != "phase" {
+		t.Fatalf("slice lost the global write:\n%s", taskir.Format(sl.Prog))
+	}
+	full := taskir.Lower(ip.Prog)
+	type job struct {
+		work   taskir.Work
+		counts map[int]int64
+	}
+	device := func(d int) ([]job, error) {
+		globals := cloneMap(p.Globals)
+		jobs := make([]job, 20)
+		for i := range jobs {
+			params := map[string]int64{"n": int64(d*7+i*3) % 11}
+			tr := features.NewTrace()
+			w, err := sl.Run(globals, params, tr)
+			if err != nil {
+				return nil, err
+			}
+			jobs[i] = job{w, tr.Counts}
+			env := taskir.NewEnv(globals)
+			env.SetParams(params)
+			if _, err := full.Run(env, taskir.RunOptions{}); err != nil {
+				return nil, err
+			}
+		}
+		return jobs, nil
+	}
+	const devices = 32
+	want := make([][]job, devices)
+	for d := range want {
+		var err error
+		if want[d], err = device(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]job, devices)
+	errs := make([]error, devices)
+	var wg sync.WaitGroup
+	for d := 0; d < devices; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			got[d], errs[d] = device(d)
+		}(d)
+	}
+	wg.Wait()
+	for d := range got {
+		if errs[d] != nil {
+			t.Fatalf("device %d: %v", d, errs[d])
+		}
+		if !reflect.DeepEqual(got[d], want[d]) {
+			t.Errorf("device %d: concurrent runs differ from serial ones", d)
 		}
 	}
 }

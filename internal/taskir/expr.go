@@ -63,9 +63,14 @@ func (v Var) Eval(env *Env) int64 { return env.Get(string(v)) }
 func (v Var) String() string      { return string(v) }
 
 func (b *Bin) Eval(env *Env) int64 {
-	l := b.L.Eval(env)
-	r := b.R.Eval(env)
-	switch b.Op {
+	return b.Op.apply(b.L.Eval(env), b.R.Eval(env))
+}
+
+// apply is the one definition of binary-operator arithmetic: Bin.Eval,
+// the slot interpreter, and (through Bin.Eval) the analysis layer's
+// constant folding all compute through it, so they cannot disagree.
+func (op Op) apply(l, r int64) int64 {
+	switch op {
 	case OpAdd:
 		return l + r
 	case OpSub:
@@ -109,7 +114,7 @@ func (b *Bin) Eval(env *Env) int64 {
 	case OpOr:
 		return b2i(l != 0 || r != 0)
 	}
-	panic(fmt.Sprintf("taskir: unknown op %d", b.Op))
+	panic(fmt.Sprintf("taskir: unknown op %d", op))
 }
 
 func (b *Bin) String() string {

@@ -68,7 +68,10 @@ var ErrStepLimit = errors.New("taskir: interpreter step limit exceeded")
 
 // RunOptions configures interpretation.
 type RunOptions struct {
-	// MaxSteps bounds executed statements; 0 means the default of 50M.
+	// MaxSteps bounds the executed statements plus loop iterations
+	// (counted or while), so a loop with an empty body cannot outrun
+	// it either; 0 means the default of 50M. Iterations count against
+	// the budget only: Work.Stmts and Work.CPU charge them as before.
 	MaxSteps int64
 	// Recorder receives feature events; may be nil.
 	Recorder FeatureRecorder
@@ -78,105 +81,247 @@ const defaultMaxSteps = 50_000_000
 
 // Run executes one job of the program body in env and returns the work
 // performed. Control flow, feature recording and cost accounting all
-// happen here; time and energy are the simulator's concern.
+// happen here; time and energy are the simulator's concern. Run lowers
+// p for this one job; a caller running many jobs of one program lowers
+// it once (Lower) and calls Lowered.Run instead.
 func Run(p *Program, env *Env, opts RunOptions) (Work, error) {
+	return Lower(p).Run(env, opts)
+}
+
+// Run executes one job of the lowered program in env and returns the
+// work performed. The frame's slots are filled from env's layers on
+// entry, and env's maps are brought up to date on every return, be it
+// success, ErrStepLimit or a while guard, so afterwards env reads as
+// if each access had gone to it directly. If the program's Body was
+// edited after lowering, Run lowers the current body for this call
+// rather than run stale code.
+func (l *Lowered) Run(env *Env, opts RunOptions) (Work, error) {
+	if !l.current() {
+		l = Lower(l.prog)
+	}
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = defaultMaxSteps
 	}
-	in := &interp{env: env, rec: opts.Recorder, remaining: maxSteps}
-	if err := in.block(p.Body); err != nil {
-		return in.work, err
-	}
-	return in.work, nil
+	f := frame{slots: bind(l.names, env), rec: opts.Recorder, remaining: maxSteps}
+	err := f.block(l.body)
+	unbind(l.names, f.slots, env)
+	return f.work, err
 }
 
-type interp struct {
-	env       *Env
+// Slot state bits.
+const (
+	// slotDefined marks a slot that reads a value: a param, a global,
+	// or an earlier assignment.
+	slotDefined uint8 = 1 << iota
+	// slotLocal marks a value in the local layer, which shadows the
+	// global one.
+	slotLocal
+	// slotWritesGlobal routes writes to the global layer: the name
+	// was a global at NewEnv and the environment is not frozen.
+	slotWritesGlobal
+	// slotLocalDirty and slotGlobalDirty mark layers written this run.
+	slotLocalDirty
+	slotGlobalDirty
+	// slotUndefRead marks a read before any definition.
+	slotUndefRead
+)
+
+// slotVal is one variable within a run. val is what a read sees: the
+// local layer's value when there is one, else the global layer's.
+// global holds global writes until they are written back; a write to
+// a global shadowed by a local (a param named like a global) changes
+// global but not val, as Env.Set and Env.Get would have it.
+type slotVal struct {
+	val, global int64
+	flags       uint8
+}
+
+// bind builds a run's slots from env's layers.
+func bind(names []string, env *Env) []slotVal {
+	slots := make([]slotVal, len(names))
+	for i, name := range names {
+		v := &slots[i]
+		if x, ok := env.locals[name]; ok {
+			v.val = x
+			v.flags = slotDefined | slotLocal
+		} else if x, ok := env.globals[name]; ok {
+			v.val = x
+			v.flags = slotDefined
+		}
+		if !env.frozen && env.isGlobal[name] {
+			v.flags |= slotWritesGlobal
+		}
+	}
+	return slots
+}
+
+// unbind writes a run's changed layers and its undefined reads back
+// into env.
+func unbind(names []string, slots []slotVal, env *Env) {
+	for i := range slots {
+		v := &slots[i]
+		if v.flags&slotGlobalDirty != 0 {
+			env.globals[names[i]] = v.global
+		}
+		if v.flags&slotLocalDirty != 0 {
+			env.locals[names[i]] = v.val
+		}
+		if v.flags&slotUndefRead != 0 && env.undefReads != nil {
+			env.undefReads[names[i]] = true
+		}
+	}
+}
+
+// frame is the per-run state of a lowered program.
+type frame struct {
+	slots     []slotVal
 	rec       FeatureRecorder
 	work      Work
 	remaining int64
 }
 
-func (in *interp) step() error {
-	in.work.Stmts++
-	in.work.CPU += StmtCostCPU
-	in.remaining--
-	if in.remaining < 0 {
-		return ErrStepLimit
+// get reads a slot; an undefined read yields zero and is marked.
+func (f *frame) get(s int32) int64 {
+	v := &f.slots[s]
+	if v.flags&slotDefined == 0 {
+		v.flags |= slotUndefRead
 	}
-	return nil
+	return v.val
 }
 
-func (in *interp) block(stmts []Stmt) error {
-	for _, s := range stmts {
-		if err := in.stmt(s); err != nil {
+// set writes a slot with Env.Set's layering.
+func (f *frame) set(s int32, x int64) {
+	v := &f.slots[s]
+	if v.flags&slotWritesGlobal == 0 {
+		v.val = x
+		v.flags |= slotDefined | slotLocal | slotLocalDirty
+		return
+	}
+	v.global = x
+	v.flags |= slotGlobalDirty
+	if v.flags&slotLocal == 0 {
+		v.val = x
+		v.flags |= slotDefined
+	}
+}
+
+func (f *frame) eval(e *lexpr) int64 {
+	switch e.kind {
+	case exprConst:
+		return e.val
+	case exprVar:
+		return f.get(e.slot)
+	case exprNot:
+		return b2i(f.eval(e.l) == 0)
+	}
+	// Most operands are constants or variables: read those in place
+	// rather than through a recursive call.
+	var l, r int64
+	switch x := e.l; x.kind {
+	case exprConst:
+		l = x.val
+	case exprVar:
+		l = f.get(x.slot)
+	default:
+		l = f.eval(x)
+	}
+	switch x := e.r; x.kind {
+	case exprConst:
+		r = x.val
+	case exprVar:
+		r = f.get(x.slot)
+	default:
+		r = f.eval(x)
+	}
+	return e.op.apply(l, r)
+}
+
+func (f *frame) block(stmts []lstmt) error {
+	for i := range stmts {
+		if err := f.stmt(&stmts[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (in *interp) stmt(s Stmt) error {
-	if err := in.step(); err != nil {
-		return err
+// iter charges one loop iteration and counts it against the step
+// budget.
+func (f *frame) iter() error {
+	f.work.CPU += LoopIterCostCPU
+	f.remaining--
+	if f.remaining < 0 {
+		return ErrStepLimit
 	}
-	switch st := s.(type) {
-	case *Assign:
-		in.env.Set(st.Dst, st.Expr.Eval(in.env))
-	case *Compute:
-		in.work.CPU += st.Work
-		in.work.MemSec += st.MemNS * 1e-9
-	case *ComputeScaled:
-		if n := st.Units.Eval(in.env); n > 0 {
-			in.work.CPU += st.WorkPer * float64(n)
-			in.work.MemSec += st.MemNSPer * float64(n) * 1e-9
+	return nil
+}
+
+func (f *frame) stmt(s *lstmt) error {
+	f.work.Stmts++
+	f.work.CPU += StmtCostCPU
+	f.remaining--
+	if f.remaining < 0 {
+		return ErrStepLimit
+	}
+	switch s.op {
+	case opAssign:
+		f.set(s.slot, f.eval(s.x))
+	case opCompute:
+		f.work.CPU += s.cpu
+		f.work.MemSec += s.mem
+	case opComputeScaled:
+		if n := f.eval(s.x); n > 0 {
+			f.work.CPU += s.cpu * float64(n)
+			f.work.MemSec += s.mem * float64(n) * 1e-9
 		}
-	case *If:
-		if st.Cond.Eval(in.env) != 0 {
-			return in.block(st.Then)
+	case opIf:
+		if f.eval(s.x) != 0 {
+			return f.block(s.body)
 		}
-		return in.block(st.Else)
-	case *While:
-		maxIter := st.MaxIter
-		if maxIter == 0 {
-			maxIter = 100_000
-		}
-		for i := int64(0); st.Cond.Eval(in.env) != 0; i++ {
-			if i >= maxIter {
-				return fmt.Errorf("taskir: while#%d exceeded %d iterations", st.ID, maxIter)
+		return f.block(s.alt)
+	case opWhile:
+		for i := int64(0); f.eval(s.x) != 0; i++ {
+			if i >= s.maxIter {
+				return fmt.Errorf("taskir: while#%d exceeded %d iterations", s.id, s.maxIter)
 			}
-			in.work.CPU += LoopIterCostCPU
-			if err := in.block(st.Body); err != nil {
+			if err := f.iter(); err != nil {
+				return err
+			}
+			if err := f.block(s.body); err != nil {
 				return err
 			}
 		}
-	case *Loop:
-		n := st.Count.Eval(in.env)
+	case opLoop:
+		n := f.eval(s.x)
 		for i := int64(0); i < n; i++ {
-			in.work.CPU += LoopIterCostCPU
-			if st.IndexVar != "" {
-				in.env.Set(st.IndexVar, i)
+			if err := f.iter(); err != nil {
+				return err
 			}
-			if err := in.block(st.Body); err != nil {
+			if s.slot >= 0 {
+				f.set(s.slot, i)
+			}
+			if err := f.block(s.body); err != nil {
 				return err
 			}
 		}
-	case *Call:
-		addr := st.Target.Eval(in.env)
-		if body, ok := st.Funcs[addr]; ok {
-			return in.block(body)
+	case opCall:
+		addr := f.eval(s.x)
+		for i := range s.funcs {
+			if s.funcs[i].addr == addr {
+				return f.block(s.funcs[i].body)
+			}
 		}
-	case *FeatAdd:
-		if in.rec != nil {
-			in.rec.AddFeature(st.FID, st.Amount.Eval(in.env))
+	case opFeatAdd:
+		if f.rec != nil {
+			f.rec.AddFeature(s.id, f.eval(s.x))
 		}
-	case *FeatCall:
-		if in.rec != nil {
-			in.rec.RecordCall(st.FID, st.Target.Eval(in.env))
+	case opFeatCall:
+		if f.rec != nil {
+			f.rec.RecordCall(s.id, f.eval(s.x))
 		}
 	default:
-		return fmt.Errorf("taskir: cannot interpret statement type %T", s)
+		return s.err
 	}
 	return nil
 }

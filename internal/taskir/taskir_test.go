@@ -1,6 +1,7 @@
 package taskir
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -262,6 +263,28 @@ func TestRunStepLimit(t *testing.T) {
 	_, err := Run(p, NewEnv(p.Globals), RunOptions{MaxSteps: 1000})
 	if err != ErrStepLimit {
 		t.Fatalf("want ErrStepLimit, got %v", err)
+	}
+}
+
+// Loop iterations count against MaxSteps, so a loop whose body is
+// empty is bounded by the budget, not by its count or its while guard
+// (1<<62 iterations would otherwise run for centuries). The iterations
+// still cost no statement: the step budget is all they change.
+func TestRunStepLimitCountsLoopIterations(t *testing.T) {
+	for _, s := range []Stmt{
+		&Loop{ID: 1, Count: Const(100_000_000)},
+		&While{ID: 1, Cond: Const(1), MaxIter: 100_000_000},
+	} {
+		p := &Program{Name: "empty-loop", Body: []Stmt{s}}
+		w, err := Run(p, NewEnv(nil), RunOptions{MaxSteps: 1000})
+		if !errors.Is(err, ErrStepLimit) {
+			t.Errorf("%s: want ErrStepLimit, got %v", s, err)
+		}
+		// The loop statement takes one step; the 1000th iteration
+		// exhausts the budget.
+		if w.Stmts != 1 || w.CPU != StmtCostCPU+1000*LoopIterCostCPU {
+			t.Errorf("%s: work %+v, want 1 stmt and %g CPU", s, w, StmtCostCPU+1000*LoopIterCostCPU)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/taskir"
 )
@@ -76,35 +77,44 @@ func (w *Workload) FreshGlobals() map[string]int64 {
 	return g
 }
 
-// All returns the eight benchmarks in the paper's (alphabetical) order.
-func All() []*Workload {
-	return []*Workload{
-		Game2048(),
-		CurseOfWar(),
-		LDecode(),
-		PocketSphinx(),
-		Rijndael(),
-		SHA(),
-		Uzbl(),
-		XPilot(),
-	}
+// constructors lists the eight benchmarks in the paper's
+// (alphabetical) order, each with the name its constructor gives it.
+var constructors = []struct {
+	name string
+	mk   func() *Workload
+}{
+	{"2048", Game2048},
+	{"curseofwar", CurseOfWar},
+	{"ldecode", LDecode},
+	{"pocketsphinx", PocketSphinx},
+	{"rijndael", Rijndael},
+	{"sha", SHA},
+	{"uzbl", Uzbl},
+	{"xpilot", XPilot},
 }
 
-// ByName returns the named workload or an error listing valid names.
+// All returns the eight benchmarks in the paper's (alphabetical) order.
+func All() []*Workload {
+	ws := make([]*Workload, len(constructors))
+	for i, c := range constructors {
+		ws[i] = c.mk()
+	}
+	return ws
+}
+
+// ByName builds only the named workload, or returns an error listing
+// valid names.
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
+	for _, c := range constructors {
+		if c.name == name {
+			return c.mk(), nil
 		}
 	}
-	names := ""
-	for i, w := range All() {
-		if i > 0 {
-			names += ", "
-		}
-		names += w.Name
+	names := make([]string, len(constructors))
+	for i, c := range constructors {
+		names[i] = c.name
 	}
-	return nil, fmt.Errorf("workload: unknown benchmark %q (have: %s)", name, names)
+	return nil, fmt.Errorf("workload: unknown benchmark %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // genFunc adapts a closure to InputGen.

@@ -58,8 +58,36 @@ func TestByName(t *testing.T) {
 	if err != nil || w.Name != "ldecode" {
 		t.Fatalf("ByName(ldecode) = %v, %v", w, err)
 	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName(nosuch) should fail")
+	_, err = ByName("nosuch")
+	const want = `workload: unknown benchmark "nosuch" (have: 2048, curseofwar, ldecode, pocketsphinx, rijndael, sha, uzbl, xpilot)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ByName(nosuch) error = %v, want %s", err, want)
+	}
+}
+
+// ByName builds only the named workload; what it builds must be the
+// program All builds under that name, and each call a fresh one.
+func TestByNameMatchesAll(t *testing.T) {
+	for _, want := range All() {
+		w, err := ByName(want.Name)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", want.Name, err)
+		}
+		got, err := taskir.MarshalProgram(w.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := taskir.MarshalProgram(want.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(ref) {
+			t.Errorf("%s: ByName's program differs from All's", want.Name)
+		}
+		again, _ := ByName(want.Name)
+		if again == w || again.Prog == w.Prog {
+			t.Errorf("%s: two ByName calls share a *Workload or *Program", want.Name)
+		}
 	}
 }
 
