@@ -13,19 +13,26 @@
 // GET /v1/events (live decision stream as Server-Sent Events,
 // filterable with ?workload=&since=&last=; dvfstrace -follow tails
 // it), POST /v1/fleet/ingest (fleet decision traces, JSONL or binary;
-// feeds per-device health scoring and keyed fleet SLO burn), GET
-// /v1/fleet (the fleet snapshot as JSON), GET /v1/query (range queries
-// over the embedded telemetry history; see the -tsdb-* flags), GET
-// /v1/alerts (live alert state and the incident history; see -alerts,
-// -rules, -incident-log, -alert-webhook, -energy-budget), GET
-// /healthz, GET /metrics
-// (Prometheus text format, including the fleet gauges), and — unless
-// -debug=false — GET /debug/decisions (recent decision events as
-// JSON, same filter params), GET /debug/slo (per-workload
-// deadline-miss burn rates), GET /debug/dash (self-contained
-// auto-refreshing HTML operations dashboard), GET /debug/fleet (the
-// fleet health dashboard), GET /debug/alerts (the incident timeline)
-// plus the net/http/pprof handlers under /debug/pprof/.
+// feeds per-device health scoring, the keyed deadline-miss SLO, the
+// energy meter and the drift monitor), GET /v1/fleet (the fleet
+// snapshot as JSON), GET /v1/query (range queries over the embedded
+// telemetry history; see the -tsdb-* flags), GET /v1/alerts (live
+// alert state and the incident history; see -alerts, -rules,
+// -incident-log, -alert-webhook, -energy-budget), GET /healthz, GET
+// /metrics (Prometheus text format, including the fleet gauges and
+// the SLO burn rates), and — unless -debug=false — GET
+// /debug/decisions (recent decision events as JSON, same filter
+// params), GET /debug/slo (the fleet SLO's burn rates per key), GET
+// /debug/dash (self-contained auto-refreshing HTML operations
+// dashboard), GET /debug/fleet (the fleet health dashboard), GET
+// /debug/alerts (the incident timeline) plus the net/http/pprof
+// handlers under /debug/pprof/.
+//
+// Deadline-miss SLO tracking (-slo-target) watches ingested fleet
+// traces only: a served prediction's job runs on the client and never
+// reports whether it met its deadline. The tracker's burn rates are
+// exported as dvfsd_slo_burn_rate{key,window}, and the alert engine's
+// builtin slo_burn rule is what alerts on them.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener drains
 // in-flight requests, then the registry drains in-flight builds.
@@ -66,9 +73,7 @@ func main() {
 	preload := flag.String("preload", "", "comma-separated workloads to train at startup")
 	tracePath := flag.String("trace", "", "append decision events as JSONL to this path (dvfstrace reads it)")
 	debug := flag.Bool("debug", true, "serve /debug/decisions and /debug/pprof/")
-	sloTarget := flag.Float64("slo-target", 0.01, "deadline-miss SLO target per workload (0 disables burn-rate tracking)")
-	sloFast := flag.Int("slo-fast", 128, "fast burn-rate window in jobs")
-	sloSlow := flag.Int("slo-slow", 2048, "slow burn-rate window in jobs")
+	sloTarget := flag.Float64("slo-target", 0.01, "deadline-miss SLO target for ingested fleet traces (0 disables burn-rate tracking)")
 	streamQueue := flag.Int("stream-queue", 256, "queued events per /v1/events subscriber before dropping (0 disables streaming)")
 	spanEvery := flag.Int("span-every", 1, "capture a per-phase span ledger on every Nth decision (1 = all)")
 	fleetOn := flag.Bool("fleet", true, "serve fleet observability: POST /v1/fleet/ingest, GET /v1/fleet, and /debug/fleet")
@@ -125,7 +130,7 @@ func main() {
 	fleetCfg := fleetSettings{on: *fleetOn, topK: *fleetTopK, maxIngest: *fleetMaxIngest}
 	tsdbCfg := tsdbSettings{scrape: *tsdbScrape, dir: *tsdbDir, retention: *tsdbRetention, block: *tsdbBlock}
 	alertCfg := alertSettings{on: *alertsOn, rules: *rulesPath, incidentLog: *incidentLog, webhook: *alertWebhook, budgetW: *energyBudget}
-	if err := run(*addr, *data, *platName, *workers, *queue, *maxInflight, *timeout, *seed, *preload, *tracePath, *debug, *sloTarget, *sloFast, *sloSlow, *streamQueue, *spanEvery, fleetCfg, tsdbCfg, alertCfg, log); err != nil {
+	if err := run(*addr, *data, *platName, *workers, *queue, *maxInflight, *timeout, *seed, *preload, *tracePath, *debug, *sloTarget, *streamQueue, *spanEvery, fleetCfg, tsdbCfg, alertCfg, log); err != nil {
 		fmt.Fprintln(os.Stderr, "dvfsd:", err)
 		if errors.Is(err, errUsage) {
 			flag.Usage()
@@ -162,7 +167,7 @@ type alertSettings struct {
 	budgetW     float64 // 0 = no burn tracking
 }
 
-func run(addr, data, platName string, workers, queue, maxInflight int, timeout time.Duration, seed int64, preload, tracePath string, debug bool, sloTarget float64, sloFast, sloSlow, streamQueue, spanEvery int, fleetCfg fleetSettings, tsdbCfg tsdbSettings, alertCfg alertSettings, log *slog.Logger) error {
+func run(addr, data, platName string, workers, queue, maxInflight int, timeout time.Duration, seed int64, preload, tracePath string, debug bool, sloTarget float64, streamQueue, spanEvery int, fleetCfg fleetSettings, tsdbCfg tsdbSettings, alertCfg alertSettings, log *slog.Logger) error {
 	// Validate everything up front: a daemon must not come up half
 	// configured.
 	plat, err := platform.ByName(platName)
@@ -183,10 +188,9 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	metrics := serve.NewMetrics()
 
 	// Decision tracing: the ring always backs /debug/decisions; a
-	// JSONL sink is attached when -trace names a file. The drift
-	// monitor watches completed events (residuals arrive only from
-	// co-located controllers; served predictions run client-side) and
-	// flips dvfsd_model_stale on the shared /metrics page.
+	// JSONL sink is attached when -trace names a file. Served
+	// predictions are one-shot events: the job runs client-side, so no
+	// deadline outcome or residual ever reaches the tracer.
 	var sinks []obs.Sink
 	if tracePath != "" {
 		f, err := os.OpenFile(tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -219,31 +223,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 		BudgetW:  alertCfg.budgetW,
 	})
 	sinks = append(sinks, energy)
-	// SLO burn-rate tracking: every completed decision event feeds a
-	// per-workload deadline-miss SLO with fast/slow burn-rate windows;
-	// burn rates and the alert bit land on the shared /metrics page and
-	// GET /debug/slo, and the drift monitor's stale warnings carry the
-	// current burn rates for correlation.
-	var slo *obs.SLOTracker
-	if sloTarget > 0 {
-		slo = obs.NewSLOTracker(obs.SLOConfig{
-			Target:     sloTarget,
-			FastWindow: sloFast,
-			SlowWindow: sloSlow,
-			Log:        log,
-			BurnGauge: metrics.Registry().GaugeVec("dvfsd_slo_burn_rate",
-				"Deadline-miss rate over a recent window divided by the SLO target.", "workload", "window"),
-			AlertGauge: metrics.Registry().GaugeVec("dvfsd_slo_alert",
-				"1 while a workload's fast and slow burn rates both exceed their thresholds.", "workload"),
-		})
-	}
-	drift := obs.NewDriftMonitor(obs.DriftConfig{
-		Log: log,
-		StaleGauge: metrics.Registry().GaugeVec("dvfsd_model_stale",
-			"1 when a model's recent under-prediction rate exceeds the trained quantile.", "workload"),
-		SLO: slo,
-	})
-	tracer := obs.NewTracer(obs.TracerOptions{Sinks: sinks, Drift: drift, SLO: slo})
+	tracer := obs.NewTracer(obs.TracerOptions{Sinks: sinks})
 	defer func() {
 		if err := tracer.Close(); err != nil {
 			log.Error("closing decision trace", "err", err)
@@ -264,10 +244,15 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	if err != nil {
 		return err
 	}
-	// Fleet observability: ingested device traces are a separate
-	// population from this daemon's own serving, so they get their own
-	// tracker and their own keyed SLO (fleet / platform:* / workload:*)
-	// rather than feeding the per-workload serving SLO above.
+	// Fleet observability: ingested device traces are the only
+	// completed jobs this daemon sees, so they feed the device-health
+	// tracker, the keyed deadline-miss SLO (fleet / platform:* /
+	// workload:*), and the drift monitor that flips dvfsd_model_stale.
+	drift := obs.NewDriftMonitor(obs.DriftConfig{
+		Log: log,
+		StaleGauge: metrics.Registry().GaugeVec("dvfsd_model_stale",
+			"1 when a model's recent under-prediction rate exceeds the trained quantile.", "workload"),
+	})
 	var fleetTracker *obs.FleetTracker
 	var fleetSLO *obs.SLOTracker
 	if fleetCfg.on {
@@ -276,11 +261,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 			EnergyPerJob: trace.EnergyEstimator(),
 		})
 		if sloTarget > 0 {
-			fleetSLO = obs.NewSLOTracker(obs.SLOConfig{
-				Target:  sloTarget,
-				MaxKeys: 64,
-				Log:     log,
-			})
+			fleetSLO = obs.NewSLOTracker(obs.SLOConfig{Target: sloTarget, MaxKeys: 64})
 		}
 	}
 
@@ -356,7 +337,6 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 		MaxInflight:    maxInflight,
 		Tracer:         tracer,
 		EnableDebug:    debug,
-		SLO:            slo,
 		Stream:         stream,
 		SpanEvery:      spanEvery,
 		Fleet:          fleetTracker,

@@ -23,7 +23,7 @@ import (
 // under one short mutex, with allocations confined to the first event
 // of a new stream.
 
-// EnergyConfig wires an EnergyMeter. Zero values select defaults.
+// EnergyConfig wires an EnergyMeter.
 type EnergyConfig struct {
 	// Platform prices events that do not carry a platform name (the
 	// common case: this daemon's own serving). Required for those
@@ -31,38 +31,23 @@ type EnergyConfig struct {
 	// counted in Skipped rather than guessed at.
 	Platform *platform.Platform
 	// BudgetW is the average power budget per stream in watts; > 0
-	// enables the fast/slow burn-rate windows (mirroring
-	// obs.SLOTracker) exported as dvfsd_energy_budget_burn.
+	// enables the fast/slow burn-rate windows exported as
+	// dvfsd_energy_budget_burn.
 	BudgetW float64
-	// FastWindow and SlowWindow are the burn windows in decisions;
-	// zero → 128 and 2048.
-	FastWindow, SlowWindow int
-	// MinSamples gates burn reporting until a window has enough
-	// decisions to mean anything; zero → 16.
-	MinSamples int
-	// MaxKeys bounds tracked (workload, device) streams; excess folds
-	// into the overflow stream. Zero → 64.
-	MaxKeys int
 }
 
-func (c EnergyConfig) withDefaults() EnergyConfig {
-	if c.FastWindow <= 0 {
-		c.FastWindow = 128
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 2048
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MaxKeys <= 0 {
-		c.MaxKeys = 64
-	}
-	return c
-}
+// Fixed meter parameters: the fast and slow burn windows in decisions,
+// the decisions a window needs before it reports a burn, and the bound
+// on tracked (workload, device) streams.
+const (
+	energyFastWindow = 128
+	energySlowWindow = 2048
+	energyMinSamples = 16
+	energyMaxKeys    = 64
+)
 
 // EnergyOverflowKey is the stream that absorbs decisions beyond the
-// MaxKeys bound, so totals stay accurate while memory stays bounded.
+// energyMaxKeys bound, so totals stay accurate while memory stays bounded.
 // Each event folded into it is still priced on its own platform.
 const EnergyOverflowKey = "_overflow"
 
@@ -132,7 +117,6 @@ type EnergyMeter struct {
 
 // NewEnergyMeter builds a meter.
 func NewEnergyMeter(cfg EnergyConfig) *EnergyMeter {
-	cfg = cfg.withDefaults()
 	m := &EnergyMeter{cfg: cfg, streams: map[streamKey]*energyStream{}}
 	if cfg.Platform != nil {
 		m.own = platform.NewPowerTable(cfg.Platform)
@@ -207,10 +191,10 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 }
 
 // newStream registers a stream, folding into the overflow stream past
-// MaxKeys. Caller holds m.mu.
+// energyMaxKeys. Caller holds m.mu.
 func (m *EnergyMeter) newStream(workload, device string) *energyStream {
 	key := streamKey{workload, device}
-	if len(m.streams) >= m.cfg.MaxKeys {
+	if len(m.streams) >= energyMaxKeys {
 		key = streamKey{EnergyOverflowKey, EnergyOverflowKey}
 		if st := m.streams[key]; st != nil {
 			return st
@@ -218,8 +202,8 @@ func (m *EnergyMeter) newStream(workload, device string) *energyStream {
 	}
 	st := &energyStream{}
 	if m.cfg.BudgetW > 0 {
-		st.fast = newBurnWin(m.cfg.FastWindow)
-		st.slow = newBurnWin(m.cfg.SlowWindow)
+		st.fast = newBurnWin(energyFastWindow)
+		st.slow = newBurnWin(energySlowWindow)
 	}
 	m.streams[key] = st
 	return st
@@ -240,7 +224,7 @@ type EnergyStreamStats struct {
 	PredictorShare float64 // PredictorJ / TotalJ
 
 	// FastBurn and SlowBurn are windowed watts divided by BudgetW;
-	// zero until MinSamples decisions have landed or when no budget is
+	// zero until energyMinSamples decisions have landed or when no budget is
 	// configured.
 	FastBurn, SlowBurn float64
 	DurationSec        float64
@@ -268,10 +252,10 @@ func (m *EnergyMeter) Snapshot() []EnergyStreamStats {
 			s.PredictorShare = st.tl.PredictorJ / st.totalJ
 		}
 		if m.cfg.BudgetW > 0 && st.fast != nil {
-			if st.fast.n >= m.cfg.MinSamples {
+			if st.fast.n >= energyMinSamples {
 				s.FastBurn = st.fast.watts() / m.cfg.BudgetW
 			}
-			if st.slow.n >= m.cfg.MinSamples {
+			if st.slow.n >= energyMinSamples {
 				s.SlowBurn = st.slow.watts() / m.cfg.BudgetW
 			}
 		}

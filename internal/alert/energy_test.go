@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -132,13 +133,13 @@ func TestEnergyUnknownPlatformSkipped(t *testing.T) {
 }
 
 func TestEnergyOverflowFold(t *testing.T) {
-	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7(), MaxKeys: 2})
-	for _, dev := range []string{"d0", "d1", "d2", "d3"} {
-		m.Emit(&obs.DecisionEvent{Workload: "w", Device: dev, Level: 0, Done: true, ActualExecSec: 1})
+	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7()})
+	for i := 0; i < energyMaxKeys+2; i++ {
+		m.Emit(&obs.DecisionEvent{Workload: "w", Device: fmt.Sprintf("d%d", i), Level: 0, Done: true, ActualExecSec: 1})
 	}
 	snap := m.Snapshot()
-	if len(snap) != 3 { // d0, d1, overflow
-		t.Fatalf("streams = %d, want 3", len(snap))
+	if len(snap) != energyMaxKeys+1 { // d0..d63, overflow
+		t.Fatalf("streams = %d, want %d", len(snap), energyMaxKeys+1)
 	}
 	var overflow *EnergyStreamStats
 	for i := range snap {
@@ -156,7 +157,11 @@ func TestEnergyOverflowFold(t *testing.T) {
 // unknown platform is skipped rather than priced on whichever platform
 // opened the stream.
 func TestEnergyOverflowPricesPerPlatform(t *testing.T) {
-	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7(), MaxKeys: 1})
+	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7()})
+	// Fill every stream slot but the one d0 takes.
+	for i := 0; i < energyMaxKeys-1; i++ {
+		m.Emit(&obs.DecisionEvent{Workload: "fill", Device: fmt.Sprintf("f%d", i), Level: 0, Done: true, ActualExecSec: 1})
+	}
 	for _, ev := range []struct{ dev, plat string }{
 		{"d0", "a7"}, {"d1", "x86"}, {"d2", "a7"}, {"d3", "nope"},
 	} {
@@ -185,22 +190,22 @@ func TestEnergyOverflowPricesPerPlatform(t *testing.T) {
 }
 
 // TestEnergyBudgetBurn drives a constant-power stream and checks the
-// windowed burn converges to watts/budget once MinSamples land.
+// windowed burn converges to watts/budget once energyMinSamples land.
 func TestEnergyBudgetBurn(t *testing.T) {
 	p := platform.ODROIDXU3A7()
 	lv := p.NumLevels() - 1
 	lt, _ := p.Level(lv)
 	watts := p.ActivePower(lt)
 	budget := watts / 2 // running flat-out at 2× budget
-	m := NewEnergyMeter(EnergyConfig{Platform: p, BudgetW: budget, MinSamples: 8})
+	m := NewEnergyMeter(EnergyConfig{Platform: p, BudgetW: budget})
 	cursor := 0.0
-	for i := 0; i < 6; i++ {
+	for i := 0; i < energyMinSamples-1; i++ {
 		m.Emit(&obs.DecisionEvent{Workload: "w", FromLevel: lv, Level: lv,
 			TimeSec: cursor, Done: true, ActualExecSec: 0.5})
 		cursor += 0.5
 	}
 	if s := m.Snapshot()[0]; s.FastBurn != 0 || s.SlowBurn != 0 {
-		t.Fatalf("burn reported before MinSamples: %+v", s)
+		t.Fatalf("burn reported before energyMinSamples: %+v", s)
 	}
 	for i := 0; i < 10; i++ {
 		m.Emit(&obs.DecisionEvent{Workload: "w", FromLevel: lv, Level: lv,

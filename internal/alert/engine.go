@@ -582,15 +582,6 @@ func (e *Engine) FiringSpans(metric string, fromMs, toMs int64) []Span {
 	return spans
 }
 
-// Rules returns the configured rules (for the dashboards).
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Rule, len(e.rules))
-	copy(out, e.rules)
-	return out
-}
-
 // Close flushes and closes the incident log and every notifier.
 func (e *Engine) Close() error {
 	e.mu.Lock()

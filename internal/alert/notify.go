@@ -15,7 +15,7 @@ import (
 
 // Notifier receives firing and resolved transitions. Notify must not
 // block the evaluation tick: implementations either complete quickly
-// (slog, a local file) or hand off to their own worker (webhook).
+// (slog) or hand off to their own worker (webhook).
 type Notifier interface {
 	Notify(t Transition)
 	Close() error
@@ -39,53 +39,6 @@ func (n *SlogNotifier) Notify(t Transition) {
 
 // Close implements Notifier.
 func (n *SlogNotifier) Close() error { return nil }
-
-// JSONLNotifier appends one JSON line per notification — a local
-// audit trail separate from the incident journal (which also records
-// pending transitions and drives restart replay).
-type JSONLNotifier struct {
-	mu  sync.Mutex
-	w   io.Writer
-	c   io.Closer
-	err error
-}
-
-// NewJSONLNotifier wraps a writer; if it is also an io.Closer, Close
-// closes it. Write errors are latched and reported by Close.
-func NewJSONLNotifier(w io.Writer) *JSONLNotifier {
-	n := &JSONLNotifier{w: w}
-	if c, ok := w.(io.Closer); ok {
-		n.c = c
-	}
-	return n
-}
-
-// Notify implements Notifier.
-func (n *JSONLNotifier) Notify(t Transition) {
-	data, err := json.Marshal(t)
-	if err != nil {
-		return
-	}
-	data = append(data, '\n')
-	n.mu.Lock()
-	if n.err == nil {
-		_, n.err = n.w.Write(data)
-	}
-	n.mu.Unlock()
-}
-
-// Close implements Notifier.
-func (n *JSONLNotifier) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.c != nil {
-		if err := n.c.Close(); err != nil && n.err == nil {
-			n.err = err
-		}
-		n.c = nil
-	}
-	return n.err
-}
 
 // WebhookOptions tune the webhook notifier; zero values select
 // production defaults.

@@ -1,7 +1,6 @@
 package alert
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -83,22 +82,4 @@ func TestWebhookDropsWhenQueueFull(t *testing.T) {
 	waitFor(t, "drop", func() bool { _, _, dropped := n.Stats(); return dropped >= 1 })
 	close(blocked)
 	n.Close()
-}
-
-func TestJSONLNotifier(t *testing.T) {
-	var buf bytes.Buffer
-	n := NewJSONLNotifier(&buf)
-	n.Notify(Transition{Rule: "a", To: StateFiring, Value: 1})
-	n.Notify(Transition{Rule: "a", To: StateResolved, Value: 0})
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
-	}
-	var tr Transition
-	if err := json.Unmarshal(lines[1], &tr); err != nil || tr.To != StateResolved {
-		t.Fatalf("line 2: %v %+v", err, tr)
-	}
 }

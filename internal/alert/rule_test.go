@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestDurationJSON(t *testing.T) {
@@ -124,6 +126,10 @@ func TestBuiltinRules(t *testing.T) {
 	}
 	if _, ok := names["energy_budget_burn"]; ok {
 		t.Fatal("energy rule present without EnergyBudget")
+	}
+	// slo_burn fires on the SLO tracker's own slow-window threshold.
+	if r := names["slo_burn"]; r.Threshold != obs.SLOSlowBurn || r.Clear == nil || *r.Clear != obs.SLOSlowBurn/2 {
+		t.Fatalf("slo_burn threshold %g clear %v, want %g and %g", r.Threshold, r.Clear, obs.SLOSlowBurn, obs.SLOSlowBurn/2)
 	}
 	// Windows scale with the scrape interval.
 	if w := time.Duration(names["model_stale"].Window); w != 50*time.Second {

@@ -46,14 +46,6 @@ func (e *Effect) FIDsSorted() []int {
 	return fids
 }
 
-// StmtEffect classifies a single statement against the given global
-// set (recursing into control-statement bodies).
-func StmtEffect(s taskir.Stmt, globals map[string]bool) *Effect {
-	e := newEffect()
-	effectStmt(s, globals, e)
-	return e
-}
-
 // ProgramEffect aggregates the effects of the whole program body
 // against its own global set.
 func ProgramEffect(p *taskir.Program) *Effect {

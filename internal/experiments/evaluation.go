@@ -113,19 +113,6 @@ func (s *Suite) RunFig16(w *workload.Workload) (*Fig16Sweep, error) {
 	return sweep, nil
 }
 
-// RunFig16All sweeps every benchmark.
-func (s *Suite) RunFig16All() ([]*Fig16Sweep, error) {
-	var out []*Fig16Sweep
-	for _, w := range workload.All() {
-		sw, err := s.RunFig16(w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sw)
-	}
-	return out, nil
-}
-
 // Fig17Row reports the prediction controller's average overheads
 // (Fig 17): predictor execution and DVFS switching time per job.
 type Fig17Row struct {

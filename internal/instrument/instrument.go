@@ -76,19 +76,6 @@ func (ip *Program) Site(fid int) (Site, bool) {
 	return ip.Sites[fid], true
 }
 
-// SiteForCtrl returns the feature site instrumenting the control
-// statement with the given ID, or false when the site is not
-// instrumented. Control-flow IDs are unique per program (Validate
-// enforces it), so at most one site matches.
-func (ip *Program) SiteForCtrl(ctrlID int) (Site, bool) {
-	for _, s := range ip.Sites {
-		if s.CtrlID == ctrlID {
-			return s, true
-		}
-	}
-	return Site{}, false
-}
-
 // Instrument returns an instrumented copy of p with one feature site
 // per conditional, loop, and indirect call site, in pre-order.
 func Instrument(p *taskir.Program) *Program {

@@ -10,96 +10,54 @@ import (
 )
 
 // FleetConfig parameterizes a FleetTracker. The zero value selects
-// defaults suitable for dashboards: 32 shards, top-10 worst devices,
-// 1% miss budget, 25% residual-drift budget.
+// defaults suitable for dashboards: top-10 worst devices and the
+// frequency-squared energy proxy.
 type FleetConfig struct {
-	// Shards is the number of lock shards device state is spread over;
-	// zero → 32. More shards means less contention under concurrent
-	// ingest; determinism of snapshots is unaffected because shard
-	// sketches merge in fixed shard order.
-	Shards int
 	// TopK is how many worst devices Snapshot surfaces; zero → 10.
 	TopK int
-	// MissTarget is the per-device deadline-miss budget the health
-	// score normalizes against; zero → 0.01.
-	MissTarget float64
-	// DriftBudget is the |residual|/predicted fraction treated as a
-	// full drift signal; zero → 0.25.
-	DriftBudget float64
-	// Alpha is the EWMA step for the per-device miss and drift
-	// estimators; zero → 0.05 (≈20-job memory).
-	Alpha float64
-	// MinJobs is how many completed jobs a device needs before it is
-	// classified (younger devices report ClassFresh); zero → 8.
-	MinJobs int
-	// DegradedScore and OutlierScore are the health-score thresholds
-	// for the degraded and outlier classes; zero → 0.25 and 0.5.
-	DegradedScore float64
-	OutlierScore  float64
-	// HistoryEvery appends one fleet history point (for dashboard
-	// quantile bands) every N completed jobs; zero → 512.
-	HistoryEvery int
-	// HistoryCap bounds the history ring; zero → 256 points.
-	HistoryCap int
-	// Compression is the quantile-sketch compression; zero → 200.
-	Compression int
-	// HeavyK is the heavy-hitter sketch capacity; zero → 32.
-	HeavyK int
 	// EnergyPerJob estimates one completed event's energy in joules.
 	// nil selects a frequency-squared proxy (freq²·exec, normalized to
 	// GHz² so magnitudes stay readable): relative comparisons between
 	// devices — all the health score needs — survive the missing
 	// voltage constants.
 	EnergyPerJob func(e *DecisionEvent) float64
-	// SLO, when non-nil, receives every completed event via
-	// ObserveEvent — fleet-level burn tracking rides along with health
-	// scoring.
-	SLO *SLOTracker
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Shards <= 0 {
-		c.Shards = 32
-	}
-	if c.TopK <= 0 {
-		c.TopK = 10
-	}
-	if c.MissTarget <= 0 {
-		c.MissTarget = 0.01
-	}
-	if c.DriftBudget <= 0 {
-		c.DriftBudget = 0.25
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.05
-	}
-	if c.MinJobs <= 0 {
-		c.MinJobs = 8
-	}
-	if c.DegradedScore <= 0 {
-		c.DegradedScore = 0.25
-	}
-	if c.OutlierScore <= 0 {
-		c.OutlierScore = 0.5
-	}
-	if c.HistoryEvery <= 0 {
-		c.HistoryEvery = 512
-	}
-	if c.HistoryCap <= 0 {
-		c.HistoryCap = 256
-	}
-	if c.HeavyK <= 0 {
-		c.HeavyK = defaultHHCapacity
-	}
-	return c
-}
+// Fixed fleet-tracker parameters.
+const (
+	// fleetShards is the number of lock shards device state is spread
+	// over. More shards means less contention under concurrent ingest;
+	// determinism of snapshots is unaffected because shard sketches
+	// merge in fixed shard order.
+	fleetShards = 32
+	// fleetMissTarget is the per-device deadline-miss budget the health
+	// score normalizes against; fleetDriftBudget is the
+	// |residual|/predicted fraction treated as a full drift signal.
+	fleetMissTarget  = 0.01
+	fleetDriftBudget = 0.25
+	// fleetAlpha is the EWMA step for the per-device miss and drift
+	// estimators (≈20-job memory).
+	fleetAlpha = 0.05
+	// fleetMinJobs is how many completed jobs a device needs before it
+	// is classified; younger devices report ClassFresh.
+	fleetMinJobs = 8
+	// fleetDegradedScore and fleetOutlierScore are the health-score
+	// thresholds for the degraded and outlier classes.
+	fleetDegradedScore = 0.25
+	fleetOutlierScore  = 0.5
+	// fleetHistoryEvery appends one fleet history point (for dashboard
+	// quantile bands) every N completed jobs; fleetHistoryCap bounds
+	// the history ring.
+	fleetHistoryEvery = 512
+	fleetHistoryCap   = 256
+)
 
 // Device health classes.
 const (
-	ClassFresh    = "fresh"    // under MinJobs — not yet classified
-	ClassHealthy  = "healthy"  // score < DegradedScore
-	ClassDegraded = "degraded" // DegradedScore ≤ score < OutlierScore
-	ClassOutlier  = "outlier"  // score ≥ OutlierScore
+	ClassFresh    = "fresh"    // under fleetMinJobs — not yet classified
+	ClassHealthy  = "healthy"  // score < fleetDegradedScore
+	ClassDegraded = "degraded" // fleetDegradedScore ≤ score < fleetOutlierScore
+	ClassOutlier  = "outlier"  // score ≥ fleetOutlierScore
 )
 
 // DeviceHealth is one device's scored state at snapshot time.
@@ -230,17 +188,19 @@ type FleetTracker struct {
 
 // NewFleetTracker returns a tracker with the given configuration.
 func NewFleetTracker(cfg FleetConfig) *FleetTracker {
-	cfg = cfg.withDefaults()
+	if cfg.TopK <= 0 {
+		cfg.TopK = 10
+	}
 	t := &FleetTracker{
 		cfg:      cfg,
-		shards:   make([]*fleetShard, cfg.Shards),
-		histNext: uint64(cfg.HistoryEvery),
+		shards:   make([]*fleetShard, fleetShards),
+		histNext: fleetHistoryEvery,
 	}
 	for i := range t.shards {
 		t.shards[i] = &fleetShard{
 			dev:    map[string]*deviceState{},
-			resid:  NewQuantileSketch(cfg.Compression),
-			missHH: NewHeavyHitters(cfg.HeavyK),
+			resid:  NewQuantileSketch(defaultCompression),
+			missHH: NewHeavyHitters(defaultHHCapacity),
 		}
 	}
 	return t
@@ -281,12 +241,12 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 			st.misses++
 			sh.missHH.Add(dev, 1)
 		}
-		st.missEWMA += t.cfg.Alpha * (miss - st.missEWMA)
+		st.missEWMA += fleetAlpha * (miss - st.missEWMA)
 		if e.Predicted && e.PredictedExecSec > 0 {
 			rf := e.ResidualSec / e.PredictedExecSec
 			sh.resid.Add(math.Abs(rf))
-			st.residEWMA += t.cfg.Alpha * (rf - st.residEWMA)
-			st.driftEWMA += t.cfg.Alpha * (math.Abs(rf) - st.driftEWMA)
+			st.residEWMA += fleetAlpha * (rf - st.residEWMA)
+			st.driftEWMA += fleetAlpha * (math.Abs(rf) - st.driftEWMA)
 		}
 		st.energyJ += t.energy(e)
 	}
@@ -298,11 +258,7 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 	if e.Missed {
 		t.misses.Add(1)
 	}
-	done := t.completed.Add(1)
-	if t.cfg.SLO != nil {
-		t.cfg.SLO.ObserveEvent(e)
-	}
-	t.maybeHistory(done)
+	t.maybeHistory(t.completed.Add(1))
 }
 
 func (t *FleetTracker) energy(e *DecisionEvent) float64 {
@@ -318,7 +274,7 @@ func (t *FleetTracker) energy(e *DecisionEvent) float64 {
 
 // maybeHistory appends a fleet history point when the completed count
 // crosses the next threshold. The point snapshots the merged residual
-// sketch, so it takes every shard lock briefly; HistoryEvery spaces
+// sketch, so it takes every shard lock briefly; fleetHistoryEvery spaces
 // that cost out.
 func (t *FleetTracker) maybeHistory(done uint64) {
 	t.histMu.Lock()
@@ -326,7 +282,7 @@ func (t *FleetTracker) maybeHistory(done uint64) {
 		t.histMu.Unlock()
 		return
 	}
-	t.histNext = done + uint64(t.cfg.HistoryEvery)
+	t.histNext = done + fleetHistoryEvery
 	resid := t.mergedResiduals()
 	pt := FleetPoint{
 		Completed: done,
@@ -337,7 +293,7 @@ func (t *FleetTracker) maybeHistory(done uint64) {
 	if c := t.completed.Load(); c > 0 {
 		pt.MissRate = float64(t.misses.Load()) / float64(c)
 	}
-	if len(t.history) == t.cfg.HistoryCap {
+	if len(t.history) == fleetHistoryCap {
 		copy(t.history, t.history[1:])
 		t.history[len(t.history)-1] = pt
 	} else {
@@ -356,7 +312,7 @@ func nanToZero(v float64) float64 {
 // mergedResiduals merges every shard's residual sketch in shard order
 // into a fresh sketch.
 func (t *FleetTracker) mergedResiduals() *QuantileSketch {
-	out := NewQuantileSketch(t.cfg.Compression)
+	out := NewQuantileSketch(defaultCompression)
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		out.Merge(sh.resid)
@@ -409,7 +365,7 @@ func (t *FleetTracker) scoredDevices() []DeviceHealth {
 	// energy-excess component.
 	var epj []float64
 	for _, d := range all {
-		if d.Jobs >= int64(t.cfg.MinJobs) {
+		if d.Jobs >= fleetMinJobs {
 			epj = append(epj, d.EnergyPerJob)
 		}
 	}
@@ -436,8 +392,8 @@ func sat(x float64) float64 {
 // score fills Score/Class/Attribution: 0.5·sat(miss/budget) +
 // 0.3·sat(drift/budget) + 0.2·sat(energy excess vs fleet median).
 func (t *FleetTracker) score(d *DeviceHealth, medEPJ float64) {
-	missC := sat(d.MissEWMA / t.cfg.MissTarget)
-	driftC := sat(d.DriftEWMA / t.cfg.DriftBudget)
+	missC := sat(d.MissEWMA / fleetMissTarget)
+	driftC := sat(d.DriftEWMA / fleetDriftBudget)
 	energyC := 0.0
 	if medEPJ > 0 && d.EnergyPerJob > medEPJ {
 		energyC = sat(d.EnergyPerJob/medEPJ - 1)
@@ -453,11 +409,11 @@ func (t *FleetTracker) score(d *DeviceHealth, medEPJ float64) {
 		d.Attribution = "energy"
 	}
 	switch {
-	case d.Jobs < int64(t.cfg.MinJobs):
+	case d.Jobs < fleetMinJobs:
 		d.Class = ClassFresh
-	case d.Score >= t.cfg.OutlierScore:
+	case d.Score >= fleetOutlierScore:
 		d.Class = ClassOutlier
-	case d.Score >= t.cfg.DegradedScore:
+	case d.Score >= fleetDegradedScore:
 		d.Class = ClassDegraded
 	default:
 		d.Class = ClassHealthy
@@ -480,8 +436,8 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 
 	all := t.scoredDevices()
 	s.Devices = len(all)
-	missSk := NewQuantileSketch(t.cfg.Compression)
-	epjSk := NewQuantileSketch(t.cfg.Compression)
+	missSk := NewQuantileSketch(defaultCompression)
+	epjSk := NewQuantileSketch(defaultCompression)
 	for _, d := range all {
 		switch d.Class {
 		case ClassFresh:
@@ -493,7 +449,7 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		case ClassOutlier:
 			s.Outliers++
 		}
-		if d.Jobs >= int64(t.cfg.MinJobs) {
+		if d.Jobs >= fleetMinJobs {
 			missSk.Add(d.MissEWMA)
 			epjSk.Add(d.EnergyPerJob)
 		}
@@ -504,7 +460,7 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 
 	s.Worst = worstDevices(all, t.cfg.TopK)
 
-	hh := NewHeavyHitters(t.cfg.HeavyK)
+	hh := NewHeavyHitters(defaultHHCapacity)
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		hh.Merge(sh.missHH)

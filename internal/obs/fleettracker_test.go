@@ -28,7 +28,7 @@ func fleetEvent(dev string, missed bool, residFrac float64) *DecisionEvent {
 // scores as an outlier attributed to misses; a drifting-but-hitting
 // device lands on drift; a clean device stays healthy.
 func TestFleetTrackerClassification(t *testing.T) {
-	tr := NewFleetTracker(FleetConfig{MinJobs: 8})
+	tr := NewFleetTracker(FleetConfig{})
 	for i := 0; i < 200; i++ {
 		tr.Emit(fleetEvent("good", false, 0.01))
 		tr.Emit(fleetEvent("missy", true, 0.01))
@@ -68,16 +68,21 @@ func TestFleetTrackerClassification(t *testing.T) {
 	}
 }
 
-// TestFleetTrackerFreshGate: devices under MinJobs are reported fresh
-// and excluded from the worst-devices ranking.
+// TestFleetTrackerFreshGate: devices under fleetMinJobs are reported
+// fresh and excluded from the worst-devices ranking; one more job
+// classifies them.
 func TestFleetTrackerFreshGate(t *testing.T) {
-	tr := NewFleetTracker(FleetConfig{MinJobs: 10})
-	for i := 0; i < 3; i++ {
+	tr := NewFleetTracker(FleetConfig{})
+	for i := 0; i < fleetMinJobs-1; i++ {
 		tr.Emit(fleetEvent("young", true, 2.0))
 	}
 	s := tr.Snapshot()
 	if s.Fresh != 1 || len(s.Worst) != 0 {
 		t.Errorf("Fresh=%d Worst=%v, want fresh device excluded from ranking", s.Fresh, s.Worst)
+	}
+	tr.Emit(fleetEvent("young", true, 2.0))
+	if s := tr.Snapshot(); s.Fresh != 0 || len(s.Worst) != 1 {
+		t.Errorf("Fresh=%d Worst=%v after %d jobs, want the device ranked", s.Fresh, s.Worst, fleetMinJobs)
 	}
 }
 
@@ -94,18 +99,32 @@ func TestFleetTrackerUnlabeledDevice(t *testing.T) {
 	}
 }
 
-// TestFleetTrackerSLOFeed: completed events flow into the attached
-// keyed SLO tracker under fleet/platform/workload keys.
-func TestFleetTrackerSLOFeed(t *testing.T) {
+// TestSLOTrackerObserveEvent: completed events land under the fleet,
+// platform and workload keys; events that did not complete, and
+// labels an event lacks, add nothing.
+func TestSLOTrackerObserveEvent(t *testing.T) {
 	slo := NewSLOTracker(SLOConfig{Target: 0.01})
-	tr := NewFleetTracker(FleetConfig{SLO: slo})
 	for i := 0; i < 50; i++ {
-		tr.Emit(fleetEvent("d0", i%2 == 0, 0))
+		slo.ObserveEvent(fleetEvent("d0", i%2 == 0, 0))
 	}
-	for _, key := range []string{FleetKey, "platform:odroid-a7", "workload:mpeg"} {
-		st, ok := slo.Status(key)
-		if !ok || st.Jobs != 50 || st.Misses != 25 {
-			t.Errorf("SLO key %q: %+v ok=%v, want 50 jobs / 25 misses", key, st, ok)
+	open := fleetEvent("d0", true, 0)
+	open.Done = false
+	slo.ObserveEvent(open)
+	bare := fleetEvent("d1", true, 0)
+	bare.Platform, bare.Workload = "", ""
+	slo.ObserveEvent(bare)
+	want := map[string][2]int64{
+		FleetKey:             {51, 26},
+		"platform:odroid-a7": {50, 25},
+		"workload:mpeg":      {50, 25},
+	}
+	snap := slo.Snapshot()
+	if len(snap) != len(want) {
+		t.Fatalf("keys %+v, want %d", snap, len(want))
+	}
+	for _, st := range snap {
+		if w, ok := want[st.Workload]; !ok || st.Jobs != w[0] || st.Misses != w[1] {
+			t.Errorf("SLO key %q: %d jobs / %d misses, want %v", st.Workload, st.Jobs, st.Misses, w)
 		}
 	}
 }
@@ -122,14 +141,13 @@ func TestSLOTrackerMaxKeys(t *testing.T) {
 	if len(snap) != 5 {
 		t.Fatalf("got %d keys %v, want 5 (4 + overflow)", len(snap), snap)
 	}
-	of, ok := tr.Status(OverflowKey)
-	if !ok || of.Jobs != 16 {
-		t.Errorf("overflow status = %+v ok=%v, want 16 folded jobs", of, ok)
+	if of := snap[0]; of.Workload != OverflowKey || of.Jobs != 16 {
+		t.Errorf("overflow status = %+v, want 16 folded jobs", of)
 	}
 	// Existing keys keep observing normally at the bound.
 	tr.Observe("w0", false)
-	if st, _ := tr.Status("w0"); st.Jobs != 2 {
-		t.Errorf("w0 jobs = %d, want 2", st.Jobs)
+	if st := tr.Snapshot()[1]; st.Workload != "w0" || st.Jobs != 2 {
+		t.Errorf("w0 status = %+v, want 2 jobs", st)
 	}
 }
 
@@ -139,7 +157,7 @@ func TestSLOTrackerMaxKeys(t *testing.T) {
 func TestFleetTrackerRace(t *testing.T) {
 	const writers = 32
 	const perWriter = 500
-	tr := NewFleetTracker(FleetConfig{HistoryEvery: 64})
+	tr := NewFleetTracker(FleetConfig{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -187,7 +205,7 @@ func TestFleetTrackerRace(t *testing.T) {
 		t.Errorf("summed device jobs = %d, want %d", jobs, writers*perWriter)
 	}
 	if len(s.History) == 0 {
-		t.Errorf("history empty after %d completed jobs with HistoryEvery=64", s.Completed)
+		t.Errorf("history empty after %d completed jobs", s.Completed)
 	}
 }
 
@@ -196,7 +214,7 @@ func TestFleetTrackerRace(t *testing.T) {
 // hitters) — the property fleet replay reports rely on.
 func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	build := func() FleetStatus {
-		tr := NewFleetTracker(FleetConfig{HistoryEvery: 100})
+		tr := NewFleetTracker(FleetConfig{})
 		for i := 0; i < 2000; i++ {
 			dev := fmt.Sprintf("dev-%02d", i%40)
 			tr.Emit(fleetEvent(dev, i%17 == 0, float64(i%7)*0.03))
@@ -237,7 +255,7 @@ func TestFleetTrackerWorstMatchesFullSort(t *testing.T) {
 	}
 	for _, topK := range []int{1, 10, 1000} {
 		t.Run(fmt.Sprintf("topk=%d", topK), func(t *testing.T) {
-			tr := NewFleetTracker(FleetConfig{MinJobs: 8, TopK: topK})
+			tr := NewFleetTracker(FleetConfig{TopK: topK})
 			feed(tr)
 			var want []DeviceHealth
 			for _, d := range tr.DeviceHealths() {

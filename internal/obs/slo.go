@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"log/slog"
 	"math"
 	"sort"
 	"sync"
@@ -9,11 +8,10 @@ import (
 
 // SLOConfig parameterizes the deadline-miss SLO tracker. The zero
 // value selects production-style defaults: a 1% miss-rate objective
-// watched over a fast 128-job window (burn ≥ 10× fires) and a slow
-// 2048-job window (burn ≥ 2× fires), alerting only when both agree —
-// the multi-window multi-burn-rate pattern, counted in jobs rather
-// than wall time because the interactive workloads here are periodic
-// job streams and a job count is deterministic under simulation.
+// watched over a fast 128-job window and a slow 2048-job window,
+// counted in jobs rather than wall time because the interactive
+// workloads here are periodic job streams and a job count is
+// deterministic under simulation.
 type SLOConfig struct {
 	// Target is the acceptable deadline-miss fraction; zero → 0.01.
 	// (A negative value is clamped to 0.01; an SLO of "zero misses
@@ -24,29 +22,12 @@ type SLOConfig struct {
 	// completed jobs; zero → 128 and 2048.
 	FastWindow int
 	SlowWindow int
-	// FastBurn and SlowBurn are the burn-rate alert thresholds
-	// (observed miss rate ÷ Target) for each window; zero → 10 and 2.
-	FastBurn float64
-	SlowBurn float64
-	// MinSamples gates alerting until a workload has completed at
-	// least this many jobs; zero → 32.
-	MinSamples int
 	// MaxKeys bounds the number of distinct keys the tracker will
-	// allocate windows for; zero → unbounded (the original
-	// per-workload behaviour, where cardinality is small and known).
-	// Fleet mode derives keys from untrusted traces, so it sets a
-	// bound: once reached, observations for new keys fold into the
-	// catch-all OverflowKey so totals stay accurate while memory stays
-	// fixed.
+	// allocate windows for; zero → unbounded. Fleet mode derives keys
+	// from untrusted traces, so it sets a bound: once reached,
+	// observations for new keys fold into the catch-all OverflowKey so
+	// totals stay accurate while memory stays fixed.
 	MaxKeys int
-	// Log receives alert transitions; nil discards them.
-	Log *slog.Logger
-	// BurnGauge, when non-nil, tracks the current burn rate per
-	// (workload, window) with window ∈ {"fast", "slow"}.
-	BurnGauge *GaugeVec
-	// AlertGauge, when non-nil, is set to 1/0 per workload on alert
-	// transitions.
-	AlertGauge *GaugeVec
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {
@@ -59,25 +40,30 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	if c.SlowWindow <= 0 {
 		c.SlowWindow = 2048
 	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 10
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 2
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
 	return c
 }
 
-// SLOTracker maintains per-workload deadline-miss burn rates over two
-// sliding windows and raises an alert when both windows burn error
-// budget faster than their thresholds. The fast window catches sharp
-// regressions (a bad model push) within ~a hundred jobs; the slow
-// window keeps the alert from flapping on short bursts that the error
-// budget can absorb. Alerts clear with hysteresis once both burns
-// fall below half their thresholds.
+// The burn-rate thresholds (observed miss rate ÷ Target) of the
+// multi-window multi-burn-rate pattern: a key latches Alerting once it
+// has completed sloMinSamples jobs and both windows burn at or above
+// their thresholds. SLOSlowBurn is exported because the alert engine's
+// built-in slo_burn rule fires on the same slow-window boundary.
+const (
+	sloFastBurn   = 10.0
+	SLOSlowBurn   = 2.0
+	sloMinSamples = 32
+)
+
+// SLOTracker maintains keyed deadline-miss burn rates over two sliding
+// windows. The fast window catches sharp regressions (a bad model
+// push) within ~a hundred jobs; the slow window keeps the status from
+// flapping on short bursts that the error budget can absorb. Each key
+// carries an Alerting status bit, latched when both windows burn past
+// their thresholds and cleared with hysteresis once both fall below
+// half of them. The tracker itself notifies no one: dvfsd exports the
+// burn rates as gauges and its alert engine's slo_burn rule owns the
+// alert lifecycle, while the latch is what /debug/fleet and dvfsreplay
+// print.
 type SLOTracker struct {
 	cfg SLOConfig
 
@@ -147,11 +133,9 @@ const FleetKey = "fleet"
 
 // ObserveEvent feeds a completed decision event under fleet keys: the
 // aggregate FleetKey plus "platform:<name>" and "workload:<name>"
-// breakdowns when the event carries them. This is the keyed/fleet mode
-// used by the /v1/fleet/ingest endpoint and the fleet replay engine —
-// the same multi-window burn-rate machinery, keyed by trace dimensions
-// instead of the serving tier's model name. Events that have not
-// completed carry no deadline outcome and are ignored.
+// breakdowns when the event carries them. dvfsd's /v1/fleet/ingest
+// endpoint and the fleet replay engine feed it this way. Events that
+// have not completed carry no deadline outcome and are ignored.
 func (t *SLOTracker) ObserveEvent(e *DecisionEvent) {
 	if e == nil || !e.Done {
 		return
@@ -165,26 +149,27 @@ func (t *SLOTracker) ObserveEvent(e *DecisionEvent) {
 	}
 }
 
-// Observe feeds one completed job's deadline outcome for a workload
-// and re-evaluates the alert state.
-func (t *SLOTracker) Observe(workload string, missed bool) {
+// Observe feeds one completed job's deadline outcome for a key and
+// re-evaluates its status bit.
+func (t *SLOTracker) Observe(key string, missed bool) {
 	t.mu.Lock()
-	st := t.per[workload]
+	defer t.mu.Unlock()
+	st := t.per[key]
 	if st == nil {
 		if t.cfg.MaxKeys > 0 && len(t.per) >= t.cfg.MaxKeys {
 			// At the key bound: fold into the catch-all window instead
 			// of allocating a new one (creating the catch-all itself may
 			// exceed the bound by one — the bound is about untrusted
 			// cardinality, not an exact count).
-			workload = OverflowKey
-			st = t.per[workload]
+			key = OverflowKey
+			st = t.per[key]
 		}
 		if st == nil {
 			st = &sloState{
 				fast: missWindow{bits: make([]bool, t.cfg.FastWindow)},
 				slow: missWindow{bits: make([]bool, t.cfg.SlowWindow)},
 			}
-			t.per[workload] = st
+			t.per[key] = st
 		}
 	}
 	st.fast.push(missed)
@@ -196,49 +181,17 @@ func (t *SLOTracker) Observe(workload string, missed bool) {
 
 	fastBurn := st.fast.rate() / t.cfg.Target
 	slowBurn := st.slow.rate() / t.cfg.Target
-	var transition *bool
 	switch {
-	case !st.alerting && st.total >= int64(t.cfg.MinSamples) &&
-		fastBurn >= t.cfg.FastBurn && slowBurn >= t.cfg.SlowBurn:
+	case !st.alerting && st.total >= sloMinSamples &&
+		fastBurn >= sloFastBurn && slowBurn >= SLOSlowBurn:
 		st.alerting = true
-		v := true
-		transition = &v
-	case st.alerting && fastBurn < t.cfg.FastBurn/2 && slowBurn < t.cfg.SlowBurn/2:
+	case st.alerting && fastBurn < sloFastBurn/2 && slowBurn < SLOSlowBurn/2:
 		st.alerting = false
-		v := false
-		transition = &v
-	}
-	t.mu.Unlock()
-
-	if t.cfg.BurnGauge != nil {
-		t.cfg.BurnGauge.With(workload, "fast").Set(fastBurn)
-		t.cfg.BurnGauge.With(workload, "slow").Set(slowBurn)
-	}
-	if transition == nil {
-		return
-	}
-	if t.cfg.AlertGauge != nil {
-		v := 0.0
-		if *transition {
-			v = 1
-		}
-		t.cfg.AlertGauge.With(workload).Set(v)
-	}
-	if t.cfg.Log != nil {
-		if *transition {
-			t.cfg.Log.Warn("deadline-miss SLO burn-rate alert: error budget burning on both windows",
-				"workload", workload, "target", t.cfg.Target,
-				"fast_burn", fastBurn, "fast_threshold", t.cfg.FastBurn,
-				"slow_burn", slowBurn, "slow_threshold", t.cfg.SlowBurn)
-		} else {
-			t.cfg.Log.Info("deadline-miss SLO recovered",
-				"workload", workload, "fast_burn", fastBurn, "slow_burn", slowBurn)
-		}
 	}
 }
 
-// SLOStatus is one workload's current SLO state, as served by dvfsd's
-// GET /debug/slo.
+// SLOStatus is one key's current SLO state, as served by dvfsd's GET
+// /debug/slo and printed by dvfsreplay. Workload holds the key.
 type SLOStatus struct {
 	Workload string  `json:"workload"`
 	Target   float64 `json:"target"`
@@ -250,21 +203,9 @@ type SLOStatus struct {
 	Alerting bool    `json:"alerting"`
 }
 
-// Status returns the workload's current state; ok is false when the
-// workload has never been observed.
-func (t *SLOTracker) Status(workload string) (SLOStatus, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.per[workload]
-	if st == nil {
-		return SLOStatus{}, false
-	}
-	return t.statusLocked(workload, st), true
-}
-
-func (t *SLOTracker) statusLocked(workload string, st *sloState) SLOStatus {
+func (t *SLOTracker) statusLocked(key string, st *sloState) SLOStatus {
 	s := SLOStatus{
-		Workload: workload,
+		Workload: key,
 		Target:   t.cfg.Target,
 		Jobs:     st.total,
 		Misses:   st.misses,
@@ -278,7 +219,7 @@ func (t *SLOTracker) statusLocked(workload string, st *sloState) SLOStatus {
 	return s
 }
 
-// Snapshot returns every observed workload's status, sorted by name.
+// Snapshot returns every observed key's status, sorted by key.
 func (t *SLOTracker) Snapshot() []SLOStatus {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -294,21 +235,12 @@ func (t *SLOTracker) Snapshot() []SLOStatus {
 	return out
 }
 
-// Alerting reports whether the workload currently has an active
-// burn-rate alert.
-func (t *SLOTracker) Alerting(workload string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.per[workload]
-	return st != nil && st.alerting
-}
-
-// BurnRates returns the workload's current fast- and slow-window burn
+// BurnRates returns the key's current fast- and slow-window burn
 // rates (NaN with no observations).
-func (t *SLOTracker) BurnRates(workload string) (fast, slow float64) {
+func (t *SLOTracker) BurnRates(key string) (fast, slow float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.per[workload]
+	st := t.per[key]
 	if st == nil {
 		return math.NaN(), math.NaN()
 	}

@@ -7,14 +7,18 @@ import (
 
 // sloTestConfig keeps windows tiny so tests drive full fill cycles.
 func sloTestConfig() SLOConfig {
-	return SLOConfig{
-		Target:     0.01,
-		FastWindow: 8,
-		SlowWindow: 32,
-		FastBurn:   10,
-		SlowBurn:   2,
-		MinSamples: 8,
+	return SLOConfig{Target: 0.01, FastWindow: 8, SlowWindow: 32}
+}
+
+// sloStatus is key's entry in the tracker's snapshot (zero when the
+// key was never observed).
+func sloStatus(s *SLOTracker, key string) SLOStatus {
+	for _, st := range s.Snapshot() {
+		if st.Workload == key {
+			return st
+		}
 	}
+	return SLOStatus{}
 }
 
 func TestSLOTrackerAlertsAndClears(t *testing.T) {
@@ -24,7 +28,7 @@ func TestSLOTrackerAlertsAndClears(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		s.Observe("ldecode", false)
 	}
-	if s.Alerting("ldecode") {
+	if sloStatus(s, "ldecode").Alerting {
 		t.Fatal("alerting with zero misses")
 	}
 	fast, slow := s.BurnRates("ldecode")
@@ -33,62 +37,53 @@ func TestSLOTrackerAlertsAndClears(t *testing.T) {
 	}
 
 	// A sustained miss burst: fast window saturates (rate 1.0 → burn
-	// 100 ≥ 10) and the slow window reaches 16/32 → burn 50 ≥ 2.
+	// 100 ≥ 10) and the slow window reaches 16/32 → burn 50 ≥ 2, on the
+	// 32nd job, which is also the sample gate.
 	for i := 0; i < 16; i++ {
 		s.Observe("ldecode", true)
 	}
-	if !s.Alerting("ldecode") {
-		t.Fatal("no alert after sustained miss burst")
-	}
-	st, ok := s.Status("ldecode")
-	if !ok || !st.Alerting || st.Misses != 16 || st.Jobs != 32 {
-		t.Fatalf("status = %+v, ok=%v", st, ok)
+	st := sloStatus(s, "ldecode")
+	if !st.Alerting || st.Misses != 16 || st.Jobs != 32 {
+		t.Fatalf("status = %+v, want alerting after 16 misses in 32 jobs", st)
 	}
 
 	// Recovery: hysteresis clears only once both burns fall below half
 	// their thresholds. Push hits until the fast window is clean and
-	// the slow window dilutes below slowBurn/2 = 1 (rate < 0.01, which
-	// for a 32-job window means zero misses remaining).
-	for i := 0; i < 64 && s.Alerting("ldecode"); i++ {
+	// the slow window dilutes below SLOSlowBurn/2 = 1 (rate < 0.01,
+	// which for a 32-job window means zero misses remaining).
+	for i := 0; i < 64 && sloStatus(s, "ldecode").Alerting; i++ {
 		s.Observe("ldecode", false)
 	}
-	if s.Alerting("ldecode") {
+	if sloStatus(s, "ldecode").Alerting {
 		t.Fatal("alert never cleared after sustained recovery")
 	}
 }
 
 func TestSLOTrackerMinSamplesGate(t *testing.T) {
 	s := NewSLOTracker(sloTestConfig())
-	// 4 straight misses would burn both windows far past threshold, but
-	// MinSamples=8 keeps the alert quiet on a cold start.
-	for i := 0; i < 4; i++ {
+	// Straight misses burn both windows far past threshold, but the
+	// sample gate keeps the status quiet on a cold start.
+	for i := 0; i < sloMinSamples-1; i++ {
 		s.Observe("sha", true)
 	}
-	if s.Alerting("sha") {
-		t.Fatal("alerted before MinSamples observations")
+	if sloStatus(s, "sha").Alerting {
+		t.Fatal("alerted before sloMinSamples observations")
 	}
-	for i := 0; i < 4; i++ {
-		s.Observe("sha", true)
-	}
-	if !s.Alerting("sha") {
-		t.Fatal("no alert once MinSamples reached with saturated windows")
+	s.Observe("sha", true)
+	if !sloStatus(s, "sha").Alerting {
+		t.Fatal("no alert once sloMinSamples reached with saturated windows")
 	}
 }
 
-func TestSLOTrackerGaugesAndSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	cfg := sloTestConfig()
-	cfg.BurnGauge = reg.GaugeVec("test_slo_burn", "burn", "workload", "window")
-	cfg.AlertGauge = reg.GaugeVec("test_slo_alert", "alert", "workload")
-	s := NewSLOTracker(cfg)
-
-	for i := 0; i < 16; i++ {
+func TestSLOTrackerSnapshot(t *testing.T) {
+	s := NewSLOTracker(sloTestConfig())
+	for i := 0; i < sloMinSamples; i++ {
 		s.Observe("b", i%2 == 0) // 50% misses: alerts
 		s.Observe("a", false)
 	}
 	snap := s.Snapshot()
 	if len(snap) != 2 || snap[0].Workload != "a" || snap[1].Workload != "b" {
-		t.Fatalf("snapshot not sorted by workload: %+v", snap)
+		t.Fatalf("snapshot not sorted by key: %+v", snap)
 	}
 	if snap[0].Alerting || !snap[1].Alerting {
 		t.Fatalf("alert states wrong: %+v", snap)
@@ -96,24 +91,21 @@ func TestSLOTrackerGaugesAndSnapshot(t *testing.T) {
 	if snap[1].MissRate != 0.5 {
 		t.Fatalf("miss rate = %g, want 0.5", snap[1].MissRate)
 	}
-	if g := cfg.AlertGauge.With("b").Value(); g != 1 {
-		t.Fatalf("alert gauge = %g, want 1", g)
+	if snap[0].FastBurn != 0 {
+		t.Fatalf("healthy fast burn = %g, want 0", snap[0].FastBurn)
 	}
-	if g := cfg.BurnGauge.With("a", "fast").Value(); g != 0 {
-		t.Fatalf("healthy fast burn gauge = %g, want 0", g)
+	if snap[1].SlowBurn < SLOSlowBurn {
+		t.Fatalf("burning slow burn = %g, want ≥ %g", snap[1].SlowBurn, SLOSlowBurn)
 	}
-	if g := cfg.BurnGauge.With("b", "slow").Value(); g < 2 {
-		t.Fatalf("burning slow gauge = %g, want ≥ 2", g)
+	if fast, slow := s.BurnRates("b"); fast != snap[1].FastBurn || slow != snap[1].SlowBurn {
+		t.Fatalf("BurnRates = %g, %g; snapshot has %g, %g", fast, slow, snap[1].FastBurn, snap[1].SlowBurn)
 	}
 }
 
 func TestSLOTrackerUnknownWorkload(t *testing.T) {
 	s := NewSLOTracker(SLOConfig{})
-	if _, ok := s.Status("nope"); ok {
-		t.Fatal("Status ok for never-observed workload")
-	}
-	if s.Alerting("nope") {
-		t.Fatal("Alerting for never-observed workload")
+	if snap := s.Snapshot(); len(snap) != 0 {
+		t.Fatalf("snapshot of an unused tracker = %+v", snap)
 	}
 	fast, slow := s.BurnRates("nope")
 	if !math.IsNaN(fast) || !math.IsNaN(slow) {
@@ -133,9 +125,8 @@ func TestTracerFeedsSLO(t *testing.T) {
 	}
 	// A one-shot (not Done) event must not count.
 	tr.Emit(DecisionEvent{Workload: "ldecode", Job: 99})
-	st, ok := tr.SLO().Status("ldecode")
-	if !ok || st.Jobs != 10 || st.Misses != 5 {
-		t.Fatalf("status = %+v, ok=%v", st, ok)
+	if st := sloStatus(s, "ldecode"); st.Jobs != 10 || st.Misses != 5 {
+		t.Fatalf("status = %+v, want 10 jobs / 5 misses", st)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

@@ -116,12 +116,6 @@ func (t *Tracer) Snapshot(n int) []DecisionEvent { return t.ring.Snapshot(n) }
 // Emitted returns the total number of events published.
 func (t *Tracer) Emitted() uint64 { return t.emitted.Load() }
 
-// Drift returns the attached drift monitor (nil when none).
-func (t *Tracer) Drift() *DriftMonitor { return t.drift }
-
-// SLO returns the attached SLO tracker (nil when none).
-func (t *Tracer) SLO() *SLOTracker { return t.slo }
-
 // Dropped returns how many events the ring has overwritten.
 func (t *Tracer) Dropped() uint64 { return t.ring.Dropped() }
 

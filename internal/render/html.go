@@ -177,18 +177,6 @@ func (p *HTMLPage) NavLinks(items [][2]string) {
 	p.body.WriteString("</p>\n")
 }
 
-// TimeSeries draws an axis-labeled inline-SVG line chart — the
-// long-horizon sibling of Sparkline, made for telemetry history where
-// the time span matters as much as the shape. X carries the first,
-// middle, and last sample timestamps (UTC, HH:MM:SS); Y carries the
-// min/mid/max with gridlines; the latest value renders after the
-// title. timesMs are Unix milliseconds and must be in order. Pairs
-// with a non-finite value are skipped; empty or mismatched input
-// renders nothing.
-func (p *HTMLPage) TimeSeries(title string, timesMs []int64, vals []float64, format string) {
-	p.TimeSeriesSpans(title, timesMs, vals, format, nil)
-}
-
 // ChartSpan is one highlighted time interval on a TimeSeriesSpans
 // chart — the dashboards shade alert firing windows with these. Label
 // becomes the rect's SVG tooltip.
@@ -197,10 +185,17 @@ type ChartSpan struct {
 	Label        string
 }
 
-// TimeSeriesSpans is TimeSeries with shaded interval overlays behind
-// the line: each span renders as a translucent rect clipped to the
-// charted time range, so an alert's firing window reads directly on
-// the metric that tripped it.
+// TimeSeriesSpans draws an axis-labeled inline-SVG line chart — the
+// long-horizon sibling of Sparkline, made for telemetry history where
+// the time span matters as much as the shape. X carries the first,
+// middle, and last sample timestamps (UTC, HH:MM:SS); Y carries the
+// min/mid/max with gridlines; the latest value renders after the
+// title. timesMs are Unix milliseconds and must be in order. Pairs
+// with a non-finite value are skipped; empty or mismatched input
+// renders nothing. Shaded interval overlays sit behind the line: each
+// span renders as a translucent rect clipped to the charted time
+// range, so an alert's firing window reads directly on the metric
+// that tripped it.
 func (p *HTMLPage) TimeSeriesSpans(title string, timesMs []int64, vals []float64, format string, spans []ChartSpan) {
 	if len(timesMs) == 0 || len(timesMs) != len(vals) {
 		return

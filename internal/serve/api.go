@@ -86,7 +86,9 @@ type ErrorResponse struct {
 }
 
 // SLOResponse is GET /debug/slo: the configured deadline-miss target
-// and each observed workload's burn-rate status.
+// and the burn-rate status of each key ingested fleet traces fed
+// (fleet, platform:<name>, workload:<name>; each in the Workload
+// field).
 type SLOResponse struct {
 	Target    float64         `json:"target"`
 	Workloads []obs.SLOStatus `json:"workloads"`

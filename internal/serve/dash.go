@@ -12,19 +12,18 @@ import (
 )
 
 // dashWindow bounds how many ring events feed the dashboard's rolling
-// views; missWindow is the trailing window for the miss-rate series.
-const (
-	dashWindow = 256
-	missWindow = 32
-)
+// views.
+const dashWindow = 256
 
 // handleDash serves GET /debug/dash: a self-contained operations
 // dashboard (inline CSS + SVG, zero scripts, zero external assets)
 // that re-polls itself via <meta refresh>. Everything on it comes from
-// state the daemon already holds — the tracer ring, the SLO tracker,
-// the drift monitor, and the stream broadcaster — so rendering is
-// read-only and cheap enough to leave unauthenticated on the debug
-// mux.
+// state the daemon already holds — the tracer ring, the stream
+// broadcaster, the energy meter, the drift monitor fed by fleet
+// ingest, and the telemetry store — so rendering is read-only and
+// cheap enough to leave unauthenticated on the debug mux. Served
+// decisions are one-shot (their jobs run client-side), so the ring
+// holds no deadline outcomes or residuals to chart.
 func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	window, err := parseWindow(r.URL.Query().Get("window"))
 	if err != nil {
@@ -79,10 +78,6 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	p.Para(fmt.Sprintf("One point per decision; first sample %s, last sample %s (spanning %s).",
 		first.UTC().Format("15:04:05"), last.UTC().Format("15:04:05"),
 		last.Sub(first).Round(time.Second)))
-	p.Sparkline("miss rate", rollingMissRate(events, missWindow), "%.1f%%")
-	if rs := residualSeries(events); len(rs) > 0 {
-		p.Sparkline("residual", rs, "%+.3f ms")
-	}
 	if ds := decisionMicros(events); len(ds) > 0 {
 		p.Sparkline("decision time", ds, "%.1f µs")
 	}
@@ -110,32 +105,9 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	}
 	p.BarChart("Level occupancy", labels, occs, "%.1f%%")
 
-	if s.slo != nil {
-		p.Section(fmt.Sprintf("SLO burn (target %.2f%% miss rate)", 100*s.slo.Target()))
-		sloRows := [][]string{}
-		for _, st := range s.slo.Snapshot() {
-			alert := ""
-			if st.Alerting {
-				alert = "ALERT"
-			}
-			sloRows = append(sloRows, []string{
-				st.Workload, fmt.Sprintf("%d", st.Jobs), fmt.Sprintf("%d", st.Misses),
-				fmt.Sprintf("%.2f%%", 100*st.MissRate),
-				fmt.Sprintf("%.2f", st.FastBurn), fmt.Sprintf("%.2f", st.SlowBurn), alert,
-			})
-		}
-		if len(sloRows) > 0 {
-			p.Table([]string{"workload", "jobs", "misses", "miss rate", "fast burn", "slow burn", ""},
-				sloRows, []bool{false, true, true, true, true, true, false})
-		} else {
-			p.Para("No completed jobs observed yet.")
-		}
-	}
-
 	s.energySection(p)
 
-	if s.tracer != nil && s.tracer.Drift() != nil {
-		d := s.tracer.Drift()
+	if d := s.drift; d != nil {
 		if wls := d.Workloads(); len(wls) > 0 {
 			p.Section("Prediction drift")
 			dRows := make([][]string, 0, len(wls))
@@ -221,45 +193,6 @@ var dashHistoryCharts = []historyChart{
 		agg:    tsdb.AggMax, format: "%.2f×"},
 	{title: "alerts firing", metric: "dvfsd_alerts_firing",
 		agg: tsdb.AggMax, format: "%.0f"},
-}
-
-// rollingMissRate is the trailing-window deadline-miss percentage over
-// completed events, one point per completed event.
-func rollingMissRate(events []obs.DecisionEvent, window int) []float64 {
-	var done []bool
-	for i := range events {
-		if events[i].Done {
-			done = append(done, events[i].Missed)
-		}
-	}
-	out := make([]float64, 0, len(done))
-	misses := 0
-	for i, m := range done {
-		if m {
-			misses++
-		}
-		if i >= window && done[i-window] {
-			misses--
-		}
-		n := i + 1
-		if n > window {
-			n = window
-		}
-		out = append(out, 100*float64(misses)/float64(n))
-	}
-	return out
-}
-
-// residualSeries is actual − predicted in milliseconds per completed
-// predicted event.
-func residualSeries(events []obs.DecisionEvent) []float64 {
-	var out []float64
-	for i := range events {
-		if events[i].Done && events[i].Predicted {
-			out = append(out, 1e3*events[i].ResidualSec)
-		}
-	}
-	return out
 }
 
 // decisionMicros is the measured decision-phase time in microseconds

@@ -27,10 +27,11 @@ func getDash(t *testing.T, ts *httptest.Server) string {
 	return string(body)
 }
 
-// TestDashRenders drives the dashboard from synthetic ring events: it
-// must be a complete self-contained HTML document with sparklines,
-// the phase table, level occupancy, SLO and drift sections, and a
-// meta-refresh — and reference no external asset or script.
+// TestDashRenders drives the dashboard from synthetic one-shot ring
+// events (what served predictions emit) and an ingest-fed drift
+// monitor: it must be a complete self-contained HTML document with
+// sparklines, the phase table, level occupancy, the drift section, and
+// a meta-refresh — and reference no external asset or script.
 func TestDashRenders(t *testing.T) {
 	reg, err := NewRegistry(RegistryOptions{Workers: 1})
 	if err != nil {
@@ -38,27 +39,27 @@ func TestDashRenders(t *testing.T) {
 	}
 	defer reg.Close()
 	drift := obs.NewDriftMonitor(obs.DriftConfig{Window: 32, MinSamples: 2})
-	slo := obs.NewSLOTracker(obs.SLOConfig{Target: 0.01})
-	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 128, Drift: drift, SLO: slo})
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 128})
 	ts := httptest.NewServer(NewServer(reg, ServerOptions{
-		Tracer: tracer, SLO: slo,
+		Tracer:      tracer,
+		Drift:       drift,
 		Stream:      obs.NewBroadcaster(obs.BroadcasterOptions{}),
 		EnableDebug: true,
 	}))
 	defer ts.Close()
 
 	for i := 0; i < 20; i++ {
-		p := tracer.Begin(obs.DecisionEvent{
-			Workload: "sha", Governor: "prediction", Job: i,
+		tracer.Emit(obs.DecisionEvent{
+			Workload: "sha", Governor: "serve", Job: i,
 			TimeSec: float64(i) * 0.05, Predicted: true,
 			PredictedExecSec: 0.020, EffBudgetSec: 0.049, Level: i % 4,
 			Spans: []obs.Span{
-				{Name: obs.PhaseDecide, StartSec: 0, DurSec: 0.001},
+				{Name: obs.PhaseServe, StartSec: 0, DurSec: 0.001},
 				{Name: obs.PhasePredict, Depth: 1, StartSec: 0.0002, DurSec: 0.0004},
 			},
 			SpanTotalSec: 0.001,
 		})
-		p.End(0.021, i == 7)
+		drift.Observe("fleet:sha", 0.001)
 	}
 
 	body := getDash(t, ts)
@@ -69,11 +70,11 @@ func TestDashRenders(t *testing.T) {
 		"decisions traced", ">20<",
 		"stream subscribers",
 		"<svg", "polyline", // sparklines
-		"miss rate", "decision time",
-		"Decision phases", obs.PhaseDecide, obs.PhasePredict,
+		"decision time",
+		"Decision phases", obs.PhaseServe, obs.PhasePredict,
 		"Level occupancy",
-		"SLO burn", "sha",
-		"Prediction drift",
+		"sha",
+		"Prediction drift", "fleet:sha",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard missing %q", want)

@@ -38,7 +38,7 @@ func newFleetServer(t *testing.T) (*httptest.Server, *obs.FleetTracker) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
-	ft := obs.NewFleetTracker(obs.FleetConfig{MinJobs: 8, TopK: 5})
+	ft := obs.NewFleetTracker(obs.FleetConfig{TopK: 5})
 	fslo := obs.NewSLOTracker(obs.SLOConfig{Target: 0.01, MaxKeys: 32})
 	ts := httptest.NewServer(NewServer(reg, ServerOptions{
 		Fleet:       ft,

@@ -232,9 +232,6 @@ func (r *Registry) loadFile(name, path string) (*core.Controller, error) {
 	return core.LoadController(f, w, r.plat, r.sw)
 }
 
-// Platform returns the serving platform.
-func (r *Registry) Platform() *platform.Platform { return r.plat }
-
 // Get returns the servable controller for name. During a rebuild the
 // previous controller keeps serving; the error describes the state
 // when no controller has ever been published.

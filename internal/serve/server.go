@@ -40,9 +40,6 @@ type ServerOptions struct {
 	// served prediction (the job runs client-side, so no residual is
 	// ever attached; Done stays false).
 	Tracer *obs.Tracer
-	// SLO, when non-nil, is served at GET /debug/slo (per-workload
-	// deadline-miss burn-rate status).
-	SLO *obs.SLOTracker
 	// Stream, when non-nil, is served at GET /v1/events as a live SSE
 	// decision stream. The broadcaster must also be attached to the
 	// tracer as a sink (cmd/dvfsd wires both ends).
@@ -57,7 +54,10 @@ type ServerOptions struct {
 	Fleet *obs.FleetTracker
 	// FleetSLO, when non-nil, receives every ingested fleet event for
 	// keyed burn-rate tracking (fleet / platform:* / workload:* keys).
-	// Kept separate from SLO, which tracks this daemon's own serving.
+	// Its burn rates are exported as dvfsd_slo_burn_rate{key,window}
+	// (the series the builtin slo_burn alert rule watches) and its
+	// status is served at GET /debug/slo. Served predictions never
+	// feed it: their jobs run client-side and report no outcome.
 	FleetSLO *obs.SLOTracker
 	// MaxIngestBytes bounds /v1/fleet/ingest bodies, which are whole
 	// traces and dwarf normal API requests; 0 → 256 MiB.
@@ -99,7 +99,6 @@ type Server struct {
 	maxB    int
 	maxBody int64
 	tracer  *obs.Tracer
-	slo     *obs.SLOTracker
 	stream  *obs.Broadcaster
 	spans   *obs.SpanSampler
 	start   time.Time
@@ -107,6 +106,7 @@ type Server struct {
 
 	fleet     *obs.FleetTracker
 	fleetSLO  *obs.SLOTracker
+	sloBurn   *obs.GaugeVec
 	fleetG    *fleetGauges
 	maxIngest int64
 
@@ -152,7 +152,6 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 		maxB:    opts.MaxBatch,
 		maxBody: opts.MaxBodyBytes,
 		tracer:  opts.Tracer,
-		slo:     opts.SLO,
 		stream:  opts.Stream,
 		spans:   obs.NewSpanSampler(opts.SpanEvery),
 		start:   time.Now(),
@@ -188,6 +187,10 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	}
 	if opts.Energy != nil {
 		s.energyG = newEnergyGauges(s.metrics.Registry())
+	}
+	if opts.FleetSLO != nil {
+		s.sloBurn = s.metrics.Registry().GaugeVec("dvfsd_slo_burn_rate",
+			"Deadline-miss rate of ingested fleet jobs over a recent window divided by the SLO target.", "key", "window")
 	}
 	if opts.Fleet != nil {
 		s.fleetG = newFleetGauges(s.metrics.Registry())
@@ -326,10 +329,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // SyncGauges refreshes every sync-on-read gauge (models ready, build
-// queue depth, model ages, ring drops, fleet aggregates, telemetry
-// store stats, energy meter totals, alert state). /metrics calls it per scrape; the telemetry scrape
-// loop calls it per tick so history reflects the same state the
-// exposition would.
+// queue depth, model ages, ring drops, fleet aggregates, SLO burn
+// rates, telemetry store stats, energy meter totals, alert state).
+// /metrics calls it per scrape; the telemetry scrape loop calls it per
+// tick so history, and the alert rules evaluated over it, reflect the
+// same state the exposition would.
 func (s *Server) SyncGauges() {
 	s.metrics.SetModelsReady(s.reg.Ready())
 	s.metrics.SetQueueDepth(s.reg.QueueDepth())
@@ -342,6 +346,12 @@ func (s *Server) SyncGauges() {
 	if s.fleet != nil && s.fleetG != nil {
 		snap := s.fleet.Snapshot()
 		s.fleetG.sync(&snap)
+	}
+	if s.fleetSLO != nil {
+		for _, st := range s.fleetSLO.Snapshot() {
+			s.sloBurn.With(st.Workload, "fast").Set(st.FastBurn)
+			s.sloBurn.With(st.Workload, "slow").Set(st.SlowBurn)
+		}
 	}
 	if s.history != nil && s.historyG != nil {
 		s.historyG.sync(s.history.Stats())
@@ -390,15 +400,15 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, events)
 }
 
-// handleSLO reports every workload's deadline-miss SLO state: target,
-// lifetime misses, and the fast/slow-window burn rates the alerts
-// fire on.
+// handleSLO reports the fleet SLO tracker's state per key: target,
+// lifetime misses, and the fast/slow-window burn rates exported for
+// the slo_burn alert rule.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "SLO tracking disabled (start dvfsd with -slo-target > 0)"})
+	if s.fleetSLO == nil {
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "SLO tracking disabled (start dvfsd with -fleet and -slo-target > 0)"})
 		return
 	}
-	writeJSON(w, http.StatusOK, SLOResponse{Target: s.slo.Target(), Workloads: s.slo.Snapshot()})
+	writeJSON(w, http.StatusOK, SLOResponse{Target: s.fleetSLO.Target(), Workloads: s.fleetSLO.Snapshot()})
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {

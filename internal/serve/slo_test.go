@@ -3,16 +3,76 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/alert"
 	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/tsdb"
 )
 
-// /debug/slo serves the tracker's snapshot; without a tracker it
-// explains how to enable it.
+// ingestBinary uploads events to /v1/fleet/ingest as a binary trace.
+func ingestBinary(t *testing.T, base string, evs []obs.DecisionEvent) {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := trace.NewBinaryWriter(&buf)
+	for i := range evs {
+		bw.Emit(&evs[i])
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/fleet/ingest", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: HTTP %d", resp.StatusCode)
+	}
+}
+
+// allMissing is n completed jobs that all missed their deadline,
+// alternating between two workloads on one platform.
+func allMissing(n int) []obs.DecisionEvent {
+	evs := make([]obs.DecisionEvent, n)
+	for j := range evs {
+		wl := "sha"
+		if j%2 == 1 {
+			wl = "mpeg"
+		}
+		evs[j] = fleetTestEvent("dev-0", wl, j, true, 0.1)
+	}
+	return evs
+}
+
+func getSLO(t *testing.T, base string) SLOResponse {
+	t.Helper()
+	var sr SLOResponse
+	if code := getJSON(t, base+"/debug/slo", &sr); code != http.StatusOK {
+		t.Fatalf("debug/slo: HTTP %d", code)
+	}
+	return sr
+}
+
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return readAll(t, resp)
+}
+
+// TestDebugSLO: /debug/slo serves the tracker fleet ingest feeds, its
+// burn rates reach /metrics keyed by SLO key, and the ring-drop
+// counter syncs monotonically alongside them.
 func TestDebugSLO(t *testing.T) {
 	reg, err := NewRegistry(RegistryOptions{Workers: 1})
 	if err != nil {
@@ -20,69 +80,44 @@ func TestDebugSLO(t *testing.T) {
 	}
 	defer reg.Close()
 
-	metrics := NewMetrics()
-	slo := obs.NewSLOTracker(obs.SLOConfig{
-		Target: 0.01, FastWindow: 8, SlowWindow: 32, MinSamples: 8,
-		BurnGauge:  metrics.Registry().GaugeVec("dvfsd_slo_burn_rate", "burn", "workload", "window"),
-		AlertGauge: metrics.Registry().GaugeVec("dvfsd_slo_alert", "alert", "workload"),
-	})
-	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 8, SLO: slo})
+	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 8})
 	ts := httptest.NewServer(NewServer(reg, ServerOptions{
-		Metrics: metrics, Tracer: tracer, EnableDebug: true, SLO: slo,
+		Tracer:      tracer,
+		Fleet:       obs.NewFleetTracker(obs.FleetConfig{}),
+		FleetSLO:    obs.NewSLOTracker(obs.SLOConfig{Target: 0.01, FastWindow: 8, SlowWindow: 32}),
+		EnableDebug: true,
 	}))
 	defer ts.Close()
 
+	// 16 served (one-shot) decisions through an 8-slot ring overwrite 8
+	// and feed no SLO key: their jobs run client-side.
 	for i := 0; i < 16; i++ {
-		p := tracer.Begin(obs.DecisionEvent{Workload: "ldecode", Job: i})
-		p.End(0.01, true) // every job misses: alert fires
+		tracer.Emit(obs.DecisionEvent{Workload: "ldecode", Job: i})
 	}
+	ingestBinary(t, ts.URL, allMissing(64))
 
-	resp, err := http.Get(ts.URL + "/debug/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr SLOResponse
-	err = json.NewDecoder(resp.Body).Decode(&sr)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/slo: HTTP %d, %v", resp.StatusCode, err)
-	}
-	if sr.Target != 0.01 || len(sr.Workloads) != 1 {
+	sr := getSLO(t, ts.URL)
+	if sr.Target != 0.01 || len(sr.Workloads) != 4 {
 		t.Fatalf("slo response: %+v", sr)
 	}
-	w := sr.Workloads[0]
-	if w.Workload != "ldecode" || !w.Alerting || w.Misses != 16 {
-		t.Errorf("workload status: %+v", w)
+	fleet := sr.Workloads[0]
+	if fleet.Workload != obs.FleetKey || !fleet.Alerting || fleet.Jobs != 64 || fleet.Misses != 64 {
+		t.Errorf("fleet status: %+v", fleet)
 	}
 
-	// The burn/alert gauges and the ring-drop counter land on /metrics.
-	// 16 completed events through an 8-slot ring overwrote 8.
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mb bytes.Buffer
-	mb.ReadFrom(resp.Body)
-	resp.Body.Close()
+	mb := getMetrics(t, ts.URL)
 	for _, want := range []string{
-		`dvfsd_slo_alert{workload="ldecode"} 1`,
-		`dvfsd_slo_burn_rate{workload="ldecode",window="fast"}`,
+		`dvfsd_slo_burn_rate{key="fleet",window="fast"} 100`,
+		`dvfsd_slo_burn_rate{key="workload:sha",window="slow"} 100`,
 		`obs_ring_dropped_total{ring="decisions"} 8`,
 	} {
-		if !strings.Contains(mb.String(), want) {
-			t.Errorf("metrics missing %q:\n%s", want, mb.String())
+		if !strings.Contains(mb, want) {
+			t.Errorf("metrics missing %q:\n%s", want, mb)
 		}
 	}
 
 	// A second scrape must not double-count the drops (monotone sync).
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb.Reset()
-	mb.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(mb.String(), `obs_ring_dropped_total{ring="decisions"} 8`) {
+	if !strings.Contains(getMetrics(t, ts.URL), `obs_ring_dropped_total{ring="decisions"} 8`) {
 		t.Error("ring-drop counter moved without new drops")
 	}
 }
@@ -104,5 +139,93 @@ func TestDebugSLODisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound || !strings.Contains(e.Error, "SLO tracking disabled") {
 		t.Errorf("no-slo: HTTP %d, %+v", resp.StatusCode, e)
+	}
+}
+
+// TestSLOBurnRuleFiresOnIngest drives the whole SLO alert path on a
+// fixed clock: ingested jobs that all miss feed the fleet SLO tracker,
+// each scrape tick exports its burn rates into the telemetry store,
+// and the alert engine's builtin slo_burn rule fires on the fleet key
+// once the rule's For has elapsed. The tracker itself exports no alert
+// gauge: the engine owns the alert.
+func TestSLOBurnRuleFiresOnIngest(t *testing.T) {
+	reg, err := NewRegistry(RegistryOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	store, err := tsdb.Open(tsdb.Options{Retention: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	const scrape = time.Second
+	rules := alert.BuiltinRules(alert.BuiltinOptions{Scrape: scrape})
+	engine, err := alert.New(alert.Config{Querier: store, Rules: rules})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	metrics := NewMetrics()
+	srv := NewServer(reg, ServerOptions{
+		Metrics:     metrics,
+		Fleet:       obs.NewFleetTracker(obs.FleetConfig{}),
+		FleetSLO:    obs.NewSLOTracker(obs.SLOConfig{Target: 0.01, MaxKeys: 64}),
+		History:     store,
+		Alerts:      engine,
+		EnableDebug: true,
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ingestBinary(t, ts.URL, allMissing(64))
+
+	var hold time.Duration
+	for _, r := range rules {
+		if r.Name == "slo_burn" {
+			hold = time.Duration(r.For)
+		}
+	}
+	if hold <= 0 {
+		t.Fatalf("builtin slo_burn rule missing or without For: %+v", rules)
+	}
+	sc := tsdb.NewScraper(store, metrics.Registry(), scrape, srv.SyncGauges)
+	sc.After = engine.Eval
+	t0 := time.Unix(1_700_000_000, 0)
+	for at := time.Duration(0); at <= hold+scrape; at += scrape {
+		sc.Tick(t0.Add(at))
+	}
+
+	var snap alert.Snapshot
+	if code := getJSON(t, ts.URL+"/v1/alerts", &snap); code != http.StatusOK {
+		t.Fatalf("/v1/alerts: HTTP %d", code)
+	}
+	firing := false
+	for _, a := range snap.Active {
+		if a.Rule == "slo_burn" && a.State == alert.StateFiring &&
+			a.Series == "dvfsd_slo_burn_rate{key=fleet,window=slow}" {
+			firing = true
+		}
+	}
+	if !firing {
+		t.Errorf("slo_burn not firing on the fleet key: %+v", snap.Active)
+	}
+
+	keys := map[string]bool{}
+	for _, st := range getSLO(t, ts.URL).Workloads {
+		keys[st.Workload] = true
+	}
+	for _, want := range []string{obs.FleetKey, "platform:odroid-a7", "workload:sha", "workload:mpeg"} {
+		if !keys[want] {
+			t.Errorf("/debug/slo missing key %q (have %v)", want, keys)
+		}
+	}
+
+	mb := getMetrics(t, ts.URL)
+	if !strings.Contains(mb, `dvfsd_slo_burn_rate{key="fleet",window="slow"}`) {
+		t.Errorf("/metrics missing the fleet slow burn rate:\n%s", mb)
+	}
+	if strings.Contains(mb, "dvfsd_slo_alert") {
+		t.Error("/metrics still exports the tracker's own alert gauge")
 	}
 }

@@ -135,6 +135,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			st.idleUntil(mj.release)
 		}
 		start := st.now
+		fromLevel := st.cur.Index
 		deadline := mj.release + t.BudgetSec
 		params := gens[mj.task].Next(mj.index)
 		g := globals[mj.task]
@@ -200,6 +201,8 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			DeadlineSec:  deadline,
 			Missed:       missed,
 			LevelIdx:     dec.Target.Index,
+			FromLevelIdx: fromLevel,
+			FreqKHz:      int64(dec.Target.FreqHz / 1e3),
 			PredictorSec: predictorSec,
 			SwitchSec:    st.switchSecAcc,
 			ExecSec:      execSec,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -168,5 +169,42 @@ func TestRunMultiCoordinationReducesContention(t *testing.T) {
 	// The price is bounded: energy within 20% of uncoordinated.
 	if coordinated.EnergyJ > plain.EnergyJ*1.2 {
 		t.Errorf("coordination energy %.3g too far above plain %.3g", coordinated.EnergyJ, plain.EnergyJ)
+	}
+}
+
+// TestRunMultiRecordsLevels: every record names the level the core was
+// at when its job started and the chosen level's clock, as Run's
+// records do — replay prices each transition from FromLevelIdx.
+func TestRunMultiRecordsLevels(t *testing.T) {
+	p := platform.ODROIDXU3A7()
+	w := workload.Game2048()
+	mid := p.Levels[len(p.Levels)/2]
+	for _, idle := range []bool{false, true} {
+		tasks := []TaskSpec{
+			{W: w, Gov: &governor.Fixed{Level: mid}, BudgetSec: 0.010, PeriodSec: 0.010, Jobs: 20},
+			{W: w, Gov: &governor.Powersave{Plat: p}, BudgetSec: 0.010, PeriodSec: 0.010, OffsetSec: 0.005, Jobs: 20},
+		}
+		r, err := RunMulti(tasks, Config{Plat: p, Seed: 1, IdleBetweenJobs: idle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []JobRecord
+		for _, res := range r.PerTask {
+			recs = append(recs, res.Records...)
+		}
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].StartSec < recs[j].StartSec })
+		from := p.MaxLevel().Index
+		for i, rec := range recs {
+			if rec.FromLevelIdx != from {
+				t.Fatalf("idle=%v record %d: FromLevelIdx %d, want %d", idle, i, rec.FromLevelIdx, from)
+			}
+			if want := int64(p.Levels[rec.LevelIdx].FreqHz / 1e3); rec.FreqKHz != want {
+				t.Fatalf("idle=%v record %d: FreqKHz %d, want %d", idle, i, rec.FreqKHz, want)
+			}
+			from = rec.LevelIdx
+			if idle {
+				from = p.MinLevel().Index
+			}
+		}
 	}
 }

@@ -48,9 +48,6 @@ func NewEnv(globals map[string]int64) *Env {
 // without side effects.
 func (e *Env) Freeze() { e.frozen = true }
 
-// Frozen reports whether the environment isolates global writes.
-func (e *Env) Frozen() bool { return e.frozen }
-
 // Get returns the value of name, preferring the local layer. Unset
 // variables read as zero; GetChecked distinguishes that case, and
 // TrackReads records it for later inspection.

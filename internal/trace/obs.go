@@ -49,15 +49,6 @@ func DecisionEvents(r *sim.Result) []obs.DecisionEvent {
 	return events
 }
 
-// EmitDecisions replays a result through a sink and closes it.
-func EmitDecisions(sink obs.Sink, r *sim.Result) error {
-	for _, e := range DecisionEvents(r) {
-		e := e
-		sink.Emit(&e)
-	}
-	return sink.Close()
-}
-
 // MergeDecisions overlays a finished simulation's ground truth onto
 // the live controller events captured during the same run. The live
 // path knows things only the controller sees — the feature hash, the

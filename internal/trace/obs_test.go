@@ -2,8 +2,6 @@ package trace
 
 import (
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -32,26 +30,6 @@ func TestDecisionEvents(t *testing.T) {
 	}
 	if !m.Missed || m.Level != 12 {
 		t.Errorf("miss record: %+v", m)
-	}
-}
-
-func TestEmitDecisionsJSONLRoundTrip(t *testing.T) {
-	var b strings.Builder
-	if err := EmitDecisions(obs.NewJSONLSink(&b), sample()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := obs.ReadJSONL(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DecisionEvents(sample())
-	if len(got) != len(want) {
-		t.Fatalf("round trip returned %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("event %d mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -169,11 +169,6 @@ func (d *Directives) addRangeAllow(file, kind string, r lineRange) {
 	byKind[kind] = append(byKind[kind], r)
 }
 
-// Marked reports whether fn carries the given mark directive.
-func (d *Directives) Marked(fn *types.Func, mark string) bool {
-	return fn != nil && d.marks[fn][mark]
-}
-
 // MarkedFuncs returns every function carrying the given mark.
 func (d *Directives) MarkedFuncs(mark string) []*types.Func {
 	var out []*types.Func

@@ -58,9 +58,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModPath returns the module path ("repro").
-func (l *Loader) ModPath() string { return l.modPath }
-
 // ModDir returns the module root directory.
 func (l *Loader) ModDir() string { return l.modDir }
 
