@@ -294,9 +294,10 @@ tsdb-smoke:
 # residuals until the built-in model_stale rule fires, check the
 # /v1/alerts snapshot, the /debug/alerts incident timeline, the
 # firing-span overlay on the dashboard history charts, and the
-# alert/energy Prometheus metrics; then ingest healthy events until
-# the alert resolves and the incident closes; finally assert the
-# journal recorded both transitions.
+# alert/energy/drift Prometheus metrics; then ingest healthy events
+# until the alert resolves and the incident closes; finally assert the
+# journal recorded both transitions and dvfsd's log holds exactly one
+# record per transition (the engine's), none from the drift monitor.
 ALERT_ADDR ?= 127.0.0.1:8097
 
 alert-smoke:
@@ -313,7 +314,7 @@ alert-smoke:
 	open('/tmp/alert-good.jsonl', 'w').write(''.join(json.dumps(e) + chr(10) for e in good))"
 	@dir=$$(mktemp -d); \
 	./bin/dvfsd -addr $(ALERT_ADDR) -tsdb-scrape 100ms -energy-budget 0.001 \
-		-incident-log $$dir/incidents.jsonl & pid=$$!; \
+		-incident-log $$dir/incidents.jsonl 2> $$dir/dvfsd.log & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null; rm -rf $$dir' EXIT; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://$(ALERT_ADDR)/healthz > /dev/null 2>&1 && break; sleep 0.1; \
@@ -336,6 +337,8 @@ alert-smoke:
 	grep -q 'dvfsd_alerts_firing' /tmp/alert-metrics.txt \
 		&& grep -q 'dvfsd_energy_joules_total' /tmp/alert-metrics.txt \
 		|| { echo "alert-smoke: alert/energy metrics missing"; exit 1; }; \
+	grep -q 'dvfsd_model_under_rate' /tmp/alert-metrics.txt \
+		|| { echo "alert-smoke: drift under-prediction rate missing from /metrics"; exit 1; }; \
 	for i in $$(seq 1 100); do \
 		curl -fsS "http://$(ALERT_ADDR)/debug/dash?window=15m" | grep -q 'class="firing"' && break; sleep 0.1; \
 	done; \
@@ -358,7 +361,13 @@ alert-smoke:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	grep -q '"to":"firing"' $$dir/incidents.jsonl && grep -q '"to":"resolved"' $$dir/incidents.jsonl \
 		|| { echo "alert-smoke: incident journal missing transitions"; exit 1; }; \
-	echo "alert-smoke: fire, timeline, overlay, resolve, and journal all live"; \
+	test "$$(grep -c 'rule=model_stale' $$dir/dvfsd.log)" = 2 \
+		&& grep 'rule=model_stale' $$dir/dvfsd.log | head -n 1 | grep -q 'msg="ALERT firing"' \
+		&& grep 'rule=model_stale' $$dir/dvfsd.log | tail -n 1 | grep -q 'msg="ALERT resolved"' \
+		|| { echo "alert-smoke: want one firing and one resolved model_stale log record"; cat $$dir/dvfsd.log; exit 1; }; \
+	! grep -q 'prediction model' $$dir/dvfsd.log \
+		|| { echo "alert-smoke: the drift monitor logged its own alert"; exit 1; }; \
+	echo "alert-smoke: fire, timeline, overlay, resolve, journal, and one log record per transition all live"; \
 	rm -rf $$dir; exit 0
 
 # Telemetry-store benchmark: simulate a decision trace, replay it

@@ -19,20 +19,26 @@
 // telemetry history; see the -tsdb-* flags), GET /v1/alerts (live
 // alert state and the incident history; see -alerts, -rules,
 // -incident-log, -alert-webhook, -energy-budget), GET /healthz, GET
-// /metrics (Prometheus text format, including the fleet gauges and
-// the SLO burn rates), and — unless -debug=false — GET
-// /debug/decisions (recent decision events as JSON, same filter
-// params), GET /debug/slo (the fleet SLO's burn rates per key), GET
-// /debug/dash (self-contained auto-refreshing HTML operations
-// dashboard), GET /debug/fleet (the fleet health dashboard), GET
-// /debug/alerts (the incident timeline) plus the net/http/pprof
-// handlers under /debug/pprof/.
+// /metrics (Prometheus text format, including the fleet gauges, the
+// SLO burn rates and the model under-prediction rates), and — unless
+// -debug=false — GET /debug/decisions (recent decision events as
+// JSON, same filter params), GET /debug/slo (the fleet SLO's burn
+// rates per key), GET /debug/dash (self-contained auto-refreshing
+// HTML operations dashboard), GET /debug/fleet (the fleet health
+// dashboard), GET /debug/alerts (the incident timeline) plus the
+// net/http/pprof handlers under /debug/pprof/.
 //
 // Deadline-miss SLO tracking (-slo-target) watches ingested fleet
 // traces only: a served prediction's job runs on the client and never
 // reports whether it met its deadline. The tracker's burn rates are
 // exported as dvfsd_slo_burn_rate{key,window}, and the alert engine's
 // builtin slo_burn rule is what alerts on them.
+//
+// Model drift is likewise measured on ingested residuals only: the
+// drift monitor's per-workload under-prediction rate is exported as
+// dvfsd_model_under_rate{workload}, and the builtin model_stale rule
+// decides staleness. The alert engine writes the one log record per
+// firing or resolved transition; -alert-webhook adds a notifier.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener drains
 // in-flight requests, then the registry drains in-flight builds.
@@ -163,7 +169,7 @@ type alertSettings struct {
 	on          bool
 	rules       string  // "" = built-ins only
 	incidentLog string  // "" = no crash-safe journal
-	webhook     string  // "" = slog only
+	webhook     string  // "" = the engine's log only
 	budgetW     float64 // 0 = no burn tracking
 }
 
@@ -247,12 +253,9 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// Fleet observability: ingested device traces are the only
 	// completed jobs this daemon sees, so they feed the device-health
 	// tracker, the keyed deadline-miss SLO (fleet / platform:* /
-	// workload:*), and the drift monitor that flips dvfsd_model_stale.
-	drift := obs.NewDriftMonitor(obs.DriftConfig{
-		Log: log,
-		StaleGauge: metrics.Registry().GaugeVec("dvfsd_model_stale",
-			"1 when a model's recent under-prediction rate exceeds the trained quantile.", "workload"),
-	})
+	// workload:*), and the drift monitor whose under-prediction rates
+	// the builtin model_stale rule watches.
+	drift := obs.NewDriftMonitor(obs.DriftConfig{})
 	var fleetTracker *obs.FleetTracker
 	var fleetSLO *obs.SLOTracker
 	if fleetCfg.on {
@@ -306,7 +309,9 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 			}
 			rules = append(rules, extra...)
 		}
-		notifiers := []alert.Notifier{&alert.SlogNotifier{Log: log}}
+		// The engine logs every firing and resolved transition itself;
+		// the webhook is the one notifier.
+		var notifiers []alert.Notifier
 		if alertCfg.webhook != "" {
 			notifiers = append(notifiers, alert.NewWebhookNotifier(alertCfg.webhook, alert.WebhookOptions{Log: log}))
 		}

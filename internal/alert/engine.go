@@ -107,11 +107,13 @@ type Config struct {
 	// IncidentLog, when non-empty, is an append-only JSONL of
 	// transitions replayed on restart so incidents survive a crash.
 	IncidentLog string
-	// History bounds retained closed incidents; zero → 256.
-	History int
-	// Log receives engine diagnostics; nil discards them.
+	// Log receives one record per firing or resolved transition plus
+	// engine diagnostics; nil discards them.
 	Log *slog.Logger
 }
+
+// incidentHistory bounds the closed incidents an engine retains.
+const incidentHistory = 256
 
 // alertState is the live state of one (rule, series) pair.
 type alertState struct {
@@ -129,7 +131,6 @@ type Engine struct {
 	rules     []Rule
 	notifiers []Notifier
 	log       *slog.Logger
-	history   int
 
 	states map[string]map[string]*alertState // rule → series key
 	open   map[string]*Incident              // rule\xffseries → open incident
@@ -150,9 +151,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Querier == nil {
 		return nil, fmt.Errorf("alert: Config.Querier is required")
 	}
-	if cfg.History <= 0 {
-		cfg.History = 256
-	}
 	log := cfg.Log
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -172,7 +170,6 @@ func New(cfg Config) (*Engine, error) {
 		rules:     cfg.Rules,
 		notifiers: cfg.Notifiers,
 		log:       log,
-		history:   cfg.History,
 		states:    map[string]map[string]*alertState{},
 		open:      map[string]*Incident{},
 	}
@@ -250,8 +247,8 @@ func (e *Engine) stateFor(rule, series string) *alertState {
 
 func (e *Engine) pushClosed(inc Incident) {
 	e.closed = append(e.closed, inc)
-	if len(e.closed) > e.history {
-		e.closed = append(e.closed[:0], e.closed[len(e.closed)-e.history:]...)
+	if len(e.closed) > incidentHistory {
+		e.closed = append(e.closed[:0], e.closed[len(e.closed)-incidentHistory:]...)
 	}
 }
 
@@ -409,8 +406,9 @@ func (e *Engine) advance(r *Rule, series string, value float64, breach, cleared 
 	}
 }
 
-// transition applies a state change: log, incidents, notifiers.
-// Caller holds e.mu.
+// transition applies a state change: incidents, the journal, and for
+// firing and resolved the one log record and the notifiers. Caller
+// holds e.mu.
 func (e *Engine) transition(r *Rule, series string, st *alertState, to State, nowMs int64) {
 	t := Transition{
 		TimeMs:   nowMs,
@@ -449,8 +447,8 @@ func (e *Engine) transition(r *Rule, series string, st *alertState, to State, no
 		}
 	}
 	if to == StateFiring || to == StateResolved {
-		e.log.Info("alert: "+string(to), "rule", r.Name, "series", series,
-			"value", st.value, "severity", r.Severity)
+		e.log.Warn("ALERT "+string(to), "rule", r.Name, "series", series,
+			"value", st.value, "severity", r.Severity, "summary", r.Summary)
 		for _, n := range e.notifiers {
 			n.Notify(t)
 		}

@@ -1,8 +1,11 @@
 package alert
 
 import (
+	"bytes"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +63,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	}
 	defer store.Close()
 	const baseMs = int64(1_700_000_000_000)
-	stale := store.Series("dvfsd_model_stale", tsdb.Label{Name: "workload", Value: "sha"})
+	under := store.Series("dvfsd_model_under_rate", tsdb.Label{Name: "workload", Value: "sha"})
 	burn := store.Series("dvfsd_energy_budget_burn",
 		tsdb.Label{Name: "device", Value: "d0"},
 		tsdb.Label{Name: "window", Value: "slow"},
@@ -75,7 +78,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	}
 
 	// Healthy tick: nothing happens.
-	stale.Append(baseMs, 0)
+	under.Append(baseMs, 0.01)
 	burn.Append(baseMs, 0.2)
 	eng.Eval(at(baseMs, 0))
 	if p, f := eng.Counts(); p != 0 || f != 0 {
@@ -85,7 +88,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	// Breach: pending first (For = 2×scrape = 2s), firing after it holds.
 	for sec := 1; sec <= 3; sec++ {
 		ms := baseMs + int64(sec)*1000
-		stale.Append(ms, 1)
+		under.Append(ms, 0.2)
 		burn.Append(ms, 1.5)
 		eng.Eval(at(baseMs, sec))
 	}
@@ -131,10 +134,10 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 		t.Fatalf("restart re-notified %d transitions", n)
 	}
 
-	// Recovery: model_stale resolves at its threshold, energy burn only
-	// under its hysteresis clear boundary (0.5).
+	// Recovery: each resolves under its hysteresis clear boundary
+	// (model_stale at half its threshold, energy burn at 0.5).
 	ms := baseMs + 4000
-	stale.Append(ms, 0)
+	under.Append(ms, 0.01)
 	burn.Append(ms, 0.3)
 	eng2.Eval(at(baseMs, 4))
 	if p, f := eng2.Counts(); p != 0 || f != 0 {
@@ -160,7 +163,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	}
 
 	// The firing interval shows up as a chart overlay span.
-	spans := eng2.FiringSpans("dvfsd_model_stale", baseMs, baseMs+10_000)
+	spans := eng2.FiringSpans("dvfsd_model_under_rate", baseMs, baseMs+10_000)
 	if len(spans) != 1 {
 		t.Fatalf("firing spans = %v, want one", spans)
 	}
@@ -219,6 +222,40 @@ func TestKeepForSuppressesFlaps(t *testing.T) {
 	eng.Eval(at(baseMs, 6)) // KeepFor elapsed: resolves
 	if _, f := eng.Counts(); f != 0 {
 		t.Fatalf("cleared past KeepFor: firing=%d, want 0", f)
+	}
+}
+
+// The engine writes exactly one log record per firing or resolved
+// transition, carrying the rule's summary; pending steps log nothing.
+func TestTransitionLoggedOnce(t *testing.T) {
+	var buf bytes.Buffer
+	q := &fakeQuerier{}
+	eng, err := New(Config{Querier: q, Log: slog.New(slog.NewTextHandler(&buf, nil)), Rules: []Rule{{
+		Name: "once", Metric: "m", Agg: "last", Window: Duration(10 * time.Second),
+		Threshold: 1, For: Duration(time.Second), Summary: "m is high",
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const baseMs = int64(1_700_000_000_000)
+	for sec, v := range []float64{2, 2, 0} { // pending, firing, resolved
+		q.setPoints("m", tsdb.Point{T: baseMs + int64(sec)*1000, V: v})
+		eng.Eval(at(baseMs, sec))
+	}
+	var records []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.Contains(line, "rule=once") {
+			records = append(records, line)
+		}
+	}
+	if len(records) != 2 {
+		t.Fatalf("%d records name the rule, want 2:\n%s", len(records), buf.String())
+	}
+	for i, to := range []string{"firing", "resolved"} {
+		if !strings.Contains(records[i], `level=WARN msg="ALERT `+to+`"`) ||
+			!strings.Contains(records[i], `summary="m is high"`) {
+			t.Errorf("record %d = %q, want a WARN ALERT %s with the summary", i, records[i], to)
+		}
 	}
 }
 

@@ -14,37 +14,16 @@ import (
 )
 
 // Notifier receives firing and resolved transitions. Notify must not
-// block the evaluation tick: implementations either complete quickly
-// (slog) or hand off to their own worker (webhook).
+// block the evaluation tick: implementations hand off to their own
+// worker (webhook). The engine itself logs every such transition.
 type Notifier interface {
 	Notify(t Transition)
 	Close() error
 }
 
-// SlogNotifier logs every notification — the default sink, so an
-// operator tailing dvfsd's stderr sees alerts without any setup.
-type SlogNotifier struct {
-	Log *slog.Logger
-}
-
-// Notify implements Notifier.
-func (n *SlogNotifier) Notify(t Transition) {
-	if n.Log == nil {
-		return
-	}
-	n.Log.Warn("ALERT "+string(t.To),
-		"rule", t.Rule, "series", t.Series, "value", t.Value,
-		"severity", t.Severity, "summary", t.Summary)
-}
-
-// Close implements Notifier.
-func (n *SlogNotifier) Close() error { return nil }
-
 // WebhookOptions tune the webhook notifier; zero values select
 // production defaults.
 type WebhookOptions struct {
-	// Client overrides the HTTP client; nil → a 5s-timeout client.
-	Client *http.Client
 	// QueueSize bounds buffered notifications; excess is dropped and
 	// counted, never blocking the evaluation tick. Zero → 256.
 	QueueSize int
@@ -65,6 +44,7 @@ type WebhookOptions struct {
 // exponential backoff so a flapping receiver does not lose the alert.
 type WebhookNotifier struct {
 	url     string
+	client  *http.Client
 	opts    WebhookOptions
 	ch      chan Transition
 	done    chan struct{}
@@ -77,9 +57,6 @@ type WebhookNotifier struct {
 
 // NewWebhookNotifier starts the delivery worker.
 func NewWebhookNotifier(url string, opts WebhookOptions) *WebhookNotifier {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 5 * time.Second}
-	}
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = 256
 	}
@@ -96,10 +73,11 @@ func NewWebhookNotifier(url string, opts WebhookOptions) *WebhookNotifier {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	n := &WebhookNotifier{
-		url:  url,
-		opts: opts,
-		ch:   make(chan Transition, opts.QueueSize),
-		done: make(chan struct{}),
+		url:    url,
+		client: &http.Client{Timeout: 5 * time.Second},
+		opts:   opts,
+		ch:     make(chan Transition, opts.QueueSize),
+		done:   make(chan struct{}),
 	}
 	go n.run()
 	return n
@@ -152,7 +130,7 @@ func (n *WebhookNotifier) deliver(t Transition) {
 }
 
 func (n *WebhookNotifier) post(body []byte) error {
-	resp, err := n.opts.Client.Post(n.url, "application/json", bytes.NewReader(body))
+	resp, err := n.client.Post(n.url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -262,15 +262,17 @@ func BuiltinRules(opts BuiltinOptions) []Rule {
 	window := Duration(10 * scrape)
 	hold := Duration(2 * scrape)
 	zero := 0.0
+	staleClear := obs.DriftMaxUnderRate / 2
 	half := obs.SLOSlowBurn / 2
 	rules := []Rule{{
 		Name:      "model_stale",
 		Kind:      KindThreshold,
-		Metric:    "dvfsd_model_stale",
+		Metric:    "dvfsd_model_under_rate",
 		Agg:       "last",
 		Window:    window,
 		Op:        OpGT,
-		Threshold: 0.5,
+		Threshold: obs.DriftMaxUnderRate,
+		Clear:     &staleClear,
 		For:       hold,
 		Severity:  "critical",
 		Summary:   "model under-prediction rate exceeds the trained quantile — consider retraining",

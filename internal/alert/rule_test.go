@@ -38,8 +38,8 @@ func TestDurationJSON(t *testing.T) {
 func TestParseRules(t *testing.T) {
 	src := `{
 	  "rules": [
-	    {"name": "drift", "metric": "dvfsd_model_stale", "agg": "last",
-	     "window": "30s", "op": ">", "threshold": 0.5, "for": "10s",
+	    {"name": "drift", "metric": "dvfsd_model_under_rate", "agg": "last",
+	     "window": "30s", "op": ">", "threshold": 0.05, "for": "10s",
 	     "severity": "critical", "summary": "model is stale"},
 	    {"name": "drops", "kind": "burn_rate", "metric": "obs_ring_dropped_total",
 	     "labels": {"ring": "decisions"}, "window": 60, "threshold": 0}
@@ -126,6 +126,13 @@ func TestBuiltinRules(t *testing.T) {
 	}
 	if _, ok := names["energy_budget_burn"]; ok {
 		t.Fatal("energy rule present without EnergyBudget")
+	}
+	// model_stale judges the drift monitor's exported rate at the
+	// monitor's limits: above DriftMaxUnderRate, clearing at half.
+	if r := names["model_stale"]; r.Metric != "dvfsd_model_under_rate" || r.Threshold != obs.DriftMaxUnderRate ||
+		r.Clear == nil || *r.Clear != obs.DriftMaxUnderRate/2 {
+		t.Fatalf("model_stale on %s threshold %g clear %v, want dvfsd_model_under_rate, %g and %g",
+			r.Metric, r.Threshold, r.Clear, obs.DriftMaxUnderRate, obs.DriftMaxUnderRate/2)
 	}
 	// slo_burn fires on the SLO tracker's own slow-window threshold.
 	if r := names["slo_burn"]; r.Threshold != obs.SLOSlowBurn || r.Clear == nil || *r.Clear != obs.SLOSlowBurn/2 {

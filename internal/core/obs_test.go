@@ -15,7 +15,7 @@ import (
 func TestTracerRecordsResidualInProcess(t *testing.T) {
 	c := buildLDecode(t)
 	var mem obs.MemorySink
-	drift := obs.NewDriftMonitor(obs.DriftConfig{Window: 32, MinSamples: 4})
+	drift := obs.NewDriftMonitor(obs.DriftConfig{})
 	tr := obs.NewTracer(obs.TracerOptions{RingSize: 64, Sinks: []obs.Sink{&mem}, Drift: drift})
 	c.SetTracer(tr)
 	if c.Tracer() != tr {

@@ -1,68 +1,58 @@
 package obs
 
 import (
-	"bytes"
-	"log/slog"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
 
+// The monitor decides nothing itself; this walks one workload's
+// exported under-prediction rate across the limits the model_stale
+// alert rule applies to it: above DriftMaxUnderRate when the model
+// drifts, below half of it once it recovers.
 func TestDriftMonitorFlipsAndRecovers(t *testing.T) {
-	var logBuf bytes.Buffer
-	reg := NewRegistry()
-	gauge := reg.GaugeVec("model_stale", "stale", "workload")
-	d := NewDriftMonitor(DriftConfig{
-		Window: 100, MinSamples: 50, Alpha: 100,
-		Log:        slog.New(slog.NewTextHandler(&logBuf, nil)),
-		StaleGauge: gauge,
-	})
+	d := NewDriftMonitor(DriftConfig{})
+
+	// Too few residuals to judge: nothing is exported yet.
+	for i := 0; i < driftMinSamples-1; i++ {
+		d.Observe("ldecode", 0.002)
+	}
+	if r, ok := d.UnderRates()["ldecode"]; ok {
+		t.Fatalf("rate %g exported from %d residuals", r, driftMinSamples-1)
+	}
 
 	// A healthy stream: 1% under-prediction, matching the trained
 	// α-quantile for α=100.
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 2*driftWindow; i++ {
 		res := -0.001
 		if i%100 == 0 {
 			res = 0.002
 		}
 		d.Observe("ldecode", res)
 	}
-	if d.Stale("ldecode") {
-		t.Fatal("healthy stream flagged stale")
-	}
-	if gauge.With("ldecode").Value() != 0 {
-		t.Fatal("gauge set without a transition")
+	if r := d.UnderRates()["ldecode"]; r > DriftMaxUnderRate {
+		t.Fatalf("healthy stream under rate %g above %g", r, DriftMaxUnderRate)
 	}
 
 	// Drift: 20% under-prediction — far beyond 3/(1+α) ≈ 3%.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < driftWindow; i++ {
 		res := -0.001
 		if i%5 == 0 {
 			res = 0.002
 		}
 		d.Observe("ldecode", res)
 	}
-	if !d.Stale("ldecode") {
-		t.Fatalf("drifted stream not flagged (under rate %.3f)", d.UnderRate("ldecode"))
-	}
-	if gauge.With("ldecode").Value() != 1 {
-		t.Error("stale gauge not set")
-	}
-	if !strings.Contains(logBuf.String(), "prediction model stale") {
-		t.Errorf("missing staleness warning in log:\n%s", logBuf.String())
+	if r := d.UnderRates()["ldecode"]; r <= DriftMaxUnderRate {
+		t.Fatalf("drifted stream under rate %g not above %g", r, DriftMaxUnderRate)
 	}
 
-	// Recovery with hysteresis: once over-predicting again, the flag
-	// clears only below half the threshold.
-	for i := 0; i < 200; i++ {
+	// Recovery: over-predicting again brings the rate under half the
+	// threshold, where the rule clears.
+	for i := 0; i < driftWindow; i++ {
 		d.Observe("ldecode", -0.001)
 	}
-	if d.Stale("ldecode") {
-		t.Fatal("recovered stream still stale")
-	}
-	if gauge.With("ldecode").Value() != 0 {
-		t.Error("stale gauge not cleared")
+	if r := d.UnderRates()["ldecode"]; r >= DriftMaxUnderRate/2 {
+		t.Fatalf("recovered stream under rate %g not below %g", r, DriftMaxUnderRate/2)
 	}
 
 	if ws := d.Workloads(); len(ws) != 1 || ws[0] != "ldecode" {
@@ -71,7 +61,7 @@ func TestDriftMonitorFlipsAndRecovers(t *testing.T) {
 }
 
 func TestDriftMonitorQuantilesAndIsolation(t *testing.T) {
-	d := NewDriftMonitor(DriftConfig{Window: 64})
+	d := NewDriftMonitor(DriftConfig{})
 	if !math.IsNaN(d.Quantile("none", 0.5)) || !math.IsNaN(d.UnderRate("none")) {
 		t.Fatal("unknown workload should report NaN")
 	}
@@ -85,18 +75,18 @@ func TestDriftMonitorQuantilesAndIsolation(t *testing.T) {
 	if r := d.UnderRate("b"); r != 0 {
 		t.Errorf("workload b leaked under-predictions: %g", r)
 	}
-	// MinSamples default (50) reached with 100% under rate → stale for
-	// a only.
-	if !d.Stale("a") || d.Stale("b") {
-		t.Errorf("stale(a)=%v stale(b)=%v, want true/false", d.Stale("a"), d.Stale("b"))
+	// Both windows hold driftMinSamples residuals, so both rates are
+	// exported, each from its own workload's residuals.
+	if rates := d.UnderRates(); len(rates) != 2 || rates["a"] != 1 || rates["b"] != 0 {
+		t.Errorf("under rates = %v, want a:1 b:0", rates)
 	}
 }
 
-// The monitor is shared between the request path (Observe) and the
-// metrics/debug paths (Stale, UnderRate, Quantile, Workloads); all four
+// The monitor is shared between the ingest path (Observe) and the
+// metrics/debug paths (UnderRates, UnderRate, Quantile, Workloads); all
 // must be safe to call concurrently. Run under -race.
 func TestDriftMonitorConcurrent(t *testing.T) {
-	d := NewDriftMonitor(DriftConfig{Window: 64, MinSamples: 8})
+	d := NewDriftMonitor(DriftConfig{})
 	workloads := []string{"a", "b", "c"}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -115,7 +105,7 @@ func TestDriftMonitorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				w := workloads[(g+i)%len(workloads)]
-				d.Stale(w)
+				d.UnderRates()
 				d.UnderRate(w)
 				d.Quantile(w, 0.5)
 				d.Workloads()

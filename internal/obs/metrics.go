@@ -34,6 +34,10 @@ type family struct {
 	name, help, kind string
 	labels           []string
 	bounds           []float64 // histogram bucket upper bounds
+	// edges is a histogram's bucket edges, [0, bounds…, +Inf]: the
+	// first bucket's lower edge and the overflow bucket's upper edge
+	// bracket the bounds. bounds is a view into it.
+	edges []float64
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -56,7 +60,11 @@ func (r *Registry) family(name, help, kind string, bounds []float64, labels []st
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, bounds: bounds, labels: labels, series: map[string]*series{}}
+	f := &family{name: name, help: help, kind: kind, labels: labels, series: map[string]*series{}}
+	if kind == "histogram" {
+		f.edges = append(append([]float64{0}, bounds...), math.Inf(1))
+		f.bounds = f.edges[1 : len(f.edges)-1]
+	}
 	r.families[name] = f
 	return f
 }
@@ -229,39 +237,53 @@ func (h *Histogram) Count() int64 {
 func (h *Histogram) Quantile(p float64) float64 {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	return quantileFromCounts(h.f.bounds, h.s.counts, h.s.n, p)
+	return bucketQuantile(h.f.edges, h.s.counts, p)
 }
 
-// quantileFromCounts is the bucket walk behind Histogram.Quantile and
-// Registry.Scrape's histogram samples. Caller holds the family lock.
-func quantileFromCounts(bounds []float64, counts []int64, n int64, p float64) float64 {
-	if n == 0 {
+// bucketQuantile is the one bucket walk behind Histogram.Quantile,
+// Registry.Scrape's histogram samples and the runtime collector's
+// runtime/metrics histograms. counts[i] observations lie in
+// (edges[i], edges[i+1]], so len(edges) == len(counts)+1; the estimate
+// interpolates linearly inside the bucket holding rank p·total. A +Inf
+// upper edge answers its bucket's lower edge and a -Inf lower edge
+// interpolates from its upper edge, the best either bucket can say.
+// NaN with no observations.
+func bucketQuantile[C int64 | uint64](edges []float64, counts []C, p float64) float64 {
+	var total C
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
 		return math.NaN()
 	}
-	rank := p * float64(n)
-	cum := int64(0)
+	rank := p * float64(total)
+	var cum C
 	for i, c := range counts {
 		prev := cum
 		cum += c
 		if float64(cum) < rank {
 			continue
 		}
-		if i >= len(bounds) {
-			// +Inf bucket: the last finite bound is the best estimate.
-			return bounds[len(bounds)-1]
+		lo, hi := edges[i], edges[i+1]
+		if math.IsInf(lo, -1) {
+			lo = hi
 		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
+		if math.IsInf(hi, 1) {
+			return lo
 		}
-		hi := bounds[i]
 		if c == 0 {
 			return hi
 		}
 		frac := (rank - float64(prev)) / float64(c)
 		return lo + frac*(hi-lo)
 	}
-	return bounds[len(bounds)-1]
+	// All mass below rank (rounding): the largest finite edge.
+	for i := len(edges) - 1; i >= 0; i-- {
+		if !math.IsInf(edges[i], 0) {
+			return edges[i]
+		}
+	}
+	return math.NaN()
 }
 
 // LogLinearBuckets returns histogram bounds spaced geometrically from

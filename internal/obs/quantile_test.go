@@ -102,7 +102,7 @@ func TestQuantileSortedMonotone(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64()
 		}
-		d := NewDriftMonitor(DriftConfig{Window: n})
+		d := NewDriftMonitor(DriftConfig{})
 		for _, x := range xs {
 			d.Observe("w", x)
 		}

@@ -98,50 +98,9 @@ func (c *RuntimeCollector) setHistQuantiles(i int, g *GaugeVec) {
 	}
 	h := c.samples[i].Value.Float64Histogram()
 	for _, q := range scrapeQuantiles {
-		v := runtimeHistQuantile(h, q.p)
+		v := bucketQuantile(h.Buckets, h.Counts, q.p)
 		if !math.IsNaN(v) {
 			g.With(q.label).Set(v)
 		}
 	}
-}
-
-// runtimeHistQuantile estimates the p-quantile of a runtime/metrics
-// histogram (Buckets has len(Counts)+1 boundaries, possibly ±Inf at
-// the ends). NaN with no observations.
-func runtimeHistQuantile(h *metrics.Float64Histogram, p float64) float64 {
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := p * float64(total)
-	var cum uint64
-	for i, c := range h.Counts {
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		lo, hi := h.Buckets[i], h.Buckets[i+1]
-		if math.IsInf(lo, -1) {
-			lo = hi
-		}
-		if math.IsInf(hi, 1) {
-			return lo
-		}
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + frac*(hi-lo)
-	}
-	// All mass below rank (rounding): the largest finite boundary.
-	for i := len(h.Buckets) - 1; i >= 0; i-- {
-		if !math.IsInf(h.Buckets[i], 0) {
-			return h.Buckets[i]
-		}
-	}
-	return math.NaN()
 }

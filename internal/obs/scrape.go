@@ -88,7 +88,7 @@ func (f *family) scrape(dst []ScrapeSample) []ScrapeSample {
 						Name:        f.name,
 						LabelNames:  append(append([]string(nil), f.labels...), "quantile"),
 						LabelValues: append(append([]string(nil), s.labelVals...), q.label),
-						Value:       truncMantissa(quantileFromCounts(f.bounds, s.counts, s.n, q.p), quantileMantissaBits),
+						Value:       truncMantissa(bucketQuantile(f.edges, s.counts, q.p), quantileMantissaBits),
 					})
 				}
 			}

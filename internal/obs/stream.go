@@ -92,8 +92,6 @@ type FollowOptions struct {
 	// Max stops the follow (cleanly) after this many events; 0 follows
 	// until the stream closes or the context is cancelled.
 	Max int
-	// Client overrides the HTTP client; nil → http.DefaultClient.
-	Client *http.Client
 	// Reconnect re-dials a dropped stream instead of returning,
 	// resuming from the last seen sequence number via the standard SSE
 	// Last-Event-ID header; events replayed across the reconnect are
@@ -137,10 +135,6 @@ func withQuery(url string, f EventFilter) string {
 // delivered sequence number; only consecutive connection failures past
 // opts.MaxRetries end the follow.
 func Follow(ctx context.Context, url string, opts FollowOptions, fn func(DecisionEvent) error) error {
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	firstURL := withQuery(url, opts.Filter)
 	// A resumed connection replays from Last-Event-ID, so the ?last=
 	// backlog request must not be repeated.
@@ -193,7 +187,7 @@ func Follow(ctx context.Context, url string, opts FollowOptions, fn func(Decisio
 			target = resumeURL
 		}
 		before := n
-		err := followOnce(ctx, client, target, lastSeq, gotAny, deliver)
+		err := followOnce(ctx, target, lastSeq, gotAny, deliver)
 		switch {
 		case ctx.Err() != nil:
 			return nil // cancelled: a clean stop
@@ -235,7 +229,7 @@ func Follow(ctx context.Context, url string, opts FollowOptions, fn func(Decisio
 }
 
 // followOnce dials the stream once and decodes it until it ends.
-func followOnce(ctx context.Context, client *http.Client, url string, lastSeq uint64, resume bool, fn func(DecisionEvent) error) error {
+func followOnce(ctx context.Context, url string, lastSeq uint64, resume bool, fn func(DecisionEvent) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
@@ -244,7 +238,7 @@ func followOnce(ctx context.Context, client *http.Client, url string, lastSeq ui
 	if resume {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(lastSeq, 10))
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

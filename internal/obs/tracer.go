@@ -15,10 +15,6 @@ type TracerOptions struct {
 	// SLO, when non-nil, observes every completed job's deadline
 	// outcome for burn-rate tracking.
 	SLO *SLOTracker
-	// OnEmit, when non-nil, runs after each emission — the hook a
-	// metrics registry uses to count events without coupling the
-	// tracer to it.
-	OnEmit func(e *DecisionEvent)
 }
 
 // Tracer is the decision-tracing front end: it assigns sequence
@@ -30,7 +26,6 @@ type Tracer struct {
 	sinks   []Sink
 	drift   *DriftMonitor
 	slo     *SLOTracker
-	onEmit  func(e *DecisionEvent)
 	emitted atomic.Uint64
 }
 
@@ -40,11 +35,10 @@ func NewTracer(opts TracerOptions) *Tracer {
 		opts.RingSize = 4096
 	}
 	return &Tracer{
-		ring:   NewRing(opts.RingSize),
-		sinks:  opts.Sinks,
-		drift:  opts.Drift,
-		slo:    opts.SLO,
-		onEmit: opts.OnEmit,
+		ring:  NewRing(opts.RingSize),
+		sinks: opts.Sinks,
+		drift: opts.Drift,
+		slo:   opts.SLO,
 	}
 }
 
@@ -102,10 +96,6 @@ func (t *Tracer) publish(e *DecisionEvent) {
 	if t.slo != nil && e.Done {
 		//dvfs:allow-block burn-rate window update under a short private mutex; no I/O or channel ops inside
 		t.slo.Observe(e.Workload, e.Missed)
-	}
-	if t.onEmit != nil {
-		//dvfs:allow-block registry hook: dvfsd installs an atomic counter bump here
-		t.onEmit(e)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestTracerBeginEndComputesResidual(t *testing.T) {
 	var mem MemorySink
-	drift := NewDriftMonitor(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftMonitor(DriftConfig{})
 	tr := NewTracer(TracerOptions{RingSize: 16, Sinks: []Sink{&mem}, Drift: drift})
 
 	p := tr.Begin(DecisionEvent{

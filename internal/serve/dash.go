@@ -62,6 +62,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	if len(events) == 0 {
 		p.Note("No decisions in the trace ring yet — send predictions (dvfsload, or POST /v1/predict) and this page fills in.")
 		s.energySection(p)
+		s.driftSection(p)
 		s.historySection(p, "/debug/dash", window, dashHistoryCharts)
 		p.WriteTo(w)
 		return
@@ -106,30 +107,36 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	p.BarChart("Level occupancy", labels, occs, "%.1f%%")
 
 	s.energySection(p)
-
-	if d := s.drift; d != nil {
-		if wls := d.Workloads(); len(wls) > 0 {
-			p.Section("Prediction drift")
-			dRows := make([][]string, 0, len(wls))
-			for _, wl := range wls {
-				stale := "fresh"
-				if d.Stale(wl) {
-					stale = "STALE"
-				}
-				dRows = append(dRows, []string{
-					wl, stale,
-					fmt.Sprintf("%.1f%%", 100*d.UnderRate(wl)),
-					fmt.Sprintf("%+.3f ms", 1e3*d.Quantile(wl, 0.50)),
-					fmt.Sprintf("%+.3f ms", 1e3*d.Quantile(wl, 0.95)),
-				})
-			}
-			p.Table([]string{"workload", "model", "under-predictions", "residual p50", "residual p95"},
-				dRows, []bool{false, false, true, true, true})
-		}
-	}
-
+	s.driftSection(p)
 	s.historySection(p, "/debug/dash", window, dashHistoryCharts)
 	p.WriteTo(w)
+}
+
+// driftSection renders each workload's drift window: the
+// under-prediction rate against the model_stale threshold, and the
+// residual quantiles. Fleet ingest feeds the monitor, so the section
+// does not depend on served decisions in the ring.
+func (s *Server) driftSection(p *render.HTMLPage) {
+	if s.drift == nil {
+		return
+	}
+	wls := s.drift.Workloads()
+	if len(wls) == 0 {
+		return
+	}
+	p.Section("Prediction drift")
+	rows := make([][]string, 0, len(wls))
+	for _, wl := range wls {
+		rows = append(rows, []string{
+			wl,
+			fmt.Sprintf("%.1f%%", 100*s.drift.UnderRate(wl)),
+			fmt.Sprintf("%+.3f ms", 1e3*s.drift.Quantile(wl, 0.50)),
+			fmt.Sprintf("%+.3f ms", 1e3*s.drift.Quantile(wl, 0.95)),
+		})
+	}
+	under := fmt.Sprintf("under-predictions (model_stale > %.1f%%)", 100*obs.DriftMaxUnderRate)
+	p.Table([]string{"workload", under, "residual p50", "residual p95"},
+		rows, []bool{false, true, true, true})
 }
 
 // energySection renders the online energy meter's per-stream totals —

@@ -38,7 +38,7 @@ func TestDashRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	drift := obs.NewDriftMonitor(obs.DriftConfig{Window: 32, MinSamples: 2})
+	drift := obs.NewDriftMonitor(obs.DriftConfig{})
 	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 128})
 	ts := httptest.NewServer(NewServer(reg, ServerOptions{
 		Tracer:      tracer,
@@ -74,7 +74,7 @@ func TestDashRenders(t *testing.T) {
 		"Decision phases", obs.PhaseServe, obs.PhasePredict,
 		"Level occupancy",
 		"sha",
-		"Prediction drift", "fleet:sha",
+		"Prediction drift", "fleet:sha", "under-predictions (model_stale &gt; 3.0%)",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("dashboard missing %q", want)

@@ -92,8 +92,8 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		if s.drift != nil && e.Done && e.Predicted {
 			// Ingested traces are the only completed predictions this
 			// daemon sees (served jobs run client-side), so they are what
-			// can flip dvfsd_model_stale. Keyed apart from any co-located
-			// controller's own residual stream.
+			// feeds dvfsd_model_under_rate. Keyed apart from any
+			// co-located controller's own residual stream.
 			s.drift.Observe("fleet:"+e.Workload, e.ResidualSec)
 		}
 		n++

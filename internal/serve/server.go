@@ -32,10 +32,6 @@ type ServerOptions struct {
 	// MaxInflight bounds concurrently served /v1/ requests; excess
 	// load is shed with 429 + Retry-After. 0 → 256.
 	MaxInflight int
-	// MaxBatch bounds jobs per batch request; 0 → 1024.
-	MaxBatch int
-	// MaxBodyBytes bounds request bodies; 0 → 8 MiB.
-	MaxBodyBytes int64
 	// Tracer, when non-nil, receives a one-shot DecisionEvent per
 	// served prediction (the job runs client-side, so no residual is
 	// ever attached; Done stays false).
@@ -79,14 +75,23 @@ type ServerOptions struct {
 	// the tracer as a sink so served decisions are metered.
 	Energy *alert.EnergyMeter
 	// Drift, when non-nil, receives completed predicted fleet events
-	// (keyed "fleet:<workload>") so ingested residuals can flip
-	// dvfsd_model_stale — the serve path itself never completes a job.
+	// (keyed "fleet:<workload>"); the serve path itself never completes
+	// a job. Each workload's under-prediction rate is exported as
+	// dvfsd_model_under_rate{workload} (the series the builtin
+	// model_stale alert rule watches) and charted on /debug/dash.
 	Drift *obs.DriftMonitor
 	// EnableDebug mounts GET /debug/decisions (the tracer ring as
 	// JSON), GET /debug/dash (the operations dashboard), GET
 	// /debug/slo, and the net/http/pprof handlers under /debug/pprof/.
 	EnableDebug bool
 }
+
+// Request limits. Fleet trace ingest has its own, larger body limit
+// (ServerOptions.MaxIngestBytes).
+const (
+	maxBatch     = 1024    // jobs per batch request
+	maxBodyBytes = 8 << 20 // API request body bytes
+)
 
 // Server is the dvfsd HTTP front end: routing, per-request timeouts,
 // load shedding, metrics, and structured logs around a Registry.
@@ -96,8 +101,6 @@ type Server struct {
 	metrics *Metrics
 	timeout time.Duration
 	sem     chan struct{}
-	maxB    int
-	maxBody int64
 	tracer  *obs.Tracer
 	stream  *obs.Broadcaster
 	spans   *obs.SpanSampler
@@ -113,11 +116,12 @@ type Server struct {
 	history  *tsdb.Store
 	historyG *tsdbGauges
 
-	alerts  *alert.Engine
-	alertG  *alertGauges
-	energy  *alert.EnergyMeter
-	energyG *energyGauges
-	drift   *obs.DriftMonitor
+	alerts    *alert.Engine
+	alertG    *alertGauges
+	energy    *alert.EnergyMeter
+	energyG   *energyGauges
+	drift     *obs.DriftMonitor
+	underRate *obs.GaugeVec
 }
 
 // NewServer wires the HTTP API around a registry.
@@ -134,12 +138,6 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 256
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 1024
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 8 << 20
-	}
 	if opts.MaxIngestBytes <= 0 {
 		opts.MaxIngestBytes = 256 << 20
 	}
@@ -149,8 +147,6 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 		metrics: opts.Metrics,
 		timeout: opts.RequestTimeout,
 		sem:     make(chan struct{}, opts.MaxInflight),
-		maxB:    opts.MaxBatch,
-		maxBody: opts.MaxBodyBytes,
 		tracer:  opts.Tracer,
 		stream:  opts.Stream,
 		spans:   obs.NewSpanSampler(opts.SpanEvery),
@@ -191,6 +187,10 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	if opts.FleetSLO != nil {
 		s.sloBurn = s.metrics.Registry().GaugeVec("dvfsd_slo_burn_rate",
 			"Deadline-miss rate of ingested fleet jobs over a recent window divided by the SLO target.", "key", "window")
+	}
+	if opts.Drift != nil {
+		s.underRate = s.metrics.Registry().GaugeVec("dvfsd_model_under_rate",
+			"Share of a workload's last 256 ingested predicted jobs that ran longer than predicted (set once 50 are in).", "workload")
 	}
 	if opts.Fleet != nil {
 		s.fleetG = newFleetGauges(s.metrics.Registry())
@@ -261,8 +261,8 @@ func (s *Server) guard(route string, h http.HandlerFunc) http.HandlerFunc {
 	return s.guardBody(route, 0, h)
 }
 
-// guardBody is guard with an explicit body limit; 0 uses the server
-// default. Fleet trace ingest is the one route that needs more.
+// guardBody is guard with an explicit body limit; 0 uses
+// maxBodyBytes. Fleet trace ingest is the one route that needs more.
 func (s *Server) guardBody(route string, maxBody int64, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -286,7 +286,7 @@ func (s *Server) guardBody(route string, maxBody int64, h http.HandlerFunc) http
 		if r.Body != nil {
 			limit := maxBody
 			if limit <= 0 {
-				limit = s.maxBody
+				limit = maxBodyBytes
 			}
 			r.Body = http.MaxBytesReader(sw, r.Body, limit)
 		}
@@ -330,7 +330,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // SyncGauges refreshes every sync-on-read gauge (models ready, build
 // queue depth, model ages, ring drops, fleet aggregates, SLO burn
-// rates, telemetry store stats, energy meter totals, alert state).
+// rates, model under-prediction rates, telemetry store stats, energy
+// meter totals, alert state).
 // /metrics calls it per scrape; the telemetry scrape loop calls it per
 // tick so history, and the alert rules evaluated over it, reflect the
 // same state the exposition would.
@@ -351,6 +352,11 @@ func (s *Server) SyncGauges() {
 		for _, st := range s.fleetSLO.Snapshot() {
 			s.sloBurn.With(st.Workload, "fast").Set(st.FastBurn)
 			s.sloBurn.With(st.Workload, "slow").Set(st.SlowBurn)
+		}
+	}
+	if s.drift != nil {
+		for workload, rate := range s.drift.UnderRates() {
+			s.underRate.With(workload).Set(rate)
 		}
 	}
 	if s.history != nil && s.historyG != nil {
@@ -501,8 +507,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "batch has no jobs"})
 		return
 	}
-	if len(req.Jobs) > s.maxB {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Jobs), s.maxB)})
+	if len(req.Jobs) > maxBatch {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Jobs), maxBatch)})
 		return
 	}
 	resp := BatchResponse{Model: req.Model, Results: make([]PredictResponse, len(req.Jobs))}
