@@ -8,8 +8,9 @@
 //	         [-jobs 1000] [-conns 16] [-batch 1] [-seed 1] [-json out.json]
 //
 // With -train the model is first trained through the daemon's API
-// (train → serve → load-test with one binary). Exit status is
-// non-zero when any request fails.
+// (train → serve → load-test with one binary). -json also records the
+// host (nproc, GOMAXPROCS, Go version). Exit status is non-zero when
+// any request fails.
 package main
 
 import (

@@ -45,20 +45,21 @@ func (t *Trace) Wire() WireTrace {
 	return w
 }
 
-// Trace reconstructs a Trace from the wire form. Malformed FID keys
-// are an error — a serving endpoint must reject them, not guess.
+// Trace reconstructs a Trace from the wire form. A FID key must be
+// the number as strconv.Itoa spells it; anything else is an error — a
+// serving endpoint must reject it, not guess.
 func (w WireTrace) Trace() (*Trace, error) {
 	tr := NewTrace()
 	for key, v := range w.Counts {
-		fid, err := strconv.Atoi(key)
-		if err != nil {
+		fid, ok := parseFID(key)
+		if !ok {
 			return nil, fmt.Errorf("features: bad counter FID key %q", key)
 		}
 		tr.Counts[fid] = v
 	}
 	for key, addrs := range w.Calls {
-		fid, err := strconv.Atoi(key)
-		if err != nil {
+		fid, ok := parseFID(key)
+		if !ok {
 			return nil, fmt.Errorf("features: bad call FID key %q", key)
 		}
 		set := make(map[int64]bool, len(addrs))
@@ -68,4 +69,17 @@ func (w WireTrace) Trace() (*Trace, error) {
 		tr.CallAddrs[fid] = set
 	}
 	return tr, nil
+}
+
+// parseFID parses a wire FID key. strconv.Atoi alone also takes "07",
+// "+7" and "-0"; two such spellings of one FID in a map would make the
+// decoded value depend on map iteration order, so only Itoa's own
+// spelling is accepted.
+func parseFID(key string) (int, bool) {
+	fid, err := strconv.Atoi(key)
+	if err != nil {
+		return 0, false
+	}
+	var buf [20]byte
+	return fid, string(strconv.AppendInt(buf[:0], int64(fid), 10)) == key
 }

@@ -14,6 +14,7 @@ func TestWireTraceRoundTrip(t *testing.T) {
 	tr.RecordCall(5, 9)
 	tr.RecordCall(5, 2)
 	tr.RecordCall(11, 42)
+	tr.AddFeature(123456, 2)
 
 	data, err := json.Marshal(tr.Wire())
 	if err != nil {
@@ -56,10 +57,17 @@ func TestWireTraceEmpty(t *testing.T) {
 	}
 }
 
+// A FID key must be spelled as strconv.Itoa spells the number: Atoi
+// alone read "7", "07" and "+7" as FID 7, and map iteration order
+// picked which value won.
 func TestWireTraceRejectsBadKeys(t *testing.T) {
 	for _, raw := range []string{
 		`{"counts":{"abc":1}}`,
 		`{"calls":{"1.5":[2]}}`,
+		`{"counts":{"7":1,"07":2,"+7":3}}`,
+		`{"counts":{"-0":1}}`,
+		`{"calls":{"05":[1]}}`,
+		`{"calls":{" 5":[1]}}`,
 	} {
 		var w WireTrace
 		if err := json.Unmarshal([]byte(raw), &w); err != nil {

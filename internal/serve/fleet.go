@@ -73,7 +73,8 @@ type FleetIngestResponse struct {
 // through fixed-size buffers: a multi-GB binary fleet trace never
 // materializes in memory.
 func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReaderSize(r.Body, 64*1024)
+	body := &limitWatch{r: r.Body}
+	br := bufio.NewReaderSize(body, 64*1024)
 	head, err := br.Peek(8)
 	if err != nil && len(head) == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "empty trace body"})
@@ -115,7 +116,10 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		// Events already ingested stay ingested — the tracker is a
 		// monotone accumulator, and the counter above counts them — but
 		// the client must know its upload was cut short.
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+		if body.tooLarge != nil {
+			err = fmt.Errorf("reading body: %w", body.tooLarge)
+		}
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{
 			Error: fmt.Sprintf("after %d events: %v", n, err)})
 		return
 	}
@@ -128,6 +132,22 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		Devices:   devices,
 		Completed: completed,
 	})
+}
+
+// limitWatch remembers the *http.MaxBytesError a body read returned.
+// The trace decoders can report a body cut at the limit as a parse
+// error of its last, truncated record instead.
+type limitWatch struct {
+	r        io.Reader
+	tooLarge *http.MaxBytesError
+}
+
+func (l *limitWatch) Read(p []byte) (int, error) {
+	n, err := l.r.Read(p)
+	if e, ok := err.(*http.MaxBytesError); ok {
+		l.tooLarge = e
+	}
+	return n, err
 }
 
 // scanJSONL streams newline-delimited DecisionEvents without holding

@@ -370,7 +370,8 @@ func TestFleetDashEmpty(t *testing.T) {
 }
 
 // TestFleetIngestBodyLimit: ingest takes its own (large) body limit,
-// and MaxIngestBytes is enforceable when configured small.
+// and MaxIngestBytes is enforceable when configured small: a body over
+// it answers 413, although the decoder sees only a truncated record.
 func TestFleetIngestBodyLimit(t *testing.T) {
 	reg, err := NewRegistry(RegistryOptions{Workers: 1})
 	if err != nil {
@@ -396,8 +397,13 @@ func TestFleetIngestBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized ingest: HTTP %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest: HTTP %d, want 413", resp.StatusCode)
+	}
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil ||
+		e.Error != "after 0 events: reading body: http: request body too large" {
+		t.Errorf("oversized ingest error %q (%v)", e.Error, err)
 	}
 	// The 64-byte cap cuts line 1 mid-JSON, so nothing was ingested.
 	if got := ft.Snapshot().Events; got != 0 {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,15 @@ type Report struct {
 	MeanMS float64 `json:"mean_ms"`
 	// Codes counts responses by HTTP status.
 	Codes map[string]int `json:"codes"`
+	// Host is the machine the load generator ran on.
+	Host Host `json:"host"`
+}
+
+// Host describes the machine a benchmark ran on.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
 // GenerateJobs prepares a deterministic job stream for a workload: it
@@ -228,6 +238,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig, jobs []PredictJob) (*Report, e
 		Errors:      errorCount,
 		DurationSec: dur,
 		Codes:       codes,
+		Host:        Host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()},
 	}
 	if dur > 0 {
 		rep.Throughput = float64(okJobs) / dur

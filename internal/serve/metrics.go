@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -82,7 +82,7 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // ObserveRequest records one finished request.
 func (m *Metrics) ObserveRequest(route string, code int, seconds float64) {
-	m.requests.With(route, fmt.Sprintf("%d", code)).Inc()
+	m.requests.With(route, strconv.Itoa(code)).Inc()
 	m.latency.With(route).Observe(seconds)
 }
 
@@ -96,7 +96,7 @@ func (m *Metrics) ObserveBuild(seconds float64, err error) {
 
 // ObserveDecision records one prediction outcome.
 func (m *Metrics) ObserveDecision(model string, level int) {
-	m.decisions.With(model, fmt.Sprintf("%d", level)).Inc()
+	m.decisions.With(model, strconv.Itoa(level)).Inc()
 }
 
 // ObserveShed records one load-shed (429) response.

@@ -240,6 +240,7 @@ func TestPredictErrorPaths(t *testing.T) {
 	}{
 		{"unknown model", `{"model":"nope","features":{}}`},
 		{"bad trace key", `{"model":"sha","features":{"counts":{"abc":1}}}`},
+		{"non-canonical trace key", `{"model":"sha","features":{"counts":{"7":1,"07":2,"+7":3}}}`},
 		{"level out of range", `{"model":"sha","features":{},"level":99}`},
 		{"negative budget", `{"model":"sha","features":{},"budget_sec":-1}`},
 		{"empty body", ``},

@@ -295,20 +295,33 @@ func (s *Server) guardBody(route string, maxBody int64, h http.HandlerFunc) http
 	}
 }
 
+// finish records a finished request in the metrics and the request
+// log. Successful requests log at Debug only: the metrics already count
+// every one by route, status and duration, and at Info a line per
+// success cost more daemon CPU than the decision itself. Sheds and
+// errors stay at Info.
 func (s *Server) finish(route string, r *http.Request, sw *statusWriter, t0 time.Time) {
 	if sw.status == 0 {
 		sw.status = http.StatusOK
 	}
 	dur := time.Since(t0)
 	s.metrics.ObserveRequest(route, sw.status, dur.Seconds())
-	s.log.Info("request",
-		"route", route,
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", sw.status,
-		"dur_ms", float64(dur.Microseconds())/1000,
-		"bytes", sw.bytes,
-		"remote", r.RemoteAddr,
+	level := slog.LevelDebug
+	if sw.status >= http.StatusBadRequest {
+		level = slog.LevelInfo
+	}
+	ctx := r.Context()
+	if !s.log.Enabled(ctx, level) {
+		return
+	}
+	s.log.LogAttrs(ctx, level, "request",
+		slog.String("route", route),
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", sw.status),
+		slog.Float64("dur_ms", float64(dur.Microseconds())/1000),
+		slog.Int("bytes", sw.bytes),
+		slog.String("remote", r.RemoteAddr),
 	)
 }
 
@@ -435,7 +448,7 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	case "", "train":
 		var tc TrainConfig
 		if err := decodeBody(r, &tc, true); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+			writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 			return
 		}
 		f, st, err := s.reg.Train(name, tc)
@@ -484,8 +497,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		st.Start(obs.PhaseIngest)
 	}
 	var req PredictRequest
-	if err := decodeBody(r, &req, false); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+	if err := decodePredict(r, &req); err != nil {
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 	st.End()
@@ -494,13 +507,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writePredict(w, &resp)
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decodeBody(r, &req, false); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -608,8 +621,22 @@ func (s *Server) predictOne(model string, job PredictJob, st *obs.SpanTimer) (Pr
 	}, nil
 }
 
+var errEmptyBody = errors.New("empty request body")
+
+// bodyErrorStatus is the status for a request-body error: 413 when the
+// read hit the route's body limit, 400 for anything else.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // decodeBody parses a JSON request body. allowEmpty accepts an empty
-// body as the zero value (train with defaults).
+// body as the zero value (train with defaults). A body over the route's
+// limit fails with an error that wraps *http.MaxBytesError
+// (bodyErrorStatus answers it with 413).
 func decodeBody(r *http.Request, v any, allowEmpty bool) error {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -619,7 +646,7 @@ func decodeBody(r *http.Request, v any, allowEmpty bool) error {
 		if allowEmpty {
 			return nil
 		}
-		return fmt.Errorf("empty request body")
+		return errEmptyBody
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("parsing body: %w", err)
