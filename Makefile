@@ -184,8 +184,8 @@ print(f\"fleet-bench: {new['devices_per_sec']:.0f} devices/sec, \" \
 # the parallel fleet replay is byte-identical across worker counts
 # (with the keyed SLO burn section rendered), then boot dvfsd, ingest
 # the same binary trace over HTTP, and assert the ingest ack (all 120
-# devices, the same event total as the snapshot), the /debug/fleet
-# dashboard, the /v1/fleet snapshot, and the fleet Prometheus gauges
+# devices, the same event total as the snapshot), the fleet sections of
+# /debug/dash, the /v1/fleet snapshot, and the fleet Prometheus gauges
 # all serve it live.
 FLEET_OBS_ADDR ?= 127.0.0.1:8095
 
@@ -218,11 +218,11 @@ fleet-obs-smoke:
 		&& python3 -c "import json; a = json.load(open('/tmp/fleet-obs-ack.json')); s = json.load(open('/tmp/fleet-obs-status.json')); \
 			assert s['devices'] == 120, s['devices']; assert a['devices'] == 120, a; assert a['events'] == s['events'], (a, s['events'])" \
 		|| { echo "fleet-obs-smoke: ingest ack or /v1/fleet snapshot wrong"; exit 1; }; \
-	curl -fsS http://$(FLEET_OBS_ADDR)/debug/fleet > /tmp/fleet-obs-dash.html; \
+	curl -fsS http://$(FLEET_OBS_ADDR)/debug/dash > /tmp/fleet-obs-dash.html; \
 	grep -q 'Worst devices' /tmp/fleet-obs-dash.html \
-		|| { echo "fleet-obs-smoke: /debug/fleet missing the worst-devices table"; exit 1; }; \
+		|| { echo "fleet-obs-smoke: /debug/dash missing the worst-devices table"; exit 1; }; \
 	grep -q 'Health distribution' /tmp/fleet-obs-dash.html \
-		|| { echo "fleet-obs-smoke: /debug/fleet missing the health chart"; exit 1; }; \
+		|| { echo "fleet-obs-smoke: /debug/dash missing the health chart"; exit 1; }; \
 	curl -fsS http://$(FLEET_OBS_ADDR)/metrics | grep -q 'dvfsd_fleet_devices' \
 		|| { echo "fleet-obs-smoke: fleet gauges missing from /metrics"; exit 1; }; \
 	echo "fleet-obs-smoke: ingest, dashboard, snapshot, and gauges all live"; \
@@ -292,7 +292,7 @@ tsdb-smoke:
 # Alerting smoke: boot dvfsd with a fast scrape, an energy budget, and
 # a crash-safe incident journal; ingest fleet events with inflated
 # residuals until the built-in model_stale rule fires, check the
-# /v1/alerts snapshot, the /debug/alerts incident timeline, the
+# /v1/alerts snapshot, the incident timeline on /debug/dash, the
 # firing-span overlay on the dashboard history charts, and the
 # alert/energy/drift Prometheus metrics; then ingest healthy events
 # until the alert resolves and the incident closes; finally assert the
@@ -330,9 +330,9 @@ alert-smoke:
 	assert any(i['rule'] == 'model_stale' and not i.get('end_ms') for i in s['incidents']), s['incidents']; \
 	assert any(r['name'] == 'energy_budget_burn' for r in s['rules']), s['rules']" \
 		|| { echo "alert-smoke: model_stale did not fire"; exit 1; }; \
-	curl -fsS http://$(ALERT_ADDR)/debug/alerts > /tmp/alert-dash.html; \
+	curl -fsS http://$(ALERT_ADDR)/debug/dash > /tmp/alert-dash.html; \
 	grep -q 'model_stale' /tmp/alert-dash.html && grep -q 'Incidents' /tmp/alert-dash.html \
-		|| { echo "alert-smoke: /debug/alerts missing the incident timeline"; exit 1; }; \
+		|| { echo "alert-smoke: /debug/dash missing the incident timeline"; exit 1; }; \
 	curl -fsS http://$(ALERT_ADDR)/metrics > /tmp/alert-metrics.txt; \
 	grep -q 'dvfsd_alerts_firing' /tmp/alert-metrics.txt \
 		&& grep -q 'dvfsd_energy_joules_total' /tmp/alert-metrics.txt \

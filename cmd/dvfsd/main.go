@@ -17,16 +17,19 @@
 // energy meter and the drift monitor), GET /v1/fleet (the fleet
 // snapshot as JSON), GET /v1/query (range queries over the embedded
 // telemetry history; see the -tsdb-* flags), GET /v1/alerts (live
-// alert state and the incident history; see -alerts, -rules,
+// alert state and the incident history; rules evaluate on every
+// telemetry scrape, so -tsdb-scrape 0 turns alerting off; see -rules,
 // -incident-log, -alert-webhook, -energy-budget), GET /healthz, GET
 // /metrics (Prometheus text format, including the fleet gauges, the
-// SLO burn rates and the model under-prediction rates), and — unless
-// -debug=false — GET /debug/decisions (recent decision events as
-// JSON, same filter params), GET /debug/slo (the fleet SLO's burn
-// rates per key), GET /debug/dash (self-contained auto-refreshing
-// HTML operations dashboard), GET /debug/fleet (the fleet health
-// dashboard), GET /debug/alerts (the incident timeline) plus the
-// net/http/pprof handlers under /debug/pprof/.
+// SLO burn rates and the model under-prediction rates), and the debug
+// routes, which -debug=false removes: GET /debug/decisions (recent
+// decision events as JSON, same filter params), GET /debug/slo (the
+// fleet SLO's burn rates per key), GET /debug/dash (the one
+// self-contained, auto-refreshing HTML operations page: decisions,
+// fleet health, SLO burn, alerts and incidents, energy, drift and
+// telemetry history, each section rendered from what the JSON
+// endpoints serve) plus the net/http/pprof handlers under
+// /debug/pprof/.
 //
 // Deadline-miss SLO tracking (-slo-target) watches ingested fleet
 // traces only: a served prediction's job runs on the client and never
@@ -68,75 +71,21 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8090", "listen address")
-	data := flag.String("data", "", "model persistence directory (empty = in-memory only)")
-	platName := flag.String("platform", "a7", "platform model: a7, x86, biglittle")
-	workers := flag.Int("workers", 2, "concurrent model builds")
-	queue := flag.Int("queue", 16, "queued model builds before 503")
-	maxInflight := flag.Int("max-inflight", 256, "concurrent requests before shedding with 429")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	seed := flag.Int64("seed", 1, "seed for switch-table measurement")
-	preload := flag.String("preload", "", "comma-separated workloads to train at startup")
-	tracePath := flag.String("trace", "", "append decision events as JSONL to this path (dvfstrace reads it)")
-	debug := flag.Bool("debug", true, "serve /debug/decisions and /debug/pprof/")
-	sloTarget := flag.Float64("slo-target", 0.01, "deadline-miss SLO target for ingested fleet traces (0 disables burn-rate tracking)")
-	streamQueue := flag.Int("stream-queue", 256, "queued events per /v1/events subscriber before dropping (0 disables streaming)")
-	spanEvery := flag.Int("span-every", 1, "capture a per-phase span ledger on every Nth decision (1 = all)")
-	fleetOn := flag.Bool("fleet", true, "serve fleet observability: POST /v1/fleet/ingest, GET /v1/fleet, and /debug/fleet")
-	fleetTopK := flag.Int("fleet-topk", 10, "worst devices surfaced by the fleet tracker")
-	fleetMaxIngest := flag.Int64("fleet-max-ingest", 0, "byte limit for /v1/fleet/ingest bodies (0 = 256 MiB)")
-	tsdbScrape := flag.Duration("tsdb-scrape", 5*time.Second, "telemetry history scrape interval (0 disables the embedded time-series store)")
-	tsdbDir := flag.String("tsdb-dir", "", "telemetry history directory (empty = in-memory only; dvfstsdb inspects it offline)")
-	tsdbRetention := flag.Duration("tsdb-retention", 6*time.Hour, "telemetry history retention (negative = keep forever)")
-	tsdbBlock := flag.Duration("tsdb-block", 10*time.Minute, "telemetry history block duration (crash-loss bound per series)")
-	alertsOn := flag.Bool("alerts", true, "evaluate alert rules on each telemetry scrape tick (needs -tsdb-scrape > 0)")
-	rulesPath := flag.String("rules", "", "alert rules file (JSON), merged with the built-in rules")
-	incidentLog := flag.String("incident-log", "", "append-only incident journal, replayed on restart so firing alerts survive a crash")
-	alertWebhook := flag.String("alert-webhook", "", "POST firing/resolved alert transitions to this URL (retried with backoff)")
-	energyBudget := flag.Float64("energy-budget", 0, "average-power budget in watts for energy-burn tracking (0 disables)")
+	var cfg config
+	cfg.bind(flag.CommandLine)
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 
 	log, err := logFlags.Logger(os.Stderr)
+	if err == nil {
+		err = cfg.validate()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dvfsd:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *sloTarget < 0 || *sloTarget >= 1 {
-		fmt.Fprintln(os.Stderr, "dvfsd: -slo-target must be in [0, 1)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *spanEvery < 0 {
-		fmt.Fprintln(os.Stderr, "dvfsd: -span-every must be >= 0")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *fleetTopK < 0 || *fleetMaxIngest < 0 {
-		fmt.Fprintln(os.Stderr, "dvfsd: -fleet-topk and -fleet-max-ingest must be non-negative")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *tsdbScrape < 0 || *tsdbBlock < 0 {
-		fmt.Fprintln(os.Stderr, "dvfsd: -tsdb-scrape and -tsdb-block must be non-negative")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *energyBudget < 0 {
-		fmt.Fprintln(os.Stderr, "dvfsd: -energy-budget must be non-negative")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if (*rulesPath != "" || *incidentLog != "" || *alertWebhook != "") && (!*alertsOn || *tsdbScrape == 0) {
-		fmt.Fprintln(os.Stderr, "dvfsd: -rules, -incident-log, and -alert-webhook need -alerts and -tsdb-scrape > 0 (rules evaluate over the telemetry store)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	fleetCfg := fleetSettings{on: *fleetOn, topK: *fleetTopK, maxIngest: *fleetMaxIngest}
-	tsdbCfg := tsdbSettings{scrape: *tsdbScrape, dir: *tsdbDir, retention: *tsdbRetention, block: *tsdbBlock}
-	alertCfg := alertSettings{on: *alertsOn, rules: *rulesPath, incidentLog: *incidentLog, webhook: *alertWebhook, budgetW: *energyBudget}
-	if err := run(*addr, *data, *platName, *workers, *queue, *maxInflight, *timeout, *seed, *preload, *tracePath, *debug, *sloTarget, *streamQueue, *spanEvery, fleetCfg, tsdbCfg, alertCfg, log); err != nil {
+	if err := run(cfg, log); err != nil {
 		fmt.Fprintln(os.Stderr, "dvfsd:", err)
 		if errors.Is(err, errUsage) {
 			flag.Usage()
@@ -149,40 +98,87 @@ func main() {
 // errUsage marks validation errors that warrant the usage text.
 var errUsage = errors.New("invalid usage")
 
-// fleetSettings groups the fleet-observability flags.
-type fleetSettings struct {
-	on        bool
-	topK      int
-	maxIngest int64
+// config is dvfsd's command line: bind registers one flag per field,
+// and validate checks the values before anything starts.
+type config struct {
+	// Serving.
+	addr, data, platform, preload string
+	workers, queue, maxInflight   int
+	timeout                       time.Duration
+	seed                          int64
+	// Decision tracing.
+	trace                  string
+	debug                  bool
+	streamQueue, spanEvery int
+	// Fleet observability.
+	sloTarget      float64
+	fleetTopK      int
+	fleetMaxIngest int64
+	// Telemetry history, alerting and energy metering.
+	tsdbScrape, tsdbRetention, tsdbBlock      time.Duration
+	tsdbDir, rules, incidentLog, alertWebhook string
+	energyBudget                              float64
 }
 
-// tsdbSettings groups the telemetry-history flags.
-type tsdbSettings struct {
-	scrape    time.Duration // 0 disables the store entirely
-	dir       string        // "" = memory-only
-	retention time.Duration
-	block     time.Duration
+// bind registers dvfsd's flags on fs, with their defaults, into c.
+func (c *config) bind(fs *flag.FlagSet) {
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:8090", "listen address")
+	fs.StringVar(&c.data, "data", "", "model persistence directory (empty = in-memory only)")
+	fs.StringVar(&c.platform, "platform", "a7", "platform model: a7, x86, biglittle")
+	fs.IntVar(&c.workers, "workers", 2, "concurrent model builds")
+	fs.IntVar(&c.queue, "queue", 16, "queued model builds before 503")
+	fs.IntVar(&c.maxInflight, "max-inflight", 256, "concurrent requests before shedding with 429")
+	fs.DurationVar(&c.timeout, "timeout", 30*time.Second, "per-request timeout")
+	fs.Int64Var(&c.seed, "seed", 1, "seed for switch-table measurement")
+	fs.StringVar(&c.preload, "preload", "", "comma-separated workloads to train at startup")
+	fs.StringVar(&c.trace, "trace", "", "append decision events as JSONL to this path (dvfstrace reads it)")
+	fs.BoolVar(&c.debug, "debug", true, "serve /debug/decisions, /debug/slo, /debug/dash and /debug/pprof/")
+	fs.Float64Var(&c.sloTarget, "slo-target", 0.01, "deadline-miss SLO target for ingested fleet traces (0 disables burn-rate tracking)")
+	fs.IntVar(&c.streamQueue, "stream-queue", 256, "queued events per /v1/events subscriber before dropping (0 disables streaming)")
+	fs.IntVar(&c.spanEvery, "span-every", 1, "capture a per-phase span ledger on every Nth decision (1 = all)")
+	fs.IntVar(&c.fleetTopK, "fleet-topk", 10, "worst devices surfaced by the fleet tracker")
+	fs.Int64Var(&c.fleetMaxIngest, "fleet-max-ingest", 0, "byte limit for /v1/fleet/ingest bodies (0 = 256 MiB)")
+	fs.DurationVar(&c.tsdbScrape, "tsdb-scrape", 5*time.Second, "telemetry history scrape interval; alert rules evaluate on each tick (0 disables the embedded time-series store and alerting)")
+	fs.StringVar(&c.tsdbDir, "tsdb-dir", "", "telemetry history directory (empty = in-memory only; dvfstsdb inspects it offline)")
+	fs.DurationVar(&c.tsdbRetention, "tsdb-retention", 6*time.Hour, "telemetry history retention (negative = keep forever)")
+	fs.DurationVar(&c.tsdbBlock, "tsdb-block", 10*time.Minute, "telemetry history block duration (crash-loss bound per series)")
+	fs.StringVar(&c.rules, "rules", "", "alert rules file (JSON), merged with the built-in rules")
+	fs.StringVar(&c.incidentLog, "incident-log", "", "append-only incident journal, replayed on restart so firing alerts survive a crash")
+	fs.StringVar(&c.alertWebhook, "alert-webhook", "", "POST firing/resolved alert transitions to this URL (retried with backoff)")
+	fs.Float64Var(&c.energyBudget, "energy-budget", 0, "average-power budget in watts for energy-burn tracking (0 disables)")
 }
 
-// alertSettings groups the alerting and energy-metering flags.
-type alertSettings struct {
-	on          bool
-	rules       string  // "" = built-ins only
-	incidentLog string  // "" = no crash-safe journal
-	webhook     string  // "" = the engine's log only
-	budgetW     float64 // 0 = no burn tracking
+// validate rejects flag values no daemon should start with. Names
+// that need a lookup (-platform, -preload, -rules) are resolved, and
+// rejected, by run.
+func (c *config) validate() error {
+	switch {
+	case c.sloTarget < 0 || c.sloTarget >= 1:
+		return errors.New("-slo-target must be in [0, 1)")
+	case c.spanEvery < 0:
+		return errors.New("-span-every must be >= 0")
+	case c.fleetTopK < 0 || c.fleetMaxIngest < 0:
+		return errors.New("-fleet-topk and -fleet-max-ingest must be non-negative")
+	case c.tsdbScrape < 0 || c.tsdbBlock < 0:
+		return errors.New("-tsdb-scrape and -tsdb-block must be non-negative")
+	case c.energyBudget < 0:
+		return errors.New("-energy-budget must be non-negative")
+	case (c.rules != "" || c.incidentLog != "" || c.alertWebhook != "") && c.tsdbScrape == 0:
+		return errors.New("-rules, -incident-log, and -alert-webhook need -tsdb-scrape > 0 (rules evaluate over the telemetry store)")
+	}
+	return nil
 }
 
-func run(addr, data, platName string, workers, queue, maxInflight int, timeout time.Duration, seed int64, preload, tracePath string, debug bool, sloTarget float64, streamQueue, spanEvery int, fleetCfg fleetSettings, tsdbCfg tsdbSettings, alertCfg alertSettings, log *slog.Logger) error {
-	// Validate everything up front: a daemon must not come up half
-	// configured.
-	plat, err := platform.ByName(platName)
+func run(cfg config, log *slog.Logger) error {
+	// Resolve the named platform and workloads before anything starts:
+	// a daemon must not come up half configured.
+	plat, err := platform.ByName(cfg.platform)
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	var preloads []string
-	if preload != "" {
-		for _, name := range strings.Split(preload, ",") {
+	if cfg.preload != "" {
+		for _, name := range strings.Split(cfg.preload, ",") {
 			name = strings.TrimSpace(name)
 			if _, err := workload.ByName(name); err != nil {
 				return fmt.Errorf("%w: -preload: %v", errUsage, err)
@@ -198,8 +194,8 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// predictions are one-shot events: the job runs client-side, so no
 	// deadline outcome or residual ever reaches the tracer.
 	var sinks []obs.Sink
-	if tracePath != "" {
-		f, err := os.OpenFile(tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if cfg.trace != "" {
+		f, err := os.OpenFile(cfg.trace, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("opening -trace file: %w", err)
 		}
@@ -211,9 +207,9 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// (each subscriber gets a bounded queue; slow readers drop rather
 	// than block the decision path).
 	var stream *obs.Broadcaster
-	if streamQueue > 0 {
+	if cfg.streamQueue > 0 {
 		stream = obs.NewBroadcaster(obs.BroadcasterOptions{
-			QueueSize: streamQueue,
+			QueueSize: cfg.streamQueue,
 			Dropped: metrics.Registry().Counter("obs_stream_dropped_total",
 				"Decision events dropped because a /v1/events subscriber fell behind."),
 		})
@@ -226,7 +222,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// through the server.
 	energy := alert.NewEnergyMeter(alert.EnergyConfig{
 		Platform: plat,
-		BudgetW:  alertCfg.budgetW,
+		BudgetW:  cfg.energyBudget,
 	})
 	sinks = append(sinks, energy)
 	tracer := obs.NewTracer(obs.TracerOptions{Sinks: sinks})
@@ -237,11 +233,11 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	}()
 
 	reg, err := serve.NewRegistry(serve.RegistryOptions{
-		Dir:        data,
+		Dir:        cfg.data,
 		Plat:       plat,
-		Workers:    workers,
-		QueueDepth: queue,
-		Seed:       seed,
+		Workers:    cfg.workers,
+		QueueDepth: cfg.queue,
+		Seed:       cfg.seed,
 		Log:        log,
 		Observe: func(name string, sec float64, err error) {
 			metrics.ObserveBuild(sec, err)
@@ -256,29 +252,26 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// workload:*), and the drift monitor whose under-prediction rates
 	// the builtin model_stale rule watches.
 	drift := obs.NewDriftMonitor(obs.DriftConfig{})
-	var fleetTracker *obs.FleetTracker
+	fleetTracker := obs.NewFleetTracker(obs.FleetConfig{
+		TopK:         cfg.fleetTopK,
+		EnergyPerJob: trace.EnergyEstimator(),
+	})
 	var fleetSLO *obs.SLOTracker
-	if fleetCfg.on {
-		fleetTracker = obs.NewFleetTracker(obs.FleetConfig{
-			TopK:         fleetCfg.topK,
-			EnergyPerJob: trace.EnergyEstimator(),
-		})
-		if sloTarget > 0 {
-			fleetSLO = obs.NewSLOTracker(obs.SLOConfig{Target: sloTarget, MaxKeys: 64})
-		}
+	if cfg.sloTarget > 0 {
+		fleetSLO = obs.NewSLOTracker(obs.SLOConfig{Target: cfg.sloTarget, MaxKeys: 64})
 	}
 
 	// Telemetry history: an embedded Gorilla-compressed store scraped
 	// from the shared registry. Opened before the server so GET
-	// /v1/query and the dashboard history windows can reach it; the
+	// /v1/query and /debug/dash's history windows can reach it; the
 	// scrape loop starts after the server exists because each tick also
 	// refreshes the sync-on-read gauges.
 	var store *tsdb.Store
-	if tsdbCfg.scrape > 0 {
+	if cfg.tsdbScrape > 0 {
 		store, err = tsdb.Open(tsdb.Options{
-			Dir:       tsdbCfg.dir,
-			BlockDur:  tsdbCfg.block,
-			Retention: tsdbCfg.retention,
+			Dir:       cfg.tsdbDir,
+			BlockDur:  cfg.tsdbBlock,
+			Retention: cfg.tsdbRetention,
 		})
 		if err != nil {
 			reg.Close()
@@ -296,13 +289,13 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// of every scrape tick, driving a pending→firing→resolved state
 	// machine with notifications and a crash-safe incident journal.
 	var engine *alert.Engine
-	if store != nil && alertCfg.on {
+	if store != nil {
 		rules := alert.BuiltinRules(alert.BuiltinOptions{
-			Scrape:       tsdbCfg.scrape,
-			EnergyBudget: alertCfg.budgetW > 0,
+			Scrape:       cfg.tsdbScrape,
+			EnergyBudget: cfg.energyBudget > 0,
 		})
-		if alertCfg.rules != "" {
-			extra, err := alert.LoadRules(alertCfg.rules)
+		if cfg.rules != "" {
+			extra, err := alert.LoadRules(cfg.rules)
 			if err != nil {
 				reg.Close()
 				return fmt.Errorf("%w: -rules: %v", errUsage, err)
@@ -312,14 +305,14 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 		// The engine logs every firing and resolved transition itself;
 		// the webhook is the one notifier.
 		var notifiers []alert.Notifier
-		if alertCfg.webhook != "" {
-			notifiers = append(notifiers, alert.NewWebhookNotifier(alertCfg.webhook, alert.WebhookOptions{Log: log}))
+		if cfg.alertWebhook != "" {
+			notifiers = append(notifiers, alert.NewWebhookNotifier(cfg.alertWebhook, alert.WebhookOptions{Log: log}))
 		}
 		engine, err = alert.New(alert.Config{
 			Querier:     store,
 			Rules:       rules,
 			Notifiers:   notifiers,
-			IncidentLog: alertCfg.incidentLog,
+			IncidentLog: cfg.incidentLog,
 			Log:         log,
 		})
 		if err != nil {
@@ -332,21 +325,21 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 			}
 		}()
 		log.Info("alerting enabled", "rules", len(rules),
-			"incident_log", alertCfg.incidentLog, "webhook", alertCfg.webhook != "")
+			"incident_log", cfg.incidentLog, "webhook", cfg.alertWebhook != "")
 	}
 
 	srv := serve.NewServer(reg, serve.ServerOptions{
 		Log:            log,
 		Metrics:        metrics,
-		RequestTimeout: timeout,
-		MaxInflight:    maxInflight,
+		RequestTimeout: cfg.timeout,
+		MaxInflight:    cfg.maxInflight,
 		Tracer:         tracer,
-		EnableDebug:    debug,
+		EnableDebug:    cfg.debug,
 		Stream:         stream,
-		SpanEvery:      spanEvery,
+		SpanEvery:      cfg.spanEvery,
 		Fleet:          fleetTracker,
 		FleetSLO:       fleetSLO,
-		MaxIngestBytes: fleetCfg.maxIngest,
+		MaxIngestBytes: cfg.fleetMaxIngest,
 		History:        store,
 		Alerts:         engine,
 		Energy:         energy,
@@ -354,15 +347,13 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	})
 	if store != nil {
 		runtimeC := obs.NewRuntimeCollector(metrics.Registry())
-		scraper := tsdb.NewScraper(store, metrics.Registry(), tsdbCfg.scrape, func() {
+		scraper := tsdb.NewScraper(store, metrics.Registry(), cfg.tsdbScrape, func() {
 			runtimeC.Collect()
 			srv.SyncGauges()
 		})
-		if engine != nil {
-			// Rules evaluate after the tick's samples land, so each
-			// evaluation sees the state it just scraped.
-			scraper.After = engine.Eval
-		}
+		// Rules evaluate after the tick's samples land, so each
+		// evaluation sees the state it just scraped.
+		scraper.After = engine.Eval
 		scrapeCtx, scrapeStop := context.WithCancel(context.Background())
 		scrapeDone := make(chan struct{})
 		go func() {
@@ -375,11 +366,11 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 			scrapeStop()
 			<-scrapeDone
 		}()
-		log.Info("telemetry history enabled", "interval", tsdbCfg.scrape.String(),
-			"dir", tsdbCfg.dir, "retention", tsdbCfg.retention.String())
+		log.Info("telemetry history enabled", "interval", cfg.tsdbScrape.String(),
+			"dir", cfg.tsdbDir, "retention", cfg.tsdbRetention.String())
 	}
 	for _, name := range preloads {
-		if _, _, err := reg.Train(name, serve.TrainConfig{Seed: seed}); err != nil {
+		if _, _, err := reg.Train(name, serve.TrainConfig{Seed: cfg.seed}); err != nil {
 			return fmt.Errorf("preloading %s: %w", name, err)
 		}
 		log.Info("preload queued", "name", name)
@@ -391,7 +382,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	}
 	// Listen before logging so -addr :0 reports the resolved port —
 	// tests (and scripts) parse it from the startup line.
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		reg.Close()
 		return err
@@ -401,7 +392,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Info("dvfsd listening", "addr", ln.Addr().String(), "platform", plat.Name, "data", data)
+		log.Info("dvfsd listening", "addr", ln.Addr().String(), "platform", plat.Name, "data", cfg.data)
 		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errCh <- err
 		}

@@ -220,7 +220,7 @@ func (s fleetSink) Close() error              { return nil }
 
 // writeHealth prints the tracker's roll-up: class counts, residual
 // quantiles off the merged sketches, and the worst devices with
-// attribution — the same scoring dvfsd's /debug/fleet serves.
+// attribution — the same scoring dvfsd's GET /v1/fleet serves.
 func writeHealth(w io.Writer, t *obs.FleetTracker) {
 	s := t.Snapshot()
 	fmt.Fprintf(w, "health  %d healthy, %d degraded, %d outlier, %d fresh; |resid|/pred p95 %.4f\n",

@@ -12,7 +12,7 @@ import (
 // runByDevice replays the events through a FleetTracker and reports
 // the fleet roll-up: per-class device counts, sketch-backed residual
 // quantiles, and the top-N worst devices with attribution — the
-// offline twin of dvfsd's /debug/fleet. Energy uses the platform
+// offline twin of dvfsd's GET /v1/fleet. Energy uses the platform
 // power model when the trace carries resolvable platform names, and
 // the f² proxy otherwise (same rule the replayer applies).
 func runByDevice(events []obs.DecisionEvent, topN int, format string) error {

@@ -23,8 +23,8 @@
 // keeps one fleet device's events.
 //
 // -by-device N switches to the fleet health report: the filtered
-// events replay through the same sketch-backed FleetTracker dvfsd's
-// /debug/fleet uses, and the report rolls up device health classes,
+// events replay through the same sketch-backed FleetTracker behind
+// dvfsd's GET /v1/fleet, and the report rolls up device health classes,
 // residual quantiles, and the top-N worst devices with attribution.
 //
 // -convert re-encodes the (filtered) input to -convert-format and

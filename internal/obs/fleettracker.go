@@ -117,7 +117,8 @@ func sketchQuantiles(s *QuantileSketch) SketchQuantiles {
 }
 
 // FleetStatus is a point-in-time fleet summary, as served by dvfsd's
-// GET /debug/fleet and printed by dvfstrace -by-device.
+// GET /v1/fleet, rendered by its /debug/dash, and printed by dvfstrace
+// -by-device.
 type FleetStatus struct {
 	Devices   int    `json:"devices"`
 	Events    uint64 `json:"events"`

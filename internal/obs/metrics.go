@@ -122,6 +122,17 @@ func (c *Counter) Add(delta float64) {
 	c.f.mu.Unlock()
 }
 
+// RaiseTo folds a running total kept elsewhere (a ring's drop count,
+// an engine's incident count) into the counter: it takes total when
+// total is larger and otherwise stays put, so it never goes down.
+func (c *Counter) RaiseTo(total float64) {
+	c.f.mu.Lock()
+	if total > c.s.val {
+		c.s.val = total
+	}
+	c.f.mu.Unlock()
+}
+
 // Value returns the current count.
 func (c *Counter) Value() float64 {
 	c.f.mu.Lock()

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -139,5 +140,30 @@ func TestCounterVecEach(t *testing.T) {
 	})
 	if total != 3 {
 		t.Errorf("sum over route=a = %g, want 3", total)
+	}
+}
+
+// TestCounterRaiseTo: raising to a running total never lowers the
+// counter, and syncs racing with stale totals settle on the largest.
+func TestCounterRaiseTo(t *testing.T) {
+	c := NewRegistry().Counter("test_raised_total", "r")
+	c.RaiseTo(5)
+	c.RaiseTo(3)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("after RaiseTo(5), RaiseTo(3): %g, want 5", got)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for total := 0; total <= 1000; total++ {
+				c.RaiseTo(float64(total - g))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := c.Value(); got != 1000 {
+		t.Errorf("after concurrent raises to at most 1000: %g", got)
 	}
 }

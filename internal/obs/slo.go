@@ -62,8 +62,8 @@ const (
 // their thresholds and cleared with hysteresis once both fall below
 // half of them. The tracker itself notifies no one: dvfsd exports the
 // burn rates as gauges and its alert engine's slo_burn rule owns the
-// alert lifecycle, while the latch is what /debug/fleet and dvfsreplay
-// print.
+// alert lifecycle, while the latch is what /debug/slo (and the SLO
+// section of /debug/dash) and dvfsreplay print.
 type SLOTracker struct {
 	cfg SLOConfig
 

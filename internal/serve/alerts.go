@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/alert"
 	"repro/internal/obs"
@@ -14,15 +11,9 @@ import (
 // alertGauges surface the alert engine's state on /metrics, synced on
 // read like the fleet and tsdb gauges.
 type alertGauges struct {
-	pending *obs.Gauge
-	firing  *obs.Gauge
-
+	pending   *obs.Gauge
+	firing    *obs.Gauge
 	incidents *obs.Counter
-	// incidentMu guards incidentSeen, the incident total already folded
-	// into the counter (the engine reports a running total; a counter
-	// must only move forward — the SyncRingDropped idiom).
-	incidentMu   sync.Mutex
-	incidentSeen uint64
 }
 
 func newAlertGauges(reg *obs.Registry) *alertGauges {
@@ -41,22 +32,13 @@ func (g *alertGauges) sync(e *alert.Engine) {
 	pending, firing := e.Counts()
 	g.pending.Set(float64(pending))
 	g.firing.Set(float64(firing))
-	total := e.IncidentsTotal()
-	g.incidentMu.Lock()
-	if total > g.incidentSeen {
-		g.incidents.Add(float64(total - g.incidentSeen))
-		g.incidentSeen = total
-	} else if g.incidentSeen == 0 {
-		g.incidents.Add(0) // touch the series so it is visible at zero
-	}
-	g.incidentMu.Unlock()
+	g.incidents.RaiseTo(float64(e.IncidentsTotal()))
 }
 
 // energyGauges export the online energy meter, synced from a meter
-// snapshot on every scrape tick. Joule and job totals are monotone per
-// stream, so they fold into counters with the same seen-map idiom the
-// ring-drop counter uses; the per-job, predictor-share, and burn
-// numbers are instantaneous gauges.
+// snapshot on every scrape tick. Joule and job totals are running
+// totals per stream, raised into counters (Counter.RaiseTo); the
+// per-job, predictor-share, and burn numbers are instantaneous gauges.
 type energyGauges struct {
 	joules  *obs.CounterVec
 	jobs    *obs.CounterVec
@@ -64,17 +46,10 @@ type energyGauges struct {
 	share   *obs.GaugeVec
 	burn    *obs.GaugeVec
 	skipped *obs.Counter
-
-	mu          sync.Mutex
-	jouleSeen   map[string]float64
-	jobSeen     map[string]float64
-	skippedSeen uint64
 }
 
 func newEnergyGauges(reg *obs.Registry) *energyGauges {
 	return &energyGauges{
-		jouleSeen: map[string]float64{},
-		jobSeen:   map[string]float64{},
 		joules: reg.CounterVec("dvfsd_energy_joules_total",
 			"Modeled energy accumulated per decision stream.", "workload", "device"),
 		jobs: reg.CounterVec("dvfsd_energy_jobs_total",
@@ -93,17 +68,13 @@ func newEnergyGauges(reg *obs.Registry) *energyGauges {
 
 // sync folds a meter snapshot into the exported metrics.
 func (g *energyGauges) sync(m *alert.EnergyMeter) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	for _, st := range m.Snapshot() {
-		key := st.Workload + "\xff" + st.Device
-		if j := st.TotalJ; j > g.jouleSeen[key] {
-			g.joules.With(st.Workload, st.Device).Add(j - g.jouleSeen[key])
-			g.jouleSeen[key] = j
+		// A stream's counters appear once it has something to count.
+		if st.TotalJ > 0 {
+			g.joules.With(st.Workload, st.Device).RaiseTo(st.TotalJ)
 		}
-		if n := float64(st.Jobs + st.OneShots); n > g.jobSeen[key] {
-			g.jobs.With(st.Workload, st.Device).Add(n - g.jobSeen[key])
-			g.jobSeen[key] = n
+		if n := float64(st.Jobs + st.OneShots); n > 0 {
+			g.jobs.With(st.Workload, st.Device).RaiseTo(n)
 		}
 		g.perJob.With(st.Workload, st.Device).Set(st.PerJobJ)
 		g.share.With(st.Workload, st.Device).Set(st.PredictorShare)
@@ -112,10 +83,7 @@ func (g *energyGauges) sync(m *alert.EnergyMeter) {
 			g.burn.With(st.Workload, st.Device, "slow").Set(st.SlowBurn)
 		}
 	}
-	if sk := m.Skipped(); sk > g.skippedSeen {
-		g.skipped.Add(float64(sk - g.skippedSeen))
-		g.skippedSeen = sk
-	}
+	g.skipped.RaiseTo(float64(m.Skipped()))
 }
 
 // handleAlerts serves GET /v1/alerts: the engine snapshot — rule
@@ -127,106 +95,6 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.alerts.Snapshot())
-}
-
-// handleAlertDash serves GET /debug/alerts: the incident timeline —
-// rule table with live state, active alerts, and the incident history
-// newest-first. Self-contained HTML like the other debug pages.
-func (s *Server) handleAlertDash(w http.ResponseWriter, r *http.Request) {
-	if s.alerts == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "alerting disabled (start dvfsd with -tsdb-scrape > 0)"})
-		return
-	}
-	snap := s.alerts.Snapshot()
-	p := render.NewHTMLPage("dvfsd alerts")
-	p.RefreshSec = 5
-
-	p.Section("Overview")
-	pending, firing := 0, 0
-	for _, a := range snap.Active {
-		switch a.State {
-		case alert.StatePending:
-			pending++
-		case alert.StateFiring:
-			firing++
-		}
-	}
-	open := 0
-	for _, inc := range snap.Incidents {
-		if inc.EndMs == 0 {
-			open++
-		}
-	}
-	rows := [][]string{
-		{"rules", fmt.Sprintf("%d", len(snap.Rules))},
-		{"firing", fmt.Sprintf("%d", firing)},
-		{"pending", fmt.Sprintf("%d", pending)},
-		{"open incidents", fmt.Sprintf("%d", open)},
-		{"evaluations", fmt.Sprintf("%d", snap.Evals)},
-		{"query errors", fmt.Sprintf("%d", snap.QueryErrors)},
-	}
-	if snap.LastEvalMs > 0 {
-		rows = append(rows, []string{"last evaluation", alertTime(snap.LastEvalMs)})
-	}
-	p.Table([]string{"", ""}, rows, []bool{false, true})
-
-	p.Section("Rules")
-	rRows := make([][]string, 0, len(snap.Rules))
-	for _, r := range snap.Rules {
-		rRows = append(rRows, []string{
-			r.Name, string(r.Kind), r.Metric, r.Severity,
-			string(r.State), fmt.Sprintf("%d", r.Series),
-		})
-	}
-	p.Table([]string{"rule", "kind", "metric", "severity", "state", "series"},
-		rRows, []bool{false, false, false, false, false, true})
-
-	p.Section("Active alerts")
-	if len(snap.Active) == 0 {
-		p.Para("Nothing pending or firing.")
-	} else {
-		aRows := make([][]string, 0, len(snap.Active))
-		for _, a := range snap.Active {
-			aRows = append(aRows, []string{
-				a.Rule, a.Series, string(a.State), a.Severity,
-				alertTime(a.SinceMs), fmt.Sprintf("%.4g", a.Value),
-			})
-		}
-		p.Table([]string{"rule", "series", "state", "severity", "since", "value"},
-			aRows, []bool{false, false, false, false, false, true})
-	}
-
-	p.Section(fmt.Sprintf("Incidents (%d retained, newest first)", len(snap.Incidents)))
-	if len(snap.Incidents) == 0 {
-		p.Para("No incidents yet — the engine opens one per pending→firing transition.")
-	} else {
-		iRows := make([][]string, 0, len(snap.Incidents))
-		for _, inc := range snap.Incidents {
-			end, dur := "open", "—"
-			if inc.EndMs > 0 {
-				end = alertTime(inc.EndMs)
-				dur = (time.Duration(inc.EndMs-inc.StartMs) * time.Millisecond).Round(time.Second).String()
-			} else if snap.LastEvalMs > inc.StartMs {
-				dur = (time.Duration(snap.LastEvalMs-inc.StartMs) * time.Millisecond).Round(time.Second).String() + "+"
-			}
-			iRows = append(iRows, []string{
-				alertTime(inc.StartMs), end, dur, inc.Rule, inc.Series,
-				inc.Severity, fmt.Sprintf("%.4g", inc.Value), inc.Summary,
-			})
-		}
-		p.Table([]string{"started", "ended", "duration", "rule", "series", "severity", "value", "summary"},
-			iRows, []bool{false, false, false, false, false, false, true, false})
-	}
-	p.WriteTo(w)
-}
-
-// alertTime renders an epoch-ms timestamp the way the dashboards show
-// wall-clock times.
-func alertTime(ms int64) string {
-	if ms <= 0 {
-		return "—"
-	}
-	return time.UnixMilli(ms).UTC().Format("15:04:05")
 }
 
 // firingSpans converts the engine's firing intervals for metric into

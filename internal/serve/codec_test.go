@@ -287,21 +287,30 @@ func TestPredictBodyTooLarge(t *testing.T) {
 	defer reg.Close()
 	srv := NewServer(reg, ServerOptions{})
 	body := append([]byte(`{"model":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
-	for _, path := range []string{"/v1/predict", "/v1/predict/batch", "/v1/models/sha"} {
+	const tooLarge = "http: request body too large"
+	for _, c := range []struct{ path, err string }{
+		{"/v1/predict", "reading body: " + tooLarge},
+		{"/v1/predict/batch", "reading body: " + tooLarge},
+		{"/v1/models/sha", "reading body: " + tooLarge},
+		{"/v1/models/sha?mode=upload", "core: decoding model: " + tooLarge},
+	} {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body[:maxBodyBytes+1])))
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body[:maxBodyBytes+1])))
 		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: %d-byte body: HTTP %d, want 413", path, maxBodyBytes+1, rec.Code)
+			t.Fatalf("%s: %d-byte body: HTTP %d, want 413", c.path, maxBodyBytes+1, rec.Code)
 		}
 		var e ErrorResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "reading body: http: request body too large" {
-			t.Fatalf("%s: error body %q (%v)", path, rec.Body, err)
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != c.err {
+			t.Fatalf("%s: error body %q (%v)", c.path, rec.Body, err)
 		}
 	}
-	// At the limit the body is read, and rejected as JSON.
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body[:maxBodyBytes])))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("%d-byte body: HTTP %d, want 400", maxBodyBytes, rec.Code)
+	// At the limit the body is read, and rejected as JSON (or, uploaded,
+	// as a model).
+	for _, path := range []string{"/v1/predict", "/v1/models/sha?mode=upload"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body[:maxBodyBytes])))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d-byte body: HTTP %d, want 400", path, maxBodyBytes, rec.Code)
+		}
 	}
 }

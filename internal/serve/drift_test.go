@@ -111,7 +111,7 @@ func TestModelStaleRuleFiresOnIngest(t *testing.T) {
 	}
 	// The dashboard's drift table needs no served decisions in the
 	// ring: ingest alone feeds the monitor.
-	if body := getDash(t, ts); !strings.Contains(body, "Prediction drift") || !strings.Contains(body, "fleet:sha") {
+	if body := getDash(t, ts); !strings.Contains(body, "Prediction drift") || !strings.Contains(body, "<td>fleet:sha</td>") {
 		t.Error("/debug/dash shows no drift table for ingested residuals")
 	}
 

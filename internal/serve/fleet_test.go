@@ -51,8 +51,9 @@ func newFleetServer(t *testing.T) (*httptest.Server, *obs.FleetTracker) {
 
 // TestFleetIngestBinaryAndDash uploads a binary trace big enough to
 // populate the history ring, then checks the ingest ack, the JSON
-// snapshot, the dashboard, and the Prometheus gauges — and that the
-// dashboard renders deterministically for a quiesced tracker.
+// snapshot, /debug/dash's fleet sections, and the Prometheus gauges —
+// and that the fleet sections render deterministically for a quiesced
+// tracker.
 func TestFleetIngestBinaryAndDash(t *testing.T) {
 	ts, _ := newFleetServer(t)
 
@@ -111,27 +112,10 @@ func TestFleetIngestBinaryAndDash(t *testing.T) {
 	}
 
 	// Dashboard.
-	get := func() string {
-		t.Helper()
-		r, err := http.Get(ts.URL + "/debug/fleet")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("dash: HTTP %d", r.StatusCode)
-		}
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	body := get()
+	body := getDash(t, ts)
 	for _, want := range []string{
 		"<!DOCTYPE html>",
 		`<meta http-equiv="refresh" content="5">`,
-		"dvfsd fleet",
 		"devices", ">3<",
 		"Health distribution",
 		"Ingest history",
@@ -143,16 +127,19 @@ func TestFleetIngestBinaryAndDash(t *testing.T) {
 		"fleet", "platform:odroid-a7", "workload:mpeg",
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("fleet dashboard missing %q", want)
+			t.Errorf("dashboard missing %q", want)
 		}
 	}
 	for _, forbid := range []string{"src=", "http://", "https://"} {
 		if strings.Contains(body, forbid) {
-			t.Errorf("fleet dashboard must be self-contained, found %q", forbid)
+			t.Errorf("dashboard must be self-contained, found %q", forbid)
 		}
 	}
-	if again := get(); body != again {
-		t.Error("fleet dashboard not deterministic for an idle tracker")
+	// The overview's uptime row moves between requests; the fleet
+	// sections must not.
+	fleet := dashSection(t, body, "Fleet overview", "Fleet SLO burn")
+	if again := dashSection(t, getDash(t, ts), "Fleet overview", "Fleet SLO burn"); fleet != again {
+		t.Error("fleet sections not deterministic for an idle tracker")
 	}
 
 	// dev-bad must top the worst table with a non-fresh class.
@@ -324,7 +311,8 @@ func TestFleetIngestAckMatchesStatus(t *testing.T) {
 	}
 }
 
-// TestFleetDisabled: without a FleetTracker the routes don't exist.
+// TestFleetDisabled: without a FleetTracker the routes don't exist and
+// the dashboard has no fleet sections.
 func TestFleetDisabled(t *testing.T) {
 	reg, err := NewRegistry(RegistryOptions{Workers: 1})
 	if err != nil {
@@ -337,7 +325,6 @@ func TestFleetDisabled(t *testing.T) {
 	for _, req := range []struct{ method, path string }{
 		{"POST", "/v1/fleet/ingest"},
 		{"GET", "/v1/fleet"},
-		{"GET", "/debug/fleet"},
 	} {
 		r, _ := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(""))
 		resp, err := http.DefaultClient.Do(r)
@@ -349,23 +336,18 @@ func TestFleetDisabled(t *testing.T) {
 			t.Errorf("%s %s: HTTP %d, want 404", req.method, req.path, resp.StatusCode)
 		}
 	}
+	if body := getDash(t, ts); strings.Contains(body, "Fleet overview") {
+		t.Error("dashboard renders fleet sections without a fleet tracker")
+	}
 }
 
-// TestFleetDashEmpty: the page renders (with a pointer to ingest)
-// before any trace arrives.
+// TestFleetDashEmpty: before any ingest the dashboard's fleet section
+// still renders and points at the ingest endpoint.
 func TestFleetDashEmpty(t *testing.T) {
 	ts, _ := newFleetServer(t)
-	resp, err := http.Get(ts.URL + "/debug/fleet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(b), "/v1/fleet/ingest") {
-		t.Error("empty dashboard should point at the ingest endpoint")
+	body := getDash(t, ts)
+	if !strings.Contains(dashSection(t, body, "Fleet overview", "Fleet SLO burn"), "/v1/fleet/ingest") {
+		t.Error("empty fleet section should point at the ingest endpoint")
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"io"
 	"strconv"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -28,11 +27,6 @@ type Metrics struct {
 	modelAge   *obs.GaugeVec
 
 	ringDropped *obs.CounterVec
-	// droppedMu guards droppedSeen, the last ring-drop totals already
-	// folded into the counter (a counter must only move forward, but
-	// the ring reports a running total).
-	droppedMu   sync.Mutex
-	droppedSeen map[string]uint64
 }
 
 // requestBuckets covers sub-millisecond predicts up to slow
@@ -71,13 +65,13 @@ func NewMetrics() *Metrics {
 			"Seconds since each servable model was built or loaded.", "model"),
 		ringDropped: reg.CounterVec("obs_ring_dropped_total",
 			"Decision events overwritten in a ring buffer before any reader saw them.", "ring"),
-		droppedSeen: map[string]uint64{},
 	}
 }
 
-// Registry exposes the underlying obs registry so the daemon can hang
-// additional families (the drift monitor's stale gauge) off the same
-// /metrics page.
+// Registry exposes the underlying obs registry, so the server's fleet,
+// SLO, drift, energy, alert and store families and cmd/dvfsd's stream
+// drop counter and runtime collector render on the same /metrics page
+// and feed the same telemetry scrape.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // ObserveRequest records one finished request.
@@ -120,16 +114,7 @@ func (m *Metrics) SetModelAge(model string, seconds float64) {
 // obs_ring_dropped_total counter (called on each /metrics scrape, so
 // drops surface without putting a metrics update on the trace path).
 func (m *Metrics) SyncRingDropped(ring string, total uint64) {
-	m.droppedMu.Lock()
-	seen := m.droppedSeen[ring]
-	if total > seen {
-		m.ringDropped.With(ring).Add(float64(total - seen))
-		m.droppedSeen[ring] = total
-	} else if seen == 0 {
-		// Touch the series so the counter is visible at zero.
-		m.ringDropped.With(ring).Add(0)
-	}
-	m.droppedMu.Unlock()
+	m.ringDropped.With(ring).RaiseTo(float64(total))
 }
 
 // RequestCount returns the total finished requests for a route across

@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/alert"
+	"repro/internal/obs"
+	"repro/internal/platform"
 )
 
 func TestMetricsExposition(t *testing.T) {
@@ -50,5 +56,51 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := m.RequestCount("predict"); got != 3 {
 		t.Errorf("RequestCount(predict) = %d, want 3", got)
+	}
+}
+
+// TestEnergyJoulesCounterEqualsMeter: dvfsd_energy_joules_total is
+// each stream's running total raised into the counter, so after any
+// number of syncs it equals the meter's TotalJ exactly, not up to the
+// rounding a sum of per-sync deltas would carry.
+func TestEnergyJoulesCounterEqualsMeter(t *testing.T) {
+	reg, err := NewRegistry(RegistryOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	meter := alert.NewEnergyMeter(alert.EnergyConfig{Platform: platform.ODROIDXU3A7()})
+	metrics := NewMetrics()
+	srv := NewServer(reg, ServerOptions{
+		Metrics: metrics,
+		Fleet:   obs.NewFleetTracker(obs.FleetConfig{}),
+		Energy:  meter,
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Each upload at least doubles a stream's total, so a sum of
+	// per-sync deltas (new - seen) is no longer exact.
+	job := 0
+	for up, n := 0, 1; up < 8; up, n = up+1, 3*n {
+		var evs []obs.DecisionEvent
+		for j := 0; j < n; j++ {
+			e := fleetTestEvent(fmt.Sprintf("dev-%d", j%2), "sha", job, false, 0.01*float64(j%7))
+			e.Platform, e.TimeSec = "a7", 0.05*float64(job)
+			evs = append(evs, e)
+			job++
+		}
+		ingestBinary(t, ts.URL, evs)
+		srv.SyncGauges()
+	}
+	joules := metrics.Registry().CounterVec("dvfsd_energy_joules_total", "", "workload", "device")
+	streams := meter.Snapshot()
+	if len(streams) != 2 {
+		t.Fatalf("meter has %d streams, want 2", len(streams))
+	}
+	for _, st := range streams {
+		if got := joules.With(st.Workload, st.Device).Value(); got != st.TotalJ {
+			t.Errorf("%s/%s: counter %v J, meter TotalJ %v J", st.Workload, st.Device, got, st.TotalJ)
+		}
 	}
 }

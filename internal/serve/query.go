@@ -214,9 +214,9 @@ func (g *tsdbGauges) sync(st tsdb.Stats) {
 	g.diskBytes.Set(float64(st.DiskBytes))
 }
 
-// dashWindows are the history spans the dashboards offer; anything
-// else on ?window= is a client error so typos don't silently chart an
-// empty range.
+// dashWindows are the history spans /debug/dash offers; anything else
+// on ?window= is a client error so typos don't silently chart an empty
+// range.
 var dashWindows = []struct {
 	name string
 	d    time.Duration
@@ -255,11 +255,10 @@ type historyChart struct {
 // /v1/query instead of an unbounded page.
 const maxChartSeries = 6
 
-// historySection renders the shared telemetry-history block on the
-// debug dashboards: window-selector links, then one axis-labeled
-// time-series chart per matched series for every panel spec. base is
-// the page's own path for the selector links.
-func (s *Server) historySection(p *render.HTMLPage, base string, window time.Duration, charts []historyChart) {
+// historySection renders /debug/dash's telemetry-history block:
+// window-selector links, then one axis-labeled time-series chart per
+// matched series for every historyCharts panel.
+func (s *Server) historySection(p *render.HTMLPage, window time.Duration) {
 	if s.history == nil {
 		return
 	}
@@ -271,9 +270,9 @@ func (s *Server) historySection(p *render.HTMLPage, base string, window time.Dur
 		}
 		return href
 	}
-	items = append(items, [2]string{cur(window == 0, base), "live"})
+	items = append(items, [2]string{cur(window == 0, "/debug/dash"), "live"})
 	for _, w := range dashWindows {
-		items = append(items, [2]string{cur(window == w.d, base+"?window="+w.name), w.name})
+		items = append(items, [2]string{cur(window == w.d, "/debug/dash?window="+w.name), w.name})
 	}
 	p.NavLinks(items)
 	if window <= 0 {
@@ -287,7 +286,7 @@ func (s *Server) historySection(p *render.HTMLPage, base string, window time.Dur
 	}
 	fromMs, toMs := now.Add(-window).UnixMilli(), now.UnixMilli()
 	empty := true
-	for _, c := range charts {
+	for _, c := range historyCharts {
 		res, err := s.history.Query(tsdb.Query{
 			Metric: c.metric, Labels: c.labels,
 			FromMs: fromMs, ToMs: toMs,

@@ -178,34 +178,32 @@ func TestParseQueryTime(t *testing.T) {
 
 func TestDashWindowHistory(t *testing.T) {
 	ts, _ := newHistoryStack(t)
-	for _, path := range []string{"/debug/dash", "/debug/fleet"} {
-		resp, err := http.Get(ts.URL + path + "?window=15m")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s?window=15m: HTTP %d", path, resp.StatusCode)
-		}
-		if !strings.Contains(body, "History") {
-			t.Fatalf("%s missing history section", path)
-		}
-		// The window selector marks the active window and links the rest.
-		if !strings.Contains(body, "<strong>15m</strong>") {
-			t.Fatalf("%s does not mark the active window", path)
-		}
-		if !strings.Contains(body, "?window=1h") {
-			t.Fatalf("%s does not link other windows", path)
-		}
+	resp, err := http.Get(ts.URL + "/debug/dash?window=15m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("?window=15m: HTTP %d", resp.StatusCode)
+	}
+	if !strings.Contains(body, "History") {
+		t.Fatal("missing history section")
+	}
+	// The window selector marks the active window and links the rest.
+	if !strings.Contains(body, "<strong>15m</strong>") {
+		t.Fatal("does not mark the active window")
+	}
+	if !strings.Contains(body, "?window=1h") {
+		t.Fatal("does not link other windows")
+	}
 
-		resp, err = http.Get(ts.URL + path + "?window=2d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s?window=2d: HTTP %d, want 400", path, resp.StatusCode)
-		}
+	resp, err = http.Get(ts.URL + "/debug/dash?window=2d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("?window=2d: HTTP %d, want 400", resp.StatusCode)
 	}
 }
 

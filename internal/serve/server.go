@@ -44,9 +44,9 @@ type ServerOptions struct {
 	// prediction; ≤ 1 captures all of them.
 	SpanEvery int
 	// Fleet, when non-nil, enables POST /v1/fleet/ingest (decision
-	// traces, JSONL or binary) and GET /v1/fleet, plus GET /debug/fleet
-	// when EnableDebug is also set, and exports fleet gauges through
-	// the shared metrics registry.
+	// traces, JSONL or binary) and GET /v1/fleet, gives /debug/dash its
+	// fleet sections, and exports fleet gauges through the shared
+	// metrics registry. cmd/dvfsd always sets it.
 	Fleet *obs.FleetTracker
 	// FleetSLO, when non-nil, receives every ingested fleet event for
 	// keyed burn-rate tracking (fleet / platform:* / workload:* keys).
@@ -60,14 +60,14 @@ type ServerOptions struct {
 	MaxIngestBytes int64
 	// History, when non-nil, is the embedded telemetry store: GET
 	// /v1/query serves range queries over it, /metrics gains store
-	// gauges, and the debug dashboards grow ?window= history charts.
+	// gauges, and /debug/dash grows ?window= history charts.
 	// The scrape loop feeding it lives in cmd/dvfsd, not here.
 	History *tsdb.Store
-	// Alerts, when non-nil, is served at GET /v1/alerts (and GET
-	// /debug/alerts with EnableDebug): live alert state and the
-	// incident timeline, plus firing-span overlays on the history
-	// charts. The evaluation tick lives in cmd/dvfsd (scraper.After),
-	// not here.
+	// Alerts, when non-nil, is served at GET /v1/alerts: live alert
+	// state and the incident timeline, which /debug/dash also renders,
+	// plus firing-span overlays on its history charts. cmd/dvfsd sets
+	// it whenever the telemetry store is on; the evaluation tick lives
+	// there (scraper.After), not here.
 	Alerts *alert.Engine
 	// Energy, when non-nil, is the online energy meter: its totals are
 	// exported through /metrics, /debug/dash grows an energy section,
@@ -81,8 +81,10 @@ type ServerOptions struct {
 	// model_stale alert rule watches) and charted on /debug/dash.
 	Drift *obs.DriftMonitor
 	// EnableDebug mounts GET /debug/decisions (the tracer ring as
-	// JSON), GET /debug/dash (the operations dashboard), GET
-	// /debug/slo, and the net/http/pprof handlers under /debug/pprof/.
+	// JSON), GET /debug/slo (the fleet SLO status as JSON), GET
+	// /debug/dash (the one operations page, whose sections render what
+	// the JSON endpoints serve), and the net/http/pprof handlers under
+	// /debug/pprof/.
 	EnableDebug bool
 }
 
@@ -209,10 +211,6 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 		s.mux.HandleFunc("GET /debug/decisions", s.handleDecisions)
 		s.mux.HandleFunc("GET /debug/dash", s.handleDash)
 		s.mux.HandleFunc("GET /debug/slo", s.handleSLO)
-		s.mux.HandleFunc("GET /debug/alerts", s.handleAlertDash)
-		if opts.Fleet != nil {
-			s.mux.HandleFunc("GET /debug/fleet", s.handleFleetDash)
-		}
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -424,7 +422,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // the slo_burn alert rule.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if s.fleetSLO == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "SLO tracking disabled (start dvfsd with -fleet and -slo-target > 0)"})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "SLO tracking disabled (start dvfsd with -slo-target > 0)"})
 		return
 	}
 	writeJSON(w, http.StatusOK, SLOResponse{Target: s.fleetSLO.Target(), Workloads: s.fleetSLO.Snapshot()})
@@ -441,7 +439,7 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	case "upload":
 		st, err := s.reg.Upload(name, r.Body)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+			writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
