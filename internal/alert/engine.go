@@ -499,8 +499,17 @@ func (e *Engine) Snapshot() Snapshot {
 	for i := len(e.closed) - 1; i >= 0; i-- {
 		snap.Incidents = append(snap.Incidents, e.closed[i])
 	}
+	// Newest first; incidents that opened in the same tick come out by
+	// rule, then series, not in the open map's iteration order.
 	sort.SliceStable(snap.Incidents, func(i, j int) bool {
-		return snap.Incidents[i].StartMs > snap.Incidents[j].StartMs
+		a, b := &snap.Incidents[i], &snap.Incidents[j]
+		if a.StartMs != b.StartMs {
+			return a.StartMs > b.StartMs
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Series < b.Series
 	})
 	return snap
 }

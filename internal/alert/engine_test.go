@@ -2,6 +2,7 @@ package alert
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -421,5 +422,54 @@ func TestDuplicateRuleNamesRejected(t *testing.T) {
 	}})
 	if err == nil {
 		t.Fatal("duplicate rule names accepted")
+	}
+}
+
+// TestSnapshotOrdersSameTickIncidents opens six incidents in one
+// evaluation tick and requires every freshly built engine to list them
+// in the same order: /v1/alerts is then byte-deterministic for the same
+// input, where the open incidents' map order used to leak through.
+func TestSnapshotOrdersSameTickIncidents(t *testing.T) {
+	const baseMs = int64(1_700_000_000_000)
+	q := &fakeQuerier{}
+	for _, dev := range []string{"d3", "d1", "d2"} {
+		q.res = append(q.res, tsdb.SeriesResult{
+			Meta:   tsdb.SeriesMeta{Metric: "m", Labels: []tsdb.Label{{Name: "device", Value: dev}}},
+			Points: []tsdb.Point{{T: baseMs, V: 5}},
+		})
+	}
+	snapshot := func() []byte {
+		eng, err := New(Config{Querier: q, Rules: []Rule{
+			{Name: "b", Metric: "m", Agg: "last", Window: Duration(10 * time.Second), Threshold: 1},
+			{Name: "a", Metric: "m", Agg: "last", Window: Duration(10 * time.Second), Threshold: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Eval(at(baseMs, 0))
+		body, err := json.Marshal(eng.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	want := snapshot()
+	var got Snapshot
+	if err := json.Unmarshal(want, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Incidents) != 6 {
+		t.Fatalf("incidents = %d, want 6", len(got.Incidents))
+	}
+	for i, inc := range got.Incidents[1:] {
+		prev := got.Incidents[i]
+		if prev.Rule > inc.Rule || (prev.Rule == inc.Rule && prev.Series >= inc.Series) {
+			t.Fatalf("incident %d (%s %s) not after (%s %s)", i+1, inc.Rule, inc.Series, prev.Rule, prev.Series)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if body := snapshot(); !bytes.Equal(body, want) {
+			t.Fatalf("engine %d: snapshot\n%s\nwant\n%s", i, body, want)
+		}
 	}
 }

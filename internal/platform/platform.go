@@ -276,15 +276,26 @@ func (p *Platform) SampleSwitchLatency(from, to Level, rng *rand.Rand) float64 {
 	if from.Index == to.Index {
 		return 0
 	}
-	return p.jittered(p.switchMean(from, to), rng)
+	return p.SwitchLatencyAt(from, to, rng.NormFloat64())
 }
 
-// jittered draws one latency around a transition's deterministic mean:
-// mean·exp(σ·z), z standard normal. SampleSwitchLatency and
-// MeasureSwitchTable both draw through it, so a simulator and a
-// measured table fed the same RNG stream see bit-identical latencies.
-func (p *Platform) jittered(mean float64, rng *rand.Rand) float64 {
-	return mean * math.Exp(p.SwitchJitterSigma*rng.NormFloat64())
+// SwitchLatencyAt is the latency SampleSwitchLatency returns when its
+// draw is the standard normal deviate z, for callers that draw their
+// deviates ahead of time.
+func (p *Platform) SwitchLatencyAt(from, to Level, z float64) float64 {
+	if from.Index == to.Index {
+		return 0
+	}
+	return p.jittered(p.switchMean(from, to), z)
+}
+
+// jittered is one latency around a transition's deterministic mean:
+// mean·exp(σ·z) for the standard normal deviate z. Every switch
+// latency — sampled, priced from a drawn deviate, or measured into a
+// table — goes through it, so a simulator and a measured table fed
+// the same RNG stream see bit-identical latencies.
+func (p *Platform) jittered(mean, z float64) float64 {
+	return mean * math.Exp(p.SwitchJitterSigma*z)
 }
 
 // switchMean is the deterministic part of a transition's latency.

@@ -49,7 +49,7 @@ func MeasureSwitchTable(p *Platform, samples int, q float64, seed int64) *Switch
 			}
 			mean := p.switchMean(p.Levels[from], p.Levels[to])
 			for s := range buf {
-				buf[s] = p.jittered(mean, rng)
+				buf[s] = p.jittered(mean, rng.NormFloat64())
 			}
 			tbl.Seconds[from][to] = selectKth(buf, idx)
 		}

@@ -59,22 +59,3 @@ func (s ErrorStats) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g mae=%.3g rmse=%.3g maxOver=%.3g maxUnder=%.3g under=%d",
 		s.N, s.Mean, s.MAE, s.RMSE, s.MaxOver, s.MaxUnder, s.UnderCount)
 }
-
-// Objective evaluates the paper's training objective at a model —
-// useful for tests that check optimization progress and convexity
-// bounds.
-func Objective(m *Model, X [][]float64, y []float64, alpha, gamma float64) float64 {
-	obj := 0.0
-	for i, x := range X {
-		r := m.Predict(x) - y[i]
-		if r > 0 {
-			obj += r * r
-		} else {
-			obj += alpha * r * r
-		}
-	}
-	for _, c := range m.Coef {
-		obj += gamma * math.Abs(c)
-	}
-	return obj
-}

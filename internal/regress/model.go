@@ -46,6 +46,15 @@ func (m *Model) Selected() []int {
 // NumSelected returns the count of non-zero coefficients.
 func (m *Model) NumSelected() int { return len(m.Selected()) }
 
+// Dot returns the inner product of two equal-length vectors.
+func Dot(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
 // Options configures the asymmetric Lasso fit. Zero values select the
 // defaults noted on each field.
 type Options struct {
@@ -53,14 +62,9 @@ type Options struct {
 	// finds α=100 a good balance (§5.4). Default 100.
 	Alpha float64
 	// Gamma is the L1 feature-selection weight γ. It is scaled by
-	// n·Var(y) internally so a given Gamma behaves consistently across
+	// n·std(y) internally so a given Gamma behaves consistently across
 	// workloads. Default 1e-3.
 	Gamma float64
-	// MaxIter bounds FISTA iterations. Default 4000.
-	MaxIter int
-	// Tol stops iteration when the largest coefficient change (in
-	// standardized space) falls below it. Default 1e-9.
-	Tol float64
 }
 
 func (o Options) withDefaults() Options {
@@ -73,12 +77,6 @@ func (o Options) withDefaults() Options {
 	if o.Gamma == 0 {
 		o.Gamma = 1e-3
 	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 4000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
 	return o
 }
 
@@ -86,189 +84,62 @@ func (o Options) withDefaults() Options {
 //
 //	min_β ‖pos(Xβ−y)‖² + α‖neg(Xβ−y)‖² + γ‖β‖₁
 //
-// with FISTA over standardized features (the intercept is neither
-// standardized nor penalized) and returns the model mapped back to raw
-// feature space.
+// exactly (see solve) over standardized features, with γ = Gamma·n·std(y)
+// and an intercept that is neither standardized nor penalized, and
+// returns the model mapped back to raw feature space.
 func Fit(X [][]float64, y []float64, opts Options) (*Model, error) {
 	opts = opts.withDefaults()
 	n := len(X)
 	if n == 0 || n != len(y) {
 		return nil, fmt.Errorf("regress: need matching non-empty X (%d) and y (%d)", n, len(y))
 	}
+	if !(opts.Gamma > 0) {
+		return nil, fmt.Errorf("regress: Gamma %g is not positive", opts.Gamma)
+	}
 	d := len(X[0])
-
-	mean, scale := columnStats(X)
-	Xs := NewMatrix(n, d)
 	for i, row := range X {
 		if len(row) != d {
 			return nil, fmt.Errorf("regress: ragged feature row %d", i)
 		}
-		for j, v := range row {
-			Xs.Set(i, j, (v-mean[j])/scale[j])
-		}
 	}
-
-	// Scale γ so it is comparable across workloads regardless of the
-	// magnitude of y (milliseconds vs seconds) and the sample count:
-	// the smooth-loss gradient of a standardized column at β=0 is
-	// ≈ 2n·corr·std(y), so γ is expressed in those units.
-	yStd := math.Sqrt(variance(y))
+	mean, scale := columnStats(X)
+	yMean, yStd := meanOf(y), math.Sqrt(variance(y))
+	m := &Model{Intercept: yMean, Coef: make([]float64, d)}
 	if yStd == 0 {
-		yStd = 1e-12
-	}
-	gamma := opts.Gamma * float64(n) * yStd
-
-	// Lipschitz constant of the smooth part: the gradient is
-	// 2·max(1,α)·AᵀA-Lipschitz for the augmented design A = [1 Xs],
-	// and σmax(A) ≤ σmax(Xs) + √n.
-	sn := specNorm2(Xs, 30)
-	sA := math.Sqrt(sn) + math.Sqrt(float64(n))
-	L := 2 * math.Max(1, opts.Alpha) * sA * sA
-	if L == 0 {
-		L = 1
-	}
-	step := 1 / L
-
-	beta := make([]float64, d) // standardized coefficients
-	b0 := meanOf(y)            // intercept starts at the mean
-	zeta := append([]float64(nil), beta...)
-	z0 := b0
-	tk := 1.0
-
-	grad := make([]float64, d) // gradient wrt β
-
-	for iter := 0; iter < opts.MaxIter; iter++ {
-		// Gradient at the extrapolated point (zeta, z0), in one sweep
-		// over the rows: each row's residual Xβ − y, its loss
-		// derivative, and its share of grad. These are MulVec's, the
-		// residual transform's and TMulVec's operations in their order,
-		// so the result is bit-identical to three passes; one sweep
-		// reads Xs once per iteration, and its time no longer depends
-		// on where the linker places Fit (the two inlined passes ran
-		// ~20 % slower when Fit started at 0 rather than 32 mod 64).
-		clear(grad)
-		g0 := 0.0
-		for i := 0; i < n; i++ {
-			row := Xs.Row(i)
-			ri := 0.0
-			for j, v := range row {
-				ri += v * zeta[j]
-			}
-			ri += z0 - y[i]
-			// d/dr of pos(r)² + α·neg(r)²:
-			if ri > 0 {
-				ri = 2 * ri
-			} else {
-				ri = 2 * opts.Alpha * ri
-			}
-			g0 += ri
-			if ri == 0 {
-				continue
-			}
-			for j, v := range row {
-				grad[j] += v * ri
-			}
-		}
-
-		// Proximal step with soft thresholding (not on the intercept).
-		maxDelta := 0.0
-		newB0 := z0 - step*g0
-		if dlt := math.Abs(newB0 - b0); dlt > maxDelta {
-			maxDelta = dlt
-		}
-		newBeta := make([]float64, d)
-		th := step * gamma
-		for j := 0; j < d; j++ {
-			v := zeta[j] - step*grad[j]
-			switch {
-			case v > th:
-				v -= th
-			case v < -th:
-				v += th
-			default:
-				v = 0
-			}
-			newBeta[j] = v
-			if dlt := math.Abs(v - beta[j]); dlt > maxDelta {
-				maxDelta = dlt
-			}
-		}
-
-		// FISTA momentum.
-		tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
-		mom := (tk - 1) / tNext
-		for j := 0; j < d; j++ {
-			zeta[j] = newBeta[j] + mom*(newBeta[j]-beta[j])
-		}
-		z0 = newB0 + mom*(newB0-b0)
-		tk = tNext
-		beta, b0 = newBeta, newB0
-
-		if maxDelta < opts.Tol {
-			break
-		}
+		// The intercept alone fits a constant target exactly.
+		return m, nil
 	}
 
-	// Map standardized coefficients back to raw feature space:
-	// y = b0 + Σ β_j (x_j − mean_j)/scale_j.
-	m := &Model{Intercept: b0, Coef: make([]float64, d)}
+	// Solve in units where the features and the target have zero mean
+	// and unit variance. γ = Gamma·n·std(y) becomes Gamma·n there: the
+	// smooth-loss gradient of a standardized column at β=0 is
+	// ≈ 2n·corr·std(y), so γ is expressed in those units.
+	p := &lasso{n: n, k: d + 1, z: make([]float64, n*(d+1)), y: make([]float64, n),
+		alpha: opts.Alpha, gamma: opts.Gamma * float64(n)}
+	for i, row := range X {
+		zi := p.z[i*p.k : (i+1)*p.k]
+		zi[0] = 1
+		for j, v := range row {
+			zi[j+1] = (v - mean[j]) / scale[j]
+		}
+		p.y[i] = (y[i] - yMean) / yStd
+	}
+	theta := p.solve()
+
+	// Map back to raw feature space:
+	// y = ȳ + std(y)·(θ₀ + Σ θ_j (x_j − mean_j)/scale_j).
+	m.Intercept += yStd * theta[0]
 	for j := 0; j < d; j++ {
-		if beta[j] == 0 {
-			continue
-		}
-		m.Coef[j] = beta[j] / scale[j]
-		m.Intercept -= beta[j] * mean[j] / scale[j]
+		b := yStd * theta[j+1]
+		m.Coef[j] = b / scale[j]
+		m.Intercept -= b * mean[j] / scale[j]
 	}
 	return m, nil
 }
 
-// FitOLS fits ordinary least squares via normal equations with a tiny
-// ridge term for numerical stability. It serves as the symmetric,
-// no-selection baseline the paper contrasts with (§3.3).
-func FitOLS(X [][]float64, y []float64) (*Model, error) {
-	n := len(X)
-	if n == 0 || n != len(y) {
-		return nil, fmt.Errorf("regress: need matching non-empty X (%d) and y (%d)", n, len(y))
-	}
-	d := len(X[0])
-	// Augmented design with intercept column.
-	dd := d + 1
-	ata := NewMatrix(dd, dd)
-	atb := make([]float64, dd)
-	row := make([]float64, dd)
-	for i, x := range X {
-		if len(x) != d {
-			return nil, fmt.Errorf("regress: ragged feature row %d", i)
-		}
-		row[0] = 1
-		copy(row[1:], x)
-		for a := 0; a < dd; a++ {
-			atb[a] += row[a] * y[i]
-			for b := a; b < dd; b++ {
-				ata.Set(a, b, ata.At(a, b)+row[a]*row[b])
-			}
-		}
-	}
-	// Mirror the upper triangle and add ridge.
-	ridge := 1e-8 * float64(n)
-	for a := 0; a < dd; a++ {
-		ata.Set(a, a, ata.At(a, a)+ridge)
-		for b := a + 1; b < dd; b++ {
-			ata.Set(b, a, ata.At(a, b))
-		}
-	}
-	sol, err := solveSPD(ata, atb)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{Intercept: sol[0], Coef: sol[1:]}, nil
-}
-
 func columnStats(X [][]float64) (mean, scale []float64) {
-	n := len(X)
-	d := len(X[0])
-	mean = make([]float64, d)
-	scale = make([]float64, d)
+	n, d := len(X), len(X[0])
+	mean, scale = make([]float64, d), make([]float64, d)
 	for _, row := range X {
 		for j, v := range row {
 			mean[j] += v
@@ -286,7 +157,7 @@ func columnStats(X [][]float64) (mean, scale []float64) {
 	for j := range scale {
 		scale[j] = math.Sqrt(scale[j] / float64(n))
 		if scale[j] == 0 {
-			scale[j] = 1 // constant column: coefficient will be zeroed
+			scale[j] = 1 // constant column: its standardized values are all 0
 		}
 	}
 	return mean, scale

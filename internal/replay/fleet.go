@@ -161,6 +161,11 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		byDevice[e.Device] = append(byDevice[e.Device], e)
 	}
 	sort.Strings(ids)
+	longest := 0
+	for _, devEvents := range byDevice {
+		longest = max(longest, len(devEvents))
+	}
+	jitter := switchJitter(devOpts.Seed, longest)
 
 	plats := map[string]*platform.Platform{}
 	resolve := func(name string) (*platform.Platform, error) {
@@ -196,6 +201,7 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		tb, ok := platTables[p]
 		if !ok {
 			tb = newTables(p, devOpts.Seed)
+			tb.jitter = jitter
 			platTables[p] = tb
 		}
 		devPlats[i], devTables[i] = p, tb

@@ -2,7 +2,6 @@ package replay
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/dvfs"
 	"repro/internal/governor"
@@ -32,12 +31,13 @@ type policy struct {
 // the release, pay the predictor at the pre-switch level, pay the
 // transition, execute at the target, and finally drain to the
 // horizon. Execution times come from each job's cross-level
-// translation, switch latencies from the platform's jitter model
-// under a fixed seed.
-func runPolicy(g *group, p policy, plat *platform.Platform, pt *platform.PowerTable, seed int64) Outcome {
+// translation, switch latencies from the platform's jitter model: the
+// run's k-th switch is priced at the k-th deviate of tb.jitter, so
+// every run of a replay sees the same latency sequence.
+func runPolicy(g *group, p policy, plat *platform.Platform, tb tables) Outcome {
 	var out Outcome
 	levels := map[int]int{}
-	rng := rand.New(rand.NewSource(seed))
+	switches := 0
 
 	var tl platform.Timeline
 	cur := plat.MaxLevel()
@@ -46,14 +46,15 @@ func runPolicy(g *group, p policy, plat *platform.Platform, pt *platform.PowerTa
 		if err != nil {
 			obsLevel = plat.MaxLevel()
 		}
-		tl.IdleUntil(pt, j.release, cur.Index)
+		tl.IdleUntil(tb.power, j.release, cur.Index)
 		target, predSec := p.decide(j, cur, tl.Now)
 		var lat float64
 		if target.Index != cur.Index && !p.free {
-			lat = plat.SampleSwitchLatency(cur, target, rng)
+			lat = plat.SwitchLatencyAt(cur, target, tb.jitter[switches])
+			switches++
 		}
 		exec := j.timeAt(target, obsLevel, g.rho)
-		tl.Job(pt, cur.Index, target.Index, predSec, lat, exec)
+		tl.Job(tb.power, cur.Index, target.Index, predSec, lat, exec)
 		cur = target
 		levels[cur.Index]++
 		if tl.Now > j.deadline+timeEps {
@@ -64,7 +65,7 @@ func runPolicy(g *group, p policy, plat *platform.Platform, pt *platform.PowerTa
 		}
 	}
 	if n := len(g.jobs); n > 0 {
-		tl.Drain(pt, g.jobs[n-1].release+g.period, cur.Index)
+		tl.Drain(tb.power, g.jobs[n-1].release+g.period, cur.Index)
 	}
 
 	out.Breakdown = tl.Breakdown
@@ -221,7 +222,7 @@ func analyzeGroup(g *group, opts Options, tb tables) GroupResult {
 	outs := make([]Outcome, len(policies))
 	var perf float64
 	for i, p := range policies {
-		outs[i] = runPolicy(g, p, plat, tb.power, opts.Seed)
+		outs[i] = runPolicy(g, p, plat, tb)
 		if p.name == "performance" {
 			perf = outs[i].EnergyJ
 		}
@@ -240,7 +241,7 @@ func analyzeGroup(g *group, opts Options, tb tables) GroupResult {
 
 	if gr.Predicted > 0 {
 		for _, m := range opts.Margins {
-			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, tb.power, opts.Seed)
+			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, tb)
 			gr.MarginSweep = append(gr.MarginSweep, sweepPoint(m, o, perf))
 		}
 		var residuals []float64
@@ -255,7 +256,7 @@ func analyzeGroup(g *group, opts Options, tb tables) GroupResult {
 			if !math.IsNaN(base) {
 				shift = stats.Quantile(residuals, a/(1+a)) - base
 			}
-			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, tb.power, opts.Seed)
+			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, tb)
 			gr.AlphaSweep = append(gr.AlphaSweep, sweepPoint(a, o, perf))
 		}
 	}

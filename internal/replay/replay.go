@@ -24,6 +24,7 @@ package replay
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"repro/internal/dvfs"
@@ -250,7 +251,9 @@ func Run(events []obs.DecisionEvent, opts Options) (*Result, error) {
 	if opts.Plat == nil {
 		return nil, fmt.Errorf("replay: Options.Plat is required")
 	}
-	res, err := replayDevice(events, opts, newTables(opts.Plat, opts.Seed))
+	tb := newTables(opts.Plat, opts.Seed)
+	tb.jitter = switchJitter(opts.Seed, len(events))
+	res, err := replayDevice(events, opts, tb)
 	if err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
@@ -258,13 +261,16 @@ func Run(events []obs.DecisionEvent, opts Options) (*Result, error) {
 }
 
 // tables are what replay on one platform prices with and only reads:
-// the 95th-percentile switch table for counterfactual transitions and
-// the power table for every segment. Both are pure functions of
-// (plat, seed), so one pair serves every group of a Run and every
-// device of a RunFleet on that platform.
+// the 95th-percentile switch table for counterfactual transitions, the
+// power table for every segment, and the standard normal deviates that
+// price each counterfactual run's switches, the k-th switch at
+// jitter[k]. The tables are pure functions of (plat, seed), so one
+// pair serves every group of a Run and every device of a RunFleet on
+// that platform; the deviates are drawn once per Run or RunFleet.
 type tables struct {
-	sw    *platform.SwitchTable
-	power *platform.PowerTable
+	sw     *platform.SwitchTable
+	power  *platform.PowerTable
+	jitter []float64
 }
 
 func newTables(plat *platform.Platform, seed int64) tables {
@@ -274,9 +280,23 @@ func newTables(plat *platform.Platform, seed int64) tables {
 	}
 }
 
+// switchJitter draws the deviates a replay prices its counterfactual
+// switches with: the first n standard normal draws of the seed's
+// stream. A run switches at most once per job, so n must be at least
+// the job count of the longest group replayed.
+func switchJitter(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = rng.NormFloat64()
+	}
+	return z
+}
+
 // replayDevice is Run after defaulting: opts has been through
-// withDefaults, and tb is newTables(opts.Plat, opts.Seed), which it
-// only reads. Its errors carry no package prefix; callers add it.
+// withDefaults, and tb holds newTables(opts.Plat, opts.Seed) and at
+// least len(events) deviates, which it only reads. Its errors carry
+// no package prefix; callers add it.
 func replayDevice(events []obs.DecisionEvent, opts Options, tb tables) (*Result, error) {
 	res := &Result{Platform: opts.Plat.Name, Events: len(events)}
 	res.SeqGaps = obs.Analyze(events).SeqGaps

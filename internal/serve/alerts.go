@@ -73,8 +73,8 @@ func (g *energyGauges) sync(m *alert.EnergyMeter) {
 		if st.TotalJ > 0 {
 			g.joules.With(st.Workload, st.Device).RaiseTo(st.TotalJ)
 		}
-		if n := float64(st.Jobs + st.OneShots); n > 0 {
-			g.jobs.With(st.Workload, st.Device).RaiseTo(n)
+		if st.Jobs > 0 {
+			g.jobs.With(st.Workload, st.Device).RaiseTo(float64(st.Jobs))
 		}
 		g.perJob.With(st.Workload, st.Device).Set(st.PerJobJ)
 		g.share.With(st.Workload, st.Device).Set(st.PredictorShare)

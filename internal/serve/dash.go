@@ -351,7 +351,7 @@ func energySection(p *render.HTMLPage, m *alert.EnergyMeter) {
 		}
 		rows = append(rows, []string{
 			st.Workload, st.Device,
-			fmt.Sprintf("%d", st.Jobs+st.OneShots),
+			fmt.Sprintf("%d", st.Jobs),
 			fmt.Sprintf("%.4g J", st.TotalJ),
 			fmt.Sprintf("%.4g J", st.PerJobJ),
 			fmt.Sprintf("%.1f%%", 100*st.PredictorShare),

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -102,5 +104,42 @@ func TestEnergyJoulesCounterEqualsMeter(t *testing.T) {
 		if got := joules.With(st.Workload, st.Device).Value(); got != st.TotalJ {
 			t.Errorf("%s/%s: counter %v J, meter TotalJ %v J", st.Workload, st.Device, got, st.TotalJ)
 		}
+	}
+}
+
+// TestEnergyJobsCountOneShotsOnce: the meter's Jobs already counts each
+// one-shot decision, so ten one-shot predictions read ten jobs on
+// /metrics and in /debug/dash's energy table, not twenty.
+func TestEnergyJobsCountOneShotsOnce(t *testing.T) {
+	reg, err := NewRegistry(RegistryOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	meter := alert.NewEnergyMeter(alert.EnergyConfig{Platform: platform.ODROIDXU3A7()})
+	metrics := NewMetrics()
+	srv := NewServer(reg, ServerOptions{Metrics: metrics, Energy: meter, EnableDebug: true})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for i := 0; i < 10; i++ {
+		meter.Emit(&obs.DecisionEvent{Workload: "sha", Predicted: true, PredictedExecSec: 0.02, Level: i % 3})
+	}
+	srv.SyncGauges()
+	jobs := metrics.Registry().CounterVec("dvfsd_energy_jobs_total", "", "workload", "device")
+	if got := jobs.With("sha", "").Value(); got != 10 {
+		t.Errorf(`dvfsd_energy_jobs_total{workload="sha",device=""} = %v, want 10`, got)
+	}
+	resp, err := http.Get(ts.URL + "/debug/dash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := `<tr><td>sha</td><td></td><td class="num">10</td>`; !strings.Contains(string(body), row) {
+		t.Errorf("dash energy table lacks %q", row)
 	}
 }
