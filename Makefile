@@ -72,6 +72,8 @@ trace-smoke:
 # Counterfactual-replay smoke: trace a prediction run, replay it with
 # the energy-ordering assertion (oracle ≤ traced ≤ performance), and
 # prove the report is bit-identical across runs of the same trace+seed.
+# The x86 and big.LITTLE legs replay without -platform: each report
+# header must name the platform the trace was recorded on.
 replay-smoke:
 	go build -o bin/dvfssim ./cmd/dvfssim
 	go build -o bin/dvfsreplay ./cmd/dvfsreplay
@@ -79,7 +81,14 @@ replay-smoke:
 	./bin/dvfsreplay -input /tmp/replay-smoke.jsonl -check -html /tmp/replay-smoke.html > /tmp/replay-smoke-1.txt
 	./bin/dvfsreplay -input /tmp/replay-smoke.jsonl -check > /tmp/replay-smoke-2.txt
 	cmp /tmp/replay-smoke-1.txt /tmp/replay-smoke-2.txt
-	@echo "replay-smoke: ordering holds and output is bit-identical"
+	grep -q '^replay      platform odroid-xu3-a7,' /tmp/replay-smoke-1.txt
+	./bin/dvfssim -workload sha -governor prediction -platform x86 -jobs 100 -trace /tmp/replay-smoke-x86.jsonl
+	./bin/dvfsreplay -input /tmp/replay-smoke-x86.jsonl -check > /tmp/replay-smoke-x86.txt
+	grep -q '^replay      platform x86-i7,' /tmp/replay-smoke-x86.txt
+	./bin/dvfssim -workload uzbl -governor prediction -platform biglittle -jobs 100 -trace /tmp/replay-smoke-biglittle.jsonl
+	./bin/dvfsreplay -input /tmp/replay-smoke-biglittle.jsonl -check > /tmp/replay-smoke-biglittle.txt
+	grep -q '^replay      platform odroid-xu3-biglittle,' /tmp/replay-smoke-biglittle.txt
+	@echo "replay-smoke: ordering holds on a7, x86 and big.LITTLE traces, each replayed on its own platform, and output is bit-identical"
 
 # Replay benchmark: seeded ldecode trace → BENCH_replay.json, compared
 # against the committed baseline (fails on >5% energy / >5-point miss

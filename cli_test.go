@@ -652,6 +652,32 @@ func TestCLIDvfsfleetRejectsBadUsage(t *testing.T) {
 
 // -check and -baseline are single-device contracts; a fleet trace
 // must be rejected rather than silently mis-analyzed.
+// dvfssim names its platform on every event, so dvfsreplay prices an
+// x86 or big.LITTLE trace on the platform it ran on without -platform,
+// and a -platform that contradicts the events is a usage error (exit
+// 2) rather than a silent replay on the wrong tables.
+func TestCLIDvfsreplayTakesPlatformFromTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct{ workload, plat, name string }{
+		{"sha", "x86", "x86-i7"},
+		{"uzbl", "biglittle", "odroid-xu3-biglittle"},
+	} {
+		path := dir + "/" + tc.plat + ".jsonl"
+		runCLI(t, "./cmd/dvfssim", "-workload", tc.workload, "-platform", tc.plat, "-jobs", "30", "-trace", path)
+		out := runCLI(t, "./cmd/dvfsreplay", "-input", path, "-check")
+		if !strings.Contains(out, "replay      platform "+tc.name+",") {
+			t.Errorf("%s trace did not replay on %s:\n%s", tc.plat, tc.name, out)
+		}
+	}
+	out := failCLI(t, "./cmd/dvfsreplay", "-input", dir+"/x86.jsonl", "-platform", "a7")
+	if !strings.Contains(out, "contradicts the trace") || !strings.Contains(out, "exit status 2") {
+		t.Errorf("want a usage error for a contradicting -platform:\n%s", out)
+	}
+}
+
 func TestCLIDvfsreplayChecksAreSingleDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")

@@ -9,9 +9,15 @@
 // phases — slice eval, model predict, level select — alongside the
 // static estimate the energy reconstruction charges.
 //
+// A single trace replays on the platform its events name (dvfssim and
+// dvfsfleet stamp it on every event); -platform names it for traces
+// whose events carry none (default a7) and is a usage error when it
+// contradicts them.
+//
 // Fleet traces (dvfsfleet -out, binary or exported JSONL) replay
 // device by device: each device's events reconstruct against its own
-// platform, and the margin sweep aggregates into fleet distributions
+// platform (-platform, default a7, for events that name none), and the
+// margin sweep aggregates into fleet distributions
 // (p50/p95/p99 per-device energy delta, fleet miss rate, per-platform
 // breakdown). -fleet auto (the default) selects fleet mode when the
 // trace carries device IDs; -device replays one device single-mode.
@@ -23,7 +29,7 @@
 // Usage:
 //
 //	dvfssim -workload ldecode -governor prediction -trace - | dvfsreplay -html report.html
-//	dvfsreplay -input dec.jsonl -platform a7 -format json
+//	dvfsreplay -input dec.jsonl -format json
 //	dvfsreplay -input dec.jsonl -json BENCH_replay.json -baseline BENCH_replay.json -max-regress 5
 //	dvfsreplay -input dec.jsonl -check
 //	dvfsreplay -input fleet.bin -html fleet.html          # fleet margin sweep
@@ -55,7 +61,7 @@ import (
 func main() {
 	input := flag.String("input", "-", "decision log to replay, JSONL or binary (- for stdin)")
 	fleetMode := flag.String("fleet", "auto", "fleet replay: auto (fleet when the trace carries device IDs), on, off")
-	platName := flag.String("platform", "a7", "platform the trace was recorded on: a7, x86, biglittle")
+	platName := flag.String("platform", "", "platform the trace was recorded on: a7, x86, biglittle (default: the one its events name, else a7)")
 	seed := flag.Int64("seed", 1, "seed for counterfactual switch-latency jitter (same seed → bit-identical output)")
 	rho := flag.Float64("rho", 0, "fallback memory-time fraction for cross-frequency time translation (0 → 0.3; predicted jobs estimate it from the trace)")
 	alpha := flag.Float64("alpha", 100, "α the traced model was trained with (anchors the α sweep)")
@@ -99,9 +105,12 @@ func main() {
 	if *sloTarget < 0 || *sloTarget >= 1 {
 		usageErr(fmt.Errorf("-slo-target must be in [0,1)"))
 	}
-	plat, err := platform.ByName(*platName)
-	if err != nil {
-		usageErr(err)
+	// flagPlat is the -platform model, nil when the flag is unset.
+	var flagPlat *platform.Platform
+	if *platName != "" {
+		if flagPlat, err = platform.ByName(*platName); err != nil {
+			usageErr(err)
+		}
 	}
 	var rd io.Reader = os.Stdin
 	if *input != "-" {
@@ -136,12 +145,18 @@ func main() {
 		if *baseline != "" || *check {
 			usageErr(fmt.Errorf("-baseline and -check are single-device modes; use -device to select one device or -fleet off"))
 		}
+		// Fleet events name their own platforms; -platform, else the
+		// A7, is the fallback for events that name none.
+		fallback := flagPlat
+		if fallback == nil {
+			fallback = platform.ODROIDXU3A7()
+		}
 		var slo *obs.SLOTracker
 		if *sloTarget > 0 {
 			slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget, MaxKeys: 64})
 		}
 		runFleet(events, replay.FleetOptions{
-			Plat:        plat,
+			Plat:        fallback,
 			Seed:        *seed,
 			Rho:         *rho,
 			TracedAlpha: *alpha,
@@ -149,6 +164,20 @@ func main() {
 			SLO:         slo,
 		}, *format, *jsonOut, *htmlOut, fail)
 		return
+	}
+	// A single trace replays on the platform its events name; an
+	// explicit -platform must agree with them.
+	plat, err := eventsPlatform(events)
+	if err != nil {
+		fail(err)
+	}
+	switch {
+	case flagPlat != nil && plat != nil && flagPlat.Name != plat.Name:
+		usageErr(fmt.Errorf("-platform %s contradicts the trace, recorded on %s", *platName, plat.Name))
+	case flagPlat != nil:
+		plat = flagPlat
+	case plat == nil:
+		plat = platform.ODROIDXU3A7()
 	}
 	res, err := replay.Run(events, replay.Options{
 		Plat:        plat,
@@ -237,6 +266,31 @@ func main() {
 		}
 	}
 	os.Exit(exit)
+}
+
+// eventsPlatform returns the platform a single-device trace's events
+// name (dvfssim and dvfsfleet stamp it on every event), or nil when
+// they name none. Events that name two platforms cannot be priced on
+// one platform's tables.
+func eventsPlatform(events []obs.DecisionEvent) (*platform.Platform, error) {
+	var named *platform.Platform
+	var namedAs string
+	for i := range events {
+		name := events[i].Platform
+		if name == "" || name == namedAs {
+			continue
+		}
+		p, err := platform.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("event seq %d: %w", events[i].Seq, err)
+		}
+		if named != nil && p.Name != named.Name {
+			return nil, fmt.Errorf("the trace's events name platforms %s and %s; replay one device with -device, or the whole fleet in fleet mode",
+				namedAs, name)
+		}
+		named, namedAs = p, name
+	}
+	return named, nil
 }
 
 // runFleet renders a fleet-wide replay to stdout and the optional

@@ -177,6 +177,11 @@ func run(wName, gName string, budget float64, jobs int, seed int64, idle bool, c
 			}
 			phaseLine = strings.Join(parts, ", ")
 		}
+		// Name the platform on every event, as fleet traces do, so
+		// dvfsreplay prices the trace on the platform it ran on.
+		for i := range events {
+			events[i].Platform = platName
+		}
 		for _, s := range sinks {
 			for i := range events {
 				s.Emit(&events[i])

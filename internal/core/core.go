@@ -172,29 +172,84 @@ type Controller struct {
 var _ governor.Governor = (*Controller)(nil)
 
 // Build constructs the controller for a workload: instrument → profile
-// → train → slice (Fig 13's off-line half).
+// → train → slice (Fig 13's off-line half). It is BuildEach for one
+// configuration.
 func Build(w *workload.Workload, cfg Config) (*Controller, error) {
-	cfg = cfg.withDefaults(w)
+	ctls, err := BuildEach(w, []Config{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return ctls[0], nil
+}
+
+// BuildEach trains one controller per configuration from a single
+// profiling run: the controllers equal what Build returns for each
+// configuration, but the workload is instrumented and its profiling
+// jobs interpreted once, not once per configuration. The profiled
+// features and each job's CPU and memory work depend only on the
+// workload, ProfileSeed and ProfileJobs; the platform enters when
+// training converts that work into noisy times at fmin and fmax. So
+// configurations may differ in everything else — platform, switch
+// table, α, γ, margin, hints, caps — and must agree on those two
+// after defaults. The profile is dropped when BuildEach returns;
+// the controllers keep only their own training data (Controller.Prof).
+func BuildEach(w *workload.Workload, cfgs []Config) ([]*Controller, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	cfgs = append([]Config(nil), cfgs...)
+	for i := range cfgs {
+		cfgs[i] = cfgs[i].withDefaults(w)
+		if cfgs[i].ProfileSeed != cfgs[0].ProfileSeed || cfgs[i].ProfileJobs != cfgs[0].ProfileJobs {
+			return nil, fmt.Errorf("core: BuildEach needs one profile, but config %d profiles %d jobs at seed %d and config 0 %d jobs at seed %d",
+				i, cfgs[i].ProfileJobs, cfgs[i].ProfileSeed, cfgs[0].ProfileJobs, cfgs[0].ProfileSeed)
+		}
+	}
+	pr, err := profile(w, cfgs[0].ProfileSeed, cfgs[0].ProfileJobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Controller, len(cfgs))
+	for i, cfg := range cfgs {
+		if out[i], err = pr.train(w, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// profileRun is the platform-independent half of off-line profiling:
+// the instrumented program, its feature schema, and for each profiling
+// job the recorded features, the abstract work the interpreter
+// counted, and the job's inputs.
+type profileRun struct {
+	ip        *instrument.Program
+	schema    *features.Schema
+	traces    []*features.Trace
+	works     []taskir.Work
+	paramSets []map[string]int64
+	// bounds are the per-parameter input ranges the profiling jobs
+	// covered — what the static slice-cost bound is taken over.
+	bounds map[string]analysis.Interval
+}
+
+// profile instruments w and runs the instrumented task over `jobs`
+// sample inputs drawn from seed, collecting each job's feature trace
+// and work.
+func profile(w *workload.Workload, seed int64, jobs int) (*profileRun, error) {
 	if err := w.Prog.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid task program: %w", err)
 	}
-	ip := instrument.Instrument(w.Prog)
-
-	// Off-line profiling: run the instrumented task over sample inputs,
-	// collecting feature traces and job times at fmin and fmax.
-	var hints []workload.Hint
-	if cfg.UseHints {
-		hints = w.Hints
+	pr := &profileRun{
+		ip:        instrument.Instrument(w.Prog),
+		traces:    make([]*features.Trace, 0, jobs),
+		works:     make([]taskir.Work, 0, jobs),
+		paramSets: make([]map[string]int64, 0, jobs),
 	}
-	var quadCols []int
-	rng := rand.New(rand.NewSource(cfg.ProfileSeed + 13))
-	gen := w.NewGen(cfg.ProfileSeed)
+	gen := w.NewGen(seed)
 	globals := w.FreshGlobals()
-	traces := make([]*features.Trace, 0, cfg.ProfileJobs)
-	works := make([]taskir.Work, 0, cfg.ProfileJobs)
-	paramSets := make([]map[string]int64, 0, cfg.ProfileJobs)
-	prog := taskir.Lower(ip.Prog)
-	for i := 0; i < cfg.ProfileJobs; i++ {
+	prog := taskir.Lower(pr.ip.Prog)
+	for i := 0; i < jobs; i++ {
 		tr := features.NewTrace()
 		env := taskir.NewEnv(globals)
 		params := gen.Next(i)
@@ -203,15 +258,31 @@ func Build(w *workload.Workload, cfg Config) (*Controller, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling %s job %d: %w", w.Name, i, err)
 		}
-		traces = append(traces, tr)
-		works = append(works, wk)
-		paramSets = append(paramSets, params)
+		pr.traces = append(pr.traces, tr)
+		pr.works = append(pr.works, wk)
+		pr.paramSets = append(pr.paramSets, params)
 	}
-	schema := features.BuildSchema(ip, traces)
+	pr.schema = features.BuildSchema(pr.ip, pr.traces)
+	pr.bounds = observedParamBounds(pr.paramSets)
+	return pr, nil
+}
+
+// train is the per-configuration half of Build: time the profiled work
+// on cfg's platform with measurement noise, fit both models, slice,
+// apply the overhead caps, and verify the slice. cfg has been through
+// withDefaults. train only reads pr.
+func (pr *profileRun) train(w *workload.Workload, cfg Config) (*Controller, error) {
+	ip, schema := pr.ip, pr.schema
+	var hints []workload.Hint
+	if cfg.UseHints {
+		hints = w.Hints
+	}
+	var quadCols []int
+	rng := rand.New(rand.NewSource(cfg.ProfileSeed + 13))
 	prof := &Profile{
-		X:        make([][]float64, len(traces)),
-		TimesMin: make([]float64, len(traces)),
-		TimesMax: make([]float64, len(traces)),
+		X:        make([][]float64, len(pr.traces)),
+		TimesMin: make([]float64, len(pr.traces)),
+		TimesMax: make([]float64, len(pr.traces)),
 	}
 	if cfg.Quadratic {
 		// Square the counter columns (squaring a 0/1 one-hot is the
@@ -223,11 +294,12 @@ func Build(w *workload.Workload, cfg Config) (*Controller, error) {
 		}
 	}
 	fmin, fmax := cfg.Plat.MinLevel(), cfg.Plat.MaxLevel()
-	for i, tr := range traces {
-		x := appendHintValues(schema.Vectorize(tr), hints, paramSets[i])
+	for i, tr := range pr.traces {
+		x := appendHintValues(schema.Vectorize(tr), hints, pr.paramSets[i])
 		prof.X[i] = appendQuadValues(x, quadCols)
-		prof.TimesMin[i] = cfg.Plat.JobTimeAt(works[i].CPU, works[i].MemSec, fmin) * noiseFactor(rng, cfg.NoiseSigma)
-		prof.TimesMax[i] = cfg.Plat.JobTimeAt(works[i].CPU, works[i].MemSec, fmax) * noiseFactor(rng, cfg.NoiseSigma)
+		wk := pr.works[i]
+		prof.TimesMin[i] = cfg.Plat.JobTimeAt(wk.CPU, wk.MemSec, fmin) * noiseFactor(rng, cfg.NoiseSigma)
+		prof.TimesMax[i] = cfg.Plat.JobTimeAt(wk.CPU, wk.MemSec, fmax) * noiseFactor(rng, cfg.NoiseSigma)
 	}
 
 	opts := regress.Options{Alpha: cfg.Alpha, Gamma: cfg.Gamma}
@@ -278,9 +350,8 @@ func Build(w *workload.Workload, cfg Config) (*Controller, error) {
 	// above, this holds for the worst job the profiled input ranges
 	// admit, not just the average — which is what makes subtracting
 	// the predictor's cost from the budget (§3.4) safe.
-	paramBounds := observedParamBounds(paramSets)
 	staticCost := func(sl *slicer.Slice) float64 {
-		b := analysis.BoundCost(sl.Prog, paramBounds)
+		b := analysis.BoundCost(sl.Prog, pr.bounds)
 		if !b.Finite() {
 			return math.Inf(1)
 		}
@@ -307,7 +378,7 @@ func Build(w *workload.Workload, cfg Config) (*Controller, error) {
 	if _, err := analysis.VerifySlice(ip, sl); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", w.Name, err)
 	}
-	bound := analysis.BoundCost(sl.Prog, paramBounds)
+	bound := analysis.BoundCost(sl.Prog, pr.bounds)
 	boundSec := math.Inf(1)
 	if bound.Finite() {
 		boundSec = cfg.Plat.JobTimeAt(bound.CPUWork(), 0, cfg.Plat.MaxLevel())

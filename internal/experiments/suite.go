@@ -43,19 +43,41 @@ func NewSuite(seed int64) *Suite {
 // Controller returns the trained prediction controller for w, building
 // it on first use.
 func (s *Suite) Controller(w *workload.Workload) (*core.Controller, error) {
-	if c, ok := s.controllers[w.Name]; ok {
-		return c, nil
+	if err := TrainControllers(w, s); err != nil {
+		return nil, err
 	}
-	c, err := core.Build(w, core.Config{
-		Plat:        s.Plat,
-		ProfileSeed: s.Seed + 17,
-		Switch:      s.Switch,
-	})
+	return s.controllers[w.Name], nil
+}
+
+// TrainControllers builds w's prediction controller on every suite
+// that has none cached yet and caches it there, profiling w once for
+// all of them (core.BuildEach) and fitting it per suite platform. The
+// suites must share a seed; each controller equals the one
+// Suite.Controller would build alone.
+func TrainControllers(w *workload.Workload, suites ...*Suite) error {
+	var todo []*Suite
+	var cfgs []core.Config
+	for _, s := range suites {
+		if _, ok := s.controllers[w.Name]; !ok {
+			todo = append(todo, s)
+			cfgs = append(cfgs, core.Config{
+				Plat:        s.Plat,
+				ProfileSeed: s.Seed + 17,
+				Switch:      s.Switch,
+			})
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	ctls, err := core.BuildEach(w, cfgs)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: building controller for %s: %w", w.Name, err)
+		return fmt.Errorf("experiments: building controller for %s: %w", w.Name, err)
 	}
-	s.controllers[w.Name] = c
-	return c, nil
+	for i, s := range todo {
+		s.controllers[w.Name] = ctls[i]
+	}
+	return nil
 }
 
 // GovernorNames is the evaluation order of §5.2.

@@ -290,10 +290,12 @@ func Run(cfg Config) (*Result, error) {
 	// Resolve platforms and pre-train controllers serially: the suite
 	// controller cache is not locked, so all writes happen before the
 	// pool starts and workers only ever read it. One suite per
-	// platform; training cost is paid once per (platform, workload),
-	// not per device.
+	// platform; each mix workload is profiled once and fitted per
+	// (platform, workload) from that profile, so training cost is paid
+	// once per workload and platform, not per device.
 	plats := make(map[string]*platform.Platform, len(cfg.Platforms))
 	suites := make(map[string]*experiments.Suite, len(cfg.Platforms))
+	var suiteList []*experiments.Suite
 	for _, name := range cfg.Platforms {
 		if _, ok := plats[name]; ok {
 			continue
@@ -304,6 +306,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		plats[name] = p
 		suites[name] = experiments.NewSuiteOn(p, cfg.Seed)
+		suiteList = append(suiteList, suites[name])
 	}
 	needsController := cfg.Governor == "prediction" || cfg.Governor == "pid" || cfg.Governor == "movingavg"
 	for _, m := range cfg.Mix {
@@ -311,15 +314,15 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		for _, name := range cfg.Platforms {
-			if !needsController {
-				// Validate the governor name once per platform.
-				if _, err := suites[name].Governor(cfg.Governor, w); err != nil {
-					return nil, err
-				}
-				continue
+		if needsController {
+			if err := experiments.TrainControllers(w, suiteList...); err != nil {
+				return nil, err
 			}
-			if _, err := suites[name].Controller(w); err != nil {
+			continue
+		}
+		// Validate the governor name once per platform.
+		for _, s := range suiteList {
+			if _, err := s.Governor(cfg.Governor, w); err != nil {
 				return nil, err
 			}
 		}
@@ -365,7 +368,10 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 		clone := ctl.Clone()
 		if cfg.Sink != nil {
 			mem = &obs.MemorySink{}
-			clone.SetTracer(obs.NewTracer(obs.TracerOptions{Sinks: []obs.Sink{mem}}))
+			// The tracer only feeds mem; its ring, which nothing reads,
+			// gets the smallest capacity rather than 4096 slots zeroed
+			// per device.
+			clone.SetTracer(obs.NewTracer(obs.TracerOptions{RingSize: 1, Sinks: []obs.Sink{mem}}))
 		}
 		gov = clone
 	}

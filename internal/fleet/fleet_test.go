@@ -79,15 +79,39 @@ func smallConfig() Config {
 	}
 }
 
-// TestFleetMatchesPerDeviceSims is the determinism cross-check
-// (ISSUE 7 satellite): the fleet aggregate energy and miss totals
-// must equal — exactly, not approximately — the sum of standalone
+// perfbenchConfig is the fleet perfbench's fleet_replay pipeline
+// simulates, at a test's size: two platforms, a three-workload mix, and
+// its tight 30 ms budget.
+func perfbenchConfig() Config {
+	return Config{
+		Devices:   16,
+		Platforms: []string{"a7", "x86"},
+		Mix: []MixEntry{
+			{Workload: "sha", Weight: 2},
+			{Workload: "rijndael", Weight: 1},
+			{Workload: "ldecode", Weight: 1},
+		},
+		Governor:  "prediction",
+		Jobs:      10,
+		BudgetSec: 0.030,
+		Seed:      15,
+	}
+}
+
+// TestFleetMatchesPerDeviceSims is the determinism cross-check: the
+// fleet aggregate energy and miss totals must equal — exactly, not approximately — the sum of standalone
 // per-device simulator runs with the same seeds, platforms, and
 // phase offsets, because the fleet commit stage folds devices in
 // index order and each device's simulation is a pure function of its
-// spec.
+// spec. The standalone runs train each platform's controllers on
+// their own, so the check also pins the fleet's shared-profile
+// training to Build's.
 func TestFleetMatchesPerDeviceSims(t *testing.T) {
-	cfg := smallConfig()
+	t.Run("small", func(t *testing.T) { checkMatchesPerDeviceSims(t, smallConfig()) })
+	t.Run("perfbench", func(t *testing.T) { checkMatchesPerDeviceSims(t, perfbenchConfig()) })
+}
+
+func checkMatchesPerDeviceSims(t *testing.T, cfg Config) {
 	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

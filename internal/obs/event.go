@@ -35,8 +35,9 @@ type DecisionEvent struct {
 	// simulation and fleet-aware tooling populate it.
 	Device string `json:"device,omitempty"`
 	// Platform names the platform model the device runs
-	// (platform.ByName resolves it). Fleet traces carry it per event
-	// because a heterogeneous fleet has no single trace-wide platform;
+	// (platform.ByName resolves it). Fleet and dvfssim traces carry it
+	// on every event — a heterogeneous fleet has no single trace-wide
+	// platform, and replay prices each trace on the platform it names;
 	// empty when the consumer already knows the platform out of band.
 	Platform string `json:"platform,omitempty"`
 	// Job is the job's index within its stream.

@@ -35,11 +35,19 @@ func (t *SwitchTable) Max() float64 {
 // q-quantile (the paper uses q = 0.95). It reproduces Fig 11. The
 // quantile is the order statistic at index int(q·(samples−1)) of the
 // sorted draws, selected in place rather than by sorting them.
+//
+// It requires p.SwitchJitterSigma σ ≥ 0 (every model's is 0.30–0.35).
+// Each draw is jittered(mean, z) = mean·exp(σ·z) for a standard normal
+// deviate z, which is then non-decreasing in z, so the k-th smallest
+// latency is the latency of the k-th smallest deviate: the table
+// selects among the raw deviates and jitters only the one it keeps,
+// one exp per entry instead of one per draw, with entries bit-identical
+// to jittering every draw first.
 func MeasureSwitchTable(p *Platform, samples int, q float64, seed int64) *SwitchTable {
 	rng := rand.New(rand.NewSource(seed))
 	n := p.NumLevels()
 	tbl := &SwitchTable{Seconds: make([][]float64, n)}
-	buf := make([]float64, samples)
+	z := make([]float64, samples)
 	idx := int(q * float64(samples-1))
 	for from := 0; from < n; from++ {
 		tbl.Seconds[from] = make([]float64, n)
@@ -47,11 +55,10 @@ func MeasureSwitchTable(p *Platform, samples int, q float64, seed int64) *Switch
 			if from == to {
 				continue
 			}
-			mean := p.switchMean(p.Levels[from], p.Levels[to])
-			for s := range buf {
-				buf[s] = p.jittered(mean, rng.NormFloat64())
+			for s := range z {
+				z[s] = rng.NormFloat64()
 			}
-			tbl.Seconds[from][to] = selectKth(buf, idx)
+			tbl.Seconds[from][to] = p.jittered(p.switchMean(p.Levels[from], p.Levels[to]), selectKth(z, idx))
 		}
 	}
 	return tbl
