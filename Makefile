@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml: `make check` runs the
 # exact gate CI enforces.
 
-.PHONY: check fmt vet build test lint alloc-gate bench serve-bench obs-bench trace-smoke replay-smoke replay-bench dash-smoke fleet-smoke fleet-bench fleet-obs-smoke tsdb-smoke tsdb-bench alert-smoke
+.PHONY: check fmt vet build test lint alloc-gate golden bench serve-bench obs-bench trace-smoke replay-smoke replay-bench dash-smoke fleet-smoke fleet-bench fleet-obs-smoke tsdb-smoke tsdb-bench alert-smoke
 
 check: fmt vet build test lint alloc-gate
 
@@ -40,6 +40,17 @@ lint:
 
 bench:
 	go test -bench=. -benchmem .
+
+# Golden decision logs: SHA-256 digests of the 16 dvfssim JSONL and
+# Chrome logs (8 workload/governor/platform configurations, with and
+# without -idle) and of two dvfsfleet binary traces at 1 and 8
+# workers, checked against testdata/golden/decision-logs.sha256. One
+# normalization rule: "spans" and "span_total_sec", the only
+# wall-clock fields, are deleted before hashing. A change that moves
+# an output on purpose regenerates the file with `make golden
+# UPDATE=1` in the same diff.
+golden:
+	go test -count=1 -run '^TestGolden$$' ./cmd/dvfssim $(if $(UPDATE),-update)
 
 # Decision-path instrumentation budget: §3.4 charges the predictor's
 # cost against every job's budget, so tracing must stay well under
