@@ -7,7 +7,6 @@ import (
 	"repro/internal/alert"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/sim"
@@ -46,17 +45,13 @@ func TestEnergyMeterCrossValidatesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl, ok := g.(*core.Controller)
-			if !ok {
+			if _, ok := g.(*core.Controller); !ok {
 				t.Fatalf("prediction governor is %T, want *core.Controller", g)
 			}
-			mem := &obs.MemorySink{}
-			ctl.SetTracer(obs.NewTracer(obs.TracerOptions{Sinks: []obs.Sink{mem}}))
-			r, err := sim.Run(w, g, sim.Config{Plat: suite.Plat, Jobs: 80, Seed: 8})
+			_, events, err := trace.Simulate(w, g, sim.Config{Plat: suite.Plat, Jobs: 80, Seed: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			events := trace.MergeDecisions(mem.Events(), r)
 
 			res, err := replay.Run(events, replay.Options{Plat: plat})
 			if err != nil {

@@ -154,19 +154,14 @@ type Controller struct {
 	// SliceBoundSec is SliceBound converted to seconds at fmax.
 	SliceBoundSec float64
 
-	// tracer, when set, receives a DecisionEvent per job: begun at
-	// JobStart, completed with the signed residual at JobEnd. The
-	// controller itself stays feed-forward — tracing observes
-	// decisions, it never influences them.
+	// tracer, when set, receives a DecisionEvent per job: staged at
+	// JobStart, completed from the job's measured outcome and emitted
+	// at JobEnd. The controller itself stays feed-forward — tracing
+	// observes decisions, it never influences them.
 	tracer *obs.Tracer
-	// pendMu guards pending, the JobStart-to-JobEnd handoff keyed by
-	// job index.
+	// pendMu guards pending, the staged events keyed by job index.
 	pendMu  sync.Mutex
-	pending map[int]*obs.Pending
-	// spans samples per-phase span capture on traced decisions (each
-	// boundary is a monotonic clock read §3.4 has to pay for); set
-	// alongside the tracer, default every decision.
-	spans *obs.SpanSampler
+	pending map[int]obs.DecisionEvent
 }
 
 var _ governor.Governor = (*Controller)(nil)
@@ -643,37 +638,25 @@ func (c *Controller) PredictTraceSpans(tr *features.Trace, params map[string]int
 	}
 }
 
-// SetTracer attaches (or, with nil, detaches) a decision tracer. Not
-// safe to call concurrently with JobStart/JobEnd — wire the tracer
-// before handing the controller to a simulator or server.
+// SetTracer attaches (or, with nil, detaches) a decision tracer: each
+// traced decision carries its span ledger and is emitted once, when
+// JobEnd completes it. Not safe to call concurrently with
+// JobStart/JobEnd — wire the tracer before handing the controller to
+// a simulator.
 func (c *Controller) SetTracer(t *obs.Tracer) {
 	c.tracer = t
 	if t != nil && c.pending == nil {
-		c.pending = map[int]*obs.Pending{}
-	}
-	if t != nil && c.spans == nil {
-		c.spans = obs.NewSpanSampler(1)
+		c.pending = map[int]obs.DecisionEvent{}
 	}
 }
-
-// SetSpanSampling captures the per-phase span ledger on one in every
-// traced decisions (1 = all, the default; higher rates amortize the
-// capture's clock reads on hot production paths). Like SetTracer, not
-// safe to call concurrently with JobStart/JobEnd.
-func (c *Controller) SetSpanSampling(every int) {
-	c.spans = obs.NewSpanSampler(every)
-}
-
-// Tracer returns the attached decision tracer (nil when none).
-func (c *Controller) Tracer() *obs.Tracer { return c.tracer }
 
 // Clone returns a controller sharing c's immutable trained state
 // (models, slice, selector, profile) with fresh mutable state: no
-// tracer, empty pending map, default span sampling. The trained half
-// is read-only after Build, so clones are safe to drive from
-// different goroutines — fleet simulation trains one controller per
-// (platform, workload) and hands every device its own clone, paying
-// the multi-second training cost once instead of per device.
+// tracer and no staged events. The trained half is read-only after
+// Build, so clones are safe to drive from different goroutines —
+// fleet simulation trains one controller per (platform, workload) and
+// hands every device its own clone, paying the multi-second training
+// cost once instead of per device.
 func (c *Controller) Clone() *Controller {
 	return &Controller{
 		W:             c.W,
@@ -693,36 +676,27 @@ func (c *Controller) Clone() *Controller {
 	}
 }
 
-// decisionEvent assembles the traced view of one run-time decision.
-// The switch-time field is the selector's table estimate for the
-// cur→target transition — the quantity §3.4 subtracts from the budget
-// — not the measured transition time, which only the simulator knows.
-func (c *Controller) decisionEvent(job *governor.Job, cur platform.Level, p Prediction) obs.DecisionEvent {
-	switchSec := 0.0
+// stage holds the traced view of one run-time decision until JobEnd
+// completes it with the job's outcome. The switch-time field is the
+// selector's table estimate for the cur→target transition — the
+// quantity §3.4 subtracts from the budget; the measured transition
+// arrives with the outcome.
+func (c *Controller) stage(job *governor.Job, cur, target platform.Level, e obs.DecisionEvent, st *obs.SpanTimer) {
+	e.Workload = c.W.Name
+	e.Governor = c.Name()
+	e.Job = job.Index
+	e.ReleaseSec = job.ReleaseSec
+	e.DeadlineSec = job.DeadlineSec
+	e.Level = target.Index
+	e.FreqKHz = int64(target.FreqHz / 1e3)
+	e.BudgetSec = job.RemainingBudgetSec
 	if c.Selector.Switch != nil {
-		switchSec = c.Selector.Switch.Lookup(cur.Index, p.Target.Index)
+		e.SwitchSec = c.Selector.Switch.Lookup(cur.Index, target.Index)
 	}
-	return obs.DecisionEvent{
-		Workload:         c.W.Name,
-		Governor:         c.Name(),
-		Job:              job.Index,
-		TimeSec:          job.DeadlineSec - job.RemainingBudgetSec,
-		ReleaseSec:       job.ReleaseSec,
-		DeadlineSec:      job.DeadlineSec,
-		FromLevel:        cur.Index,
-		FeatHash:         p.FeatHash,
-		Predicted:        true,
-		TFminSec:         p.TFminSec,
-		TFmaxSec:         p.TFmaxSec,
-		PredictedExecSec: p.PredictedExecSec,
-		Level:            p.Target.Index,
-		FreqKHz:          int64(p.Target.FreqHz / 1e3),
-		Margin:           c.Selector.Margin,
-		BudgetSec:        job.RemainingBudgetSec,
-		EffBudgetSec:     p.EffBudgetSec,
-		PredictorSec:     p.PredictorSec,
-		SwitchSec:        switchSec,
-	}
+	e.Spans, e.SpanTotalSec = st.Finish()
+	c.pendMu.Lock()
+	c.pending[job.Index] = e
+	c.pendMu.Unlock()
 }
 
 // JobStart implements governor.Governor: run the prediction slice,
@@ -737,31 +711,39 @@ func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.De
 	// Span capture (tracing only): the ledger roots at "decide" and
 	// times slice evaluation, model prediction, and level selection —
 	// §3.4's predictor cost as measured wall-clock phases. st is nil
-	// when untraced or sampled out; every SpanTimer method is nil-safe.
+	// when untraced; every SpanTimer method is nil-safe.
 	var st *obs.SpanTimer
 	if c.tracer != nil {
-		st = c.spans.Timer()
+		st = obs.NewSpanTimer()
 		st.Start(obs.PhaseDecide)
 		st.Start(obs.PhaseSliceEval)
 	}
 	tr := features.NewTrace()
 	sw, err := c.Slice.Run(job.Globals, job.Params, tr)
+	st.End()
 	if err != nil {
 		// A broken slice must never break the application: fall back
-		// to maximum frequency (always deadline-safe).
-		return governor.Decision{Target: c.Plat.MaxLevel(), PredictedExecSec: math.NaN()}
+		// to maximum frequency (always deadline-safe). Traced, the
+		// fallback is an unpredicted decision.
+		top := c.Plat.MaxLevel()
+		if c.tracer != nil {
+			c.stage(job, cur, top, obs.DecisionEvent{}, st)
+		}
+		return governor.Decision{Target: top, PredictedExecSec: math.NaN()}
 	}
-	st.End()
 	predictorSec := c.Plat.JobTimeAt(sw.CPU, sw.MemSec, cur)
 
 	p := c.PredictTraceSpans(tr, job.Params, job.RemainingBudgetSec, predictorSec, cur, st)
 	if c.tracer != nil {
-		e := c.decisionEvent(job, cur, p)
-		e.Spans, e.SpanTotalSec = st.Finish()
-		pend := c.tracer.Begin(e)
-		c.pendMu.Lock()
-		c.pending[job.Index] = pend
-		c.pendMu.Unlock()
+		c.stage(job, cur, p.Target, obs.DecisionEvent{
+			FeatHash:         p.FeatHash,
+			Predicted:        true,
+			TFminSec:         p.TFminSec,
+			TFmaxSec:         p.TFmaxSec,
+			PredictedExecSec: p.PredictedExecSec,
+			Margin:           c.Selector.Margin,
+			EffBudgetSec:     p.EffBudgetSec,
+		}, st)
 	}
 	return governor.Decision{
 		Target:           p.Target,
@@ -771,30 +753,23 @@ func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.De
 }
 
 // JobEnd implements governor.Governor. The predictor stays
-// feed-forward — the actual execution time is never fed back into the
-// model — but when a tracer is attached the pending decision event is
-// completed here: the signed residual (actual − predicted) is computed
-// in-process, and the miss bit records the controller-visible outcome
-// (actual execution exceeded the effective budget less the estimated
-// switch time; wall-clock miss accounting lives in the simulator's
-// JobRecord).
-func (c *Controller) JobEnd(job *governor.Job, actualExecSec float64) {
+// feed-forward — the outcome is never fed back into the model — but
+// when a tracer is attached the job's staged decision event is
+// completed from the measured outcome (governor.Outcome.Complete) and
+// emitted.
+func (c *Controller) JobEnd(job *governor.Job, out governor.Outcome) {
 	if c.tracer == nil {
 		return
 	}
 	c.pendMu.Lock()
-	pend := c.pending[job.Index]
+	e, ok := c.pending[job.Index]
 	delete(c.pending, job.Index)
 	c.pendMu.Unlock()
-	if pend == nil {
+	if !ok {
 		return
 	}
-	missed := actualExecSec > pend.E.EffBudgetSec-pend.E.SwitchSec
-	// Extend the ledger with the outcome phases: the switch estimate
-	// charged at decision time and the job's execution (the simulation
-	// merge re-times both with measured ground truth).
-	obs.AppendOutcomeSpans(&pend.E, pend.E.SwitchSec, actualExecSec)
-	pend.End(actualExecSec, missed)
+	out.Complete(&e)
+	c.tracer.Emit(e)
 }
 
 // SampleInterval implements governor.Governor.

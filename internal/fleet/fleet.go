@@ -102,9 +102,10 @@ type Config struct {
 	// Workers bounds simulation concurrency; zero selects
 	// runtime.GOMAXPROCS.
 	Workers int
-	// Sink, when non-nil, receives every device's merged decision
-	// events in device order with globally reassigned sequence
-	// numbers. Nil skips event materialization entirely — the
+	// Sink, when non-nil, receives every device's decision log
+	// (trace.Simulate: one completed event per job) in device order,
+	// with globally reassigned sequence numbers and without span
+	// ledgers. Nil skips event materialization entirely — the
 	// aggregate-only fast path the 100k-device bench uses.
 	Sink obs.Sink
 	// Progress, when non-nil, is called from the commit stage as
@@ -349,10 +350,10 @@ func Run(cfg Config) (*Result, error) {
 
 // runDevice simulates one device: resolve its workload, instantiate a
 // per-device governor (cloning the shared trained controller — its
-// mutable half must not be shared across goroutines), attach a tracer
-// when events are wanted, run, and adapt the outcome. The per-decision
-// work inside the run is the already-annotated //dvfs:hotpath
-// controller path (core.Controller.PredictTrace).
+// mutable half must not be shared across goroutines), run it, with
+// its decision log when events are wanted, and adapt the outcome. The
+// per-decision work inside the run is the already-annotated
+// //dvfs:hotpath controller path (core.Controller.PredictTrace).
 func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite, plats map[string]*platform.Platform) (devOut, error) {
 	w, err := workload.ByName(spec.Workload)
 	if err != nil {
@@ -363,45 +364,36 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 	if err != nil {
 		return devOut{}, fmt.Errorf("fleet: device %s: %w", spec.ID, err)
 	}
-	var mem *obs.MemorySink
 	if ctl, ok := gov.(*core.Controller); ok {
-		clone := ctl.Clone()
-		if cfg.Sink != nil {
-			mem = &obs.MemorySink{}
-			// The tracer only feeds mem; its ring, which nothing reads,
-			// gets the smallest capacity rather than 4096 slots zeroed
-			// per device.
-			clone.SetTracer(obs.NewTracer(obs.TracerOptions{RingSize: 1, Sinks: []obs.Sink{mem}}))
-		}
-		gov = clone
+		gov = ctl.Clone()
 	}
-	r, err := sim.Run(w, gov, cfg.SimConfig(spec, plats[spec.Platform]))
+	simCfg := cfg.SimConfig(spec, plats[spec.Platform])
+	var out devOut
+	var r *sim.Result
+	if cfg.Sink != nil {
+		r, out.events, err = trace.Simulate(w, gov, simCfg)
+	} else {
+		r, err = sim.Run(w, gov, simCfg)
+	}
 	if err != nil {
 		return devOut{}, fmt.Errorf("fleet: device %s: %w", spec.ID, err)
 	}
-	out := devOut{res: DeviceResult{
+	out.res = DeviceResult{
 		Spec:    spec,
 		EnergyJ: r.EnergyJ,
 		Jobs:    len(r.Records),
 		Misses:  r.Misses,
-	}}
-	if cfg.Sink != nil {
-		if mem != nil {
-			out.events = trace.MergeDecisions(mem.Events(), r)
-		} else {
-			out.events = trace.DecisionEvents(r)
-		}
-		for i := range out.events {
-			out.events[i].Device = spec.ID
-			out.events[i].Platform = spec.Platform
-			// Span ledgers measure the *host's* per-phase decision
-			// latency on its wall clock — meaningless for a simulated
-			// device, and the one wall-clock-dependent field that would
-			// break bit-identical traces across runs. Fleet traces carry
-			// simulated time only.
-			out.events[i].Spans = nil
-			out.events[i].SpanTotalSec = 0
-		}
+	}
+	for i := range out.events {
+		out.events[i].Device = spec.ID
+		out.events[i].Platform = spec.Platform
+		// Span ledgers measure the *host's* per-phase decision latency
+		// on its wall clock — meaningless for a simulated device, and
+		// the one wall-clock-dependent field that would break
+		// bit-identical traces across runs. Fleet traces carry
+		// simulated time only.
+		out.events[i].Spans = nil
+		out.events[i].SpanTotalSec = 0
 	}
 	return out, nil
 }

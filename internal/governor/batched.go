@@ -48,7 +48,7 @@ func (g *Batched) JobStart(job *Job, cur platform.Level) Decision {
 
 // JobEnd implements Governor (forwarded so feedback controllers keep
 // learning even when batched).
-func (g *Batched) JobEnd(job *Job, actualExecSec float64) { g.Inner.JobEnd(job, actualExecSec) }
+func (g *Batched) JobEnd(job *Job, out Outcome) { g.Inner.JobEnd(job, out) }
 
 // SampleInterval implements Governor.
 func (g *Batched) SampleInterval() float64 { return g.Inner.SampleInterval() }

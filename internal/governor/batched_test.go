@@ -28,7 +28,7 @@ func (g *countingGov) JobStart(_ *Job, _ platform.Level) Decision {
 	}
 }
 
-func (g *countingGov) JobEnd(_ *Job, _ float64) { g.ends++ }
+func (g *countingGov) JobEnd(*Job, Outcome) { g.ends++ }
 
 func TestBatchedDecidesEveryKth(t *testing.T) {
 	p := plat()
@@ -38,7 +38,7 @@ func TestBatchedDecidesEveryKth(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		d := g.JobStart(job(0.05), p.Levels[0])
 		targets = append(targets, d.Target.Index)
-		g.JobEnd(job(0.05), 0.01)
+		g.JobEnd(job(0.05), Outcome{ExecSec: 0.01})
 	}
 	if inner.starts != 3 {
 		t.Errorf("inner decisions = %d, want 3 for 12 jobs at K=4", inner.starts)

@@ -96,13 +96,13 @@ func (g *coordinated) JobStart(job *Job, cur platform.Level) Decision {
 
 // JobEnd implements Governor: fold the observation into the task's
 // demand estimate and forward it.
-func (g *coordinated) JobEnd(job *Job, actualExecSec float64) {
+func (g *coordinated) JobEnd(job *Job, out Outcome) {
 	const alpha = 0.2
 	if !g.me.seeded {
-		g.me.ewmaExec = actualExecSec
+		g.me.ewmaExec = out.ExecSec
 		g.me.seeded = true
 	} else {
-		g.me.ewmaExec = (1-alpha)*g.me.ewmaExec + alpha*actualExecSec
+		g.me.ewmaExec = (1-alpha)*g.me.ewmaExec + alpha*out.ExecSec
 	}
-	g.inner.JobEnd(job, actualExecSec)
+	g.inner.JobEnd(job, out)
 }

@@ -7,6 +7,7 @@ package governor
 import (
 	"math"
 
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/taskir"
 )
@@ -44,15 +45,59 @@ type Decision struct {
 	PredictedExecSec float64
 }
 
+// Outcome is what the simulator measured for one finished job: the
+// ground truth a decision is judged by (§5's energy and deadline
+// results). sim.JobRecord embeds it.
+type Outcome struct {
+	// StartSec is when the job started, on the simulated clock.
+	StartSec float64
+	// FromLevelIdx is the level the platform was at when the job
+	// started (the switch source).
+	FromLevelIdx int
+	// PredictorSec is the predictor time charged to the job's timeline
+	// (zero when its placement or the configuration made it free).
+	PredictorSec float64
+	// SwitchSec is the measured DVFS transition time, including
+	// mid-job transitions forced by sampling governors.
+	SwitchSec float64
+	// ExecSec is the job's pure execution time at speed (predictor and
+	// switch overhead excluded).
+	ExecSec float64
+	// Missed reports that the job ended after its deadline on the
+	// simulated wall clock.
+	Missed bool
+}
+
+// Complete writes the outcome into e, the decision event of the job it
+// measured: the job's start time, from-level, charged predictor time,
+// measured switch time, execution time and deadline miss, the signed
+// residual when e carries a prediction, and the switch and execution
+// spans of e's ledger. Every completed decision event in the
+// repository is completed here, so each field has one definition.
+func (o Outcome) Complete(e *obs.DecisionEvent) {
+	e.TimeSec = o.StartSec
+	e.FromLevel = o.FromLevelIdx
+	e.PredictorSec = o.PredictorSec
+	e.MeasSwitchSec = o.SwitchSec
+	e.Done = true
+	e.ActualExecSec = o.ExecSec
+	e.Missed = o.Missed
+	if e.Predicted {
+		e.ResidualSec = o.ExecSec - e.PredictedExecSec
+	}
+	obs.AppendOutcomeSpans(e, o.SwitchSec, o.ExecSec)
+}
+
 // Governor is a DVFS controller under simulation.
 type Governor interface {
 	// Name identifies the controller in results ("performance", ...).
 	Name() string
 	// JobStart is invoked when a job begins; cur is the current level.
 	JobStart(job *Job, cur platform.Level) Decision
-	// JobEnd reports the job's actual execution time (the portion at
-	// the target level, excluding predictor and switch overhead).
-	JobEnd(job *Job, actualExecSec float64)
+	// JobEnd reports what the simulator measured for the job once it
+	// finished. Feedback governors learn from out.ExecSec, the
+	// portion at the target level.
+	JobEnd(job *Job, out Outcome)
 	// SampleInterval returns the utilization sampling period for
 	// load-driven governors, or 0 for job-triggered governors.
 	SampleInterval() float64
@@ -65,7 +110,7 @@ type Governor interface {
 type Base struct{}
 
 // JobEnd implements Governor with no feedback.
-func (Base) JobEnd(*Job, float64) {}
+func (Base) JobEnd(*Job, Outcome) {}
 
 // SampleInterval implements Governor with no sampling.
 func (Base) SampleInterval() float64 { return 0 }

@@ -126,7 +126,7 @@ func TestPIDConvergesOnSteadyLoad(t *testing.T) {
 		// equivalent of 10ms at fmax.
 		rho := 0.1
 		t10 := actual*rho + actual*(1-rho)*p.MaxLevel().FreqHz/last.Target.FreqHz
-		g.JobEnd(job(0.05), t10)
+		g.JobEnd(job(0.05), Outcome{ExecSec: t10})
 	}
 	// 10ms at fmax with 50ms budget: should settle well below max.
 	if last.Target.Index > 5 {
@@ -145,7 +145,7 @@ func TestPIDLagsOnSpike(t *testing.T) {
 		d := g.JobStart(job(0.05), p.MaxLevel())
 		rho := 0.1
 		tl := 0.005 * (rho + (1-rho)*p.MaxLevel().FreqHz/d.Target.FreqHz)
-		g.JobEnd(job(0.05), tl)
+		g.JobEnd(job(0.05), Outcome{ExecSec: tl})
 	}
 	d := g.JobStart(job(0.05), p.MaxLevel())
 	// The controller expects ~5ms; a 40ms-at-fmax spike would miss at
@@ -162,7 +162,7 @@ func TestPIDEstimateNeverNegative(t *testing.T) {
 	g := &PID{Plat: p, MemFraction: 0.1}
 	for i := 0; i < 50; i++ {
 		g.JobStart(job(0.05), p.MaxLevel())
-		g.JobEnd(job(0.05), 0.00001) // tiny jobs drive the estimate down
+		g.JobEnd(job(0.05), Outcome{ExecSec: 0.00001}) // tiny jobs drive the estimate down
 	}
 	if g.estFmaxSec < 0 {
 		t.Errorf("estimate went negative: %g", g.estFmaxSec)
@@ -195,7 +195,7 @@ func TestOraclePicksMinimalFeasibleLevel(t *testing.T) {
 
 func TestBaseNoOps(t *testing.T) {
 	var b Base
-	b.JobEnd(nil, 0)
+	b.JobEnd(nil, Outcome{})
 	if b.SampleInterval() != 0 {
 		t.Error("Base samples")
 	}
@@ -244,7 +244,7 @@ func TestCoordinatorReservesOtherTasksDemand(t *testing.T) {
 	jB := &Job{ReleaseSec: 0.037, DeadlineSec: 0.087, RemainingBudgetSec: 0.050,
 		Params: map[string]int64{}, Globals: map[string]int64{}}
 	gb.JobStart(jB, p.MaxLevel())
-	gb.JobEnd(jB, 0.005)
+	gb.JobEnd(jB, Outcome{ExecSec: 0.005})
 	// Now A's window [0, 0.100) contains two B releases (0.037, 0.087):
 	// reserve = 2 × 5ms × 1.25 = 12.5ms.
 	probe := &probeGov{}
@@ -268,7 +268,7 @@ func TestCoordinatorBudgetFloor(t *testing.T) {
 	hog := c.Wrap(hogInner, 0.002, 0)
 	jHog := &Job{ReleaseSec: 0, DeadlineSec: 0.002, RemainingBudgetSec: 0.002,
 		Params: map[string]int64{}, Globals: map[string]int64{}}
-	hog.JobEnd(jHog, 0.004) // seeds 4ms demand every 2ms — overload
+	hog.JobEnd(jHog, Outcome{ExecSec: 0.004}) // seeds 4ms demand every 2ms — overload
 	j := &Job{ReleaseSec: 0, DeadlineSec: 0.010, RemainingBudgetSec: 0.010,
 		Params: map[string]int64{}, Globals: map[string]int64{}}
 	a.JobStart(j, p.MaxLevel())
@@ -308,7 +308,7 @@ func TestMovingAverageColdStartAndConvergence(t *testing.T) {
 		d = g.JobStart(job(0.05), p.MaxLevel())
 		rho := 0.1
 		tl := 0.010 * (rho + (1-rho)*p.MaxLevel().EffFreqHz()/d.Target.EffFreqHz())
-		g.JobEnd(job(0.05), tl)
+		g.JobEnd(job(0.05), Outcome{ExecSec: tl})
 	}
 	if d.Target.Index > 5 {
 		t.Errorf("steady load settled at level %d, want low", d.Target.Index)
@@ -329,10 +329,10 @@ func TestMovingAverageSmootherThanPID(t *testing.T) {
 	var maLevels, pidLevels []int
 	for _, tt := range times {
 		dm := ma.JobStart(job(0.05), p.MaxLevel())
-		ma.JobEnd(job(0.05), tt)
+		ma.JobEnd(job(0.05), Outcome{ExecSec: tt})
 		maLevels = append(maLevels, dm.Target.Index)
 		dp := pid.JobStart(job(0.05), p.MaxLevel())
-		pid.JobEnd(job(0.05), tt)
+		pid.JobEnd(job(0.05), Outcome{ExecSec: tt})
 		pidLevels = append(pidLevels, dp.Target.Index)
 	}
 	swing := func(ls []int) int {

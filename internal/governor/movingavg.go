@@ -56,10 +56,10 @@ func (g *MovingAverage) JobStart(job *Job, cur platform.Level) Decision {
 }
 
 // JobEnd implements Governor.
-func (g *MovingAverage) JobEnd(_ *Job, actualExecSec float64) {
+func (g *MovingAverage) JobEnd(_ *Job, out Outcome) {
 	rho := g.MemFraction
 	fmax := g.Plat.MaxLevel().EffFreqHz()
-	atFmax := actualExecSec*rho + actualExecSec*(1-rho)*g.lastLevel.EffFreqHz()/fmax
+	atFmax := out.ExecSec*rho + out.ExecSec*(1-rho)*g.lastLevel.EffFreqHz()/fmax
 	w := g.Window
 	if w <= 0 {
 		w = 8

@@ -84,8 +84,8 @@ func (g *PID) JobStart(job *Job, cur platform.Level) Decision {
 
 // JobEnd implements Governor: fold the observed execution time back
 // into the fmax-equivalent estimate with the PID law.
-func (g *PID) JobEnd(_ *Job, actualExecSec float64) {
-	actualFmax := g.toFmax(actualExecSec, g.lastLevel)
+func (g *PID) JobEnd(_ *Job, out Outcome) {
+	actualFmax := g.toFmax(out.ExecSec, g.lastLevel)
 	if !g.initialized {
 		g.estFmaxSec = actualFmax
 		g.initialized = true

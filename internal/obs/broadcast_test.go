@@ -151,8 +151,7 @@ func TestTracerWithBroadcasterSink(t *testing.T) {
 	b := NewBroadcaster(BroadcasterOptions{QueueSize: 8})
 	tr := NewTracer(TracerOptions{RingSize: 8, Sinks: []Sink{b}})
 	sub := b.Subscribe(EventFilter{})
-	pend := tr.Begin(DecisionEvent{Workload: "sha", Job: 3})
-	pend.End(0.01, false)
+	tr.Emit(DecisionEvent{Workload: "sha", Job: 3, Done: true, ActualExecSec: 0.01})
 	select {
 	case e := <-sub.C:
 		if e.Workload != "sha" || e.Job != 3 || !e.Done {

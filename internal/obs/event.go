@@ -69,30 +69,36 @@ type DecisionEvent struct {
 	// Level is the chosen DVFS level index; FreqKHz its clock rate.
 	Level   int   `json:"level"`
 	FreqKHz int64 `json:"freq_khz,omitempty"`
-	// FromLevel is the level the platform was running at when the
-	// decision was made (the switch source). Only meaningful when
-	// DeadlineSec > 0 — older logs predate the field and a bare zero
-	// would alias the highest-frequency level index.
+	// FromLevel is the level the platform was running at when the job
+	// started (the switch source), filled in from the simulator's
+	// outcome. Only meaningful when DeadlineSec > 0 — older logs
+	// predate the field and a bare zero would alias the
+	// highest-frequency level index.
 	FromLevel int `json:"from_level,omitempty"`
 	// Margin is the safety-margin fraction applied to predictions.
 	Margin float64 `json:"margin,omitempty"`
 	// BudgetSec is the job's remaining budget at decision time;
 	// EffBudgetSec is what is left after subtracting the predictor's
-	// own cost (§3.4); PredictorSec and SwitchSec are the overheads
-	// charged against it (SwitchSec is the switch-table estimate at
-	// decision time, or the measured transition time when an event is
-	// re-emitted from a finished simulation).
+	// own cost estimate (§3.4). PredictorSec is the predictor time the
+	// job was charged, and SwitchSec the switch-table estimate for the
+	// transition the decision asked for — the overhead §3.4 charges
+	// against the budget. Events from governors that do not trace
+	// themselves (the record adapter) have no estimate, and carry the
+	// measured transition time there instead.
 	BudgetSec    float64 `json:"budget_sec,omitempty"`
 	EffBudgetSec float64 `json:"eff_budget_sec,omitempty"`
 	PredictorSec float64 `json:"predictor_sec,omitempty"`
 	SwitchSec    float64 `json:"switch_sec,omitempty"`
 	// MeasSwitchSec is the measured (jitter-sampled) transition time the
-	// platform actually spent switching FromLevel → Level, as opposed to
-	// SwitchSec's worst-case table estimate. Populated by the simulator
-	// record adapter; zero when the source cannot measure it.
+	// platform actually spent switching FromLevel → Level, including
+	// mid-job transitions forced by sampling governors — what the job's
+	// timeline paid, as opposed to SwitchSec's table estimate. Filled
+	// in from the simulator's outcome; zero when the source cannot
+	// measure it.
 	MeasSwitchSec float64 `json:"meas_switch_sec,omitempty"`
-	// Done reports that the job finished and the outcome fields below
-	// are valid.
+	// Done reports that the job finished and its outcome fields —
+	// TimeSec, FromLevel, PredictorSec, MeasSwitchSec and the fields
+	// below — hold what the simulator measured.
 	Done bool `json:"done"`
 	// ActualExecSec is the job's measured execution time at the chosen
 	// level (predictor and switch overheads excluded).
@@ -101,10 +107,9 @@ type DecisionEvent struct {
 	// the model under-predicted (the dangerous direction). Only
 	// meaningful when Done and Predicted are both set.
 	ResidualSec float64 `json:"residual_sec,omitempty"`
-	// Missed reports a deadline miss: the simulator's wall-clock
-	// accounting, or — for in-process controller events — the
-	// controller-visible miss (actual execution exceeded the effective
-	// budget less the estimated switch time).
+	// Missed reports a deadline miss: the job ended after DeadlineSec
+	// on the simulator's wall clock. It has this one definition on
+	// every completed event (governor.Outcome.Complete writes it).
 	Missed bool `json:"missed,omitempty"`
 	// Spans is the decision's per-phase latency ledger (slice eval,
 	// model predict, level select, DVFS switch, job exec), flat in

@@ -120,8 +120,7 @@ func TestTracerFeedsSLO(t *testing.T) {
 	s := NewSLOTracker(sloTestConfig())
 	tr := NewTracer(TracerOptions{SLO: s})
 	for i := 0; i < 10; i++ {
-		p := tr.Begin(DecisionEvent{Workload: "ldecode", Job: i})
-		p.End(0.01, i%2 == 0)
+		tr.Emit(DecisionEvent{Workload: "ldecode", Job: i, Done: true, ActualExecSec: 0.01, Missed: i%2 == 0})
 	}
 	// A one-shot (not Done) event must not count.
 	tr.Emit(DecisionEvent{Workload: "ldecode", Job: 99})

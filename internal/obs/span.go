@@ -34,9 +34,8 @@ const (
 	PhaseIngest = "http_ingest"
 	// PhaseLookup is the model-registry lookup + wire-trace decode.
 	PhaseLookup = "registry_lookup"
-	// PhaseSwitch is the DVFS transition charged to the decision: the
-	// switch-table estimate on the live path, the measured transition
-	// once a simulation's ground truth is merged in.
+	// PhaseSwitch is the DVFS transition the job's timeline paid: the
+	// measured transition time (DecisionEvent.MeasSwitchSec).
 	PhaseSwitch = "dvfs_switch"
 	// PhaseExec is the job's execution at the chosen level.
 	PhaseExec = "job_exec"
@@ -177,10 +176,11 @@ func (t *SpanTimer) Finish() ([]Span, float64) {
 
 // AppendOutcomeSpans extends a decision's ledger with the outcome
 // phases the decision path cannot time itself: the DVFS transition and
-// the job's execution. It is idempotent — existing top-level switch /
-// exec spans are replaced — so a simulation merge can re-time the
-// ledger with measured ground truth. Events without a ledger are left
-// untouched (there is nothing to anchor the outcome to).
+// the job's execution, as measured. It is idempotent — existing
+// top-level switch / exec spans are replaced — so completing an event
+// twice re-times its ledger instead of duplicating phases. Events
+// without a ledger are left untouched (there is nothing to anchor the
+// outcome to).
 func AppendOutcomeSpans(e *DecisionEvent, switchSec, execSec float64) {
 	if len(e.Spans) == 0 {
 		return

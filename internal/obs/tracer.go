@@ -20,7 +20,7 @@ type TracerOptions struct {
 // Tracer is the decision-tracing front end: it assigns sequence
 // numbers, retains recent events in a lock-free ring (served by dvfsd's
 // GET /debug/decisions), fans events out to sinks, and feeds the drift
-// monitor. Emit and Pending.End are safe for concurrent use.
+// monitor. Emit is safe for concurrent use.
 type Tracer struct {
 	ring    *Ring
 	sinks   []Sink
@@ -42,40 +42,12 @@ func NewTracer(opts TracerOptions) *Tracer {
 	}
 }
 
-// Emit publishes a one-shot event (a decision whose outcome will never
-// be reported, e.g. a dvfsd predict request, where the job runs on the
-// client).
+// Emit publishes an event as it stands: a completed decision (the
+// prediction controller emits each one at JobEnd, once the simulator's
+// outcome has completed it), or a one-shot decision whose outcome will
+// never be reported (a dvfsd predict request, where the job runs on
+// the client).
 func (t *Tracer) Emit(e DecisionEvent) { t.publish(&e) }
-
-// Pending is a decision awaiting its job's completion. E is the event
-// as begun; the completer owns it until End.
-type Pending struct {
-	t *Tracer
-	// E is the in-flight event. Callers may read decision fields (for
-	// example the effective budget) to derive completion inputs, and
-	// must not touch it after End.
-	E DecisionEvent
-}
-
-// Begin stages a decision whose outcome will be reported via End —
-// nothing is published yet. Controllers call Begin at JobStart and End
-// at JobEnd, so every published event carries its residual.
-func (t *Tracer) Begin(e DecisionEvent) *Pending {
-	return &Pending{t: t, E: e}
-}
-
-// End completes the decision with the job's measured execution time,
-// computes the signed residual (positive = under-prediction), and
-// publishes the event.
-func (p *Pending) End(actualExecSec float64, missed bool) {
-	p.E.Done = true
-	p.E.ActualExecSec = actualExecSec
-	p.E.Missed = missed
-	if p.E.Predicted {
-		p.E.ResidualSec = actualExecSec - p.E.PredictedExecSec
-	}
-	p.t.publish(&p.E)
-}
 
 // publish fans one event out to the ring, the sinks, and the
 // monitors. It runs inline with the controller's decision, so it must

@@ -8,30 +8,25 @@ import (
 	"testing"
 )
 
-func TestTracerBeginEndComputesResidual(t *testing.T) {
+func TestTracerEmitPublishes(t *testing.T) {
 	var mem MemorySink
 	drift := NewDriftMonitor(DriftConfig{})
 	tr := NewTracer(TracerOptions{RingSize: 16, Sinks: []Sink{&mem}, Drift: drift})
 
-	p := tr.Begin(DecisionEvent{
+	// A completed decision: the ring and the sinks get it with its
+	// sequence number, and its residual feeds the drift monitor.
+	tr.Emit(DecisionEvent{
 		Workload: "ldecode", Governor: "prediction", Job: 3,
 		Predicted: true, PredictedExecSec: 0.020, EffBudgetSec: 0.049,
+		Done: true, ActualExecSec: 0.025, ResidualSec: 0.005,
 	})
-	p.End(0.025, false)
-
 	events := mem.Events()
 	if len(events) != 1 {
 		t.Fatalf("sink saw %d events", len(events))
 	}
 	e := events[0]
-	if !e.Done || e.ActualExecSec != 0.025 {
-		t.Errorf("completion fields wrong: %+v", e)
-	}
-	if diff := e.ResidualSec - 0.005; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("residual = %g, want 0.005", e.ResidualSec)
-	}
-	if !e.UnderPredicted() {
-		t.Error("positive residual should count as under-prediction")
+	if !e.Done || e.ActualExecSec != 0.025 || e.Seq != 0 {
+		t.Errorf("published event = %+v", e)
 	}
 	if snap := tr.Snapshot(0); len(snap) != 1 || snap[0].Seq != e.Seq {
 		t.Errorf("ring snapshot = %+v", snap)
@@ -45,6 +40,9 @@ func TestTracerBeginEndComputesResidual(t *testing.T) {
 	tr.Emit(DecisionEvent{Workload: "sha", Predicted: true, PredictedExecSec: 0.1})
 	if tr.Emitted() != 2 {
 		t.Errorf("emitted = %d, want 2", tr.Emitted())
+	}
+	if got := mem.Events(); len(got) != 2 || got[1].Seq != 1 {
+		t.Errorf("second event = %+v", got)
 	}
 	if got := drift.UnderRate("sha"); got == got { // !NaN
 		t.Errorf("incomplete event fed the drift monitor: %g", got)
@@ -62,8 +60,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				p := tr.Begin(DecisionEvent{Workload: "sha", Job: w*250 + i, Predicted: true})
-				p.End(0.01, false)
+				tr.Emit(DecisionEvent{Workload: "sha", Job: w*250 + i, Predicted: true, Done: true, ActualExecSec: 0.01})
 			}
 		}(w)
 	}
@@ -110,18 +107,22 @@ func BenchmarkTracerEmit(b *testing.B) {
 		RingSize: 4096,
 		Drift:    NewDriftMonitor(DriftConfig{}),
 	})
-	e := DecisionEvent{
-		Workload: "ldecode", Governor: "prediction", Predicted: true,
-		TFminSec: 0.04, TFmaxSec: 0.01, PredictedExecSec: 0.02,
-		Level: 3, BudgetSec: 0.05, EffBudgetSec: 0.049, PredictorSec: 0.001,
-	}
+	e := benchEvent
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Job = i
-		p := tr.Begin(e)
-		p.End(0.021, false)
+		tr.Emit(e)
 	}
+}
+
+// benchEvent is a completed prediction-controller decision, as
+// Controller.JobEnd emits it.
+var benchEvent = DecisionEvent{
+	Workload: "ldecode", Governor: "prediction", Predicted: true,
+	TFminSec: 0.04, TFmaxSec: 0.01, PredictedExecSec: 0.02,
+	Level: 3, BudgetSec: 0.05, EffBudgetSec: 0.049, PredictorSec: 0.001,
+	Done: true, ActualExecSec: 0.021, ResidualSec: 0.001,
 }
 
 // benchSpans runs the decision-path emit loop with the span ledger the
@@ -136,11 +137,7 @@ func benchSpans(b *testing.B, every int) {
 		Drift:    NewDriftMonitor(DriftConfig{}),
 	})
 	sampler := NewSpanSampler(every)
-	e := DecisionEvent{
-		Workload: "ldecode", Governor: "prediction", Predicted: true,
-		TFminSec: 0.04, TFmaxSec: 0.01, PredictedExecSec: 0.02,
-		Level: 3, BudgetSec: 0.05, EffBudgetSec: 0.049, PredictorSec: 0.001,
-	}
+	e := benchEvent
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -153,8 +150,7 @@ func benchSpans(b *testing.B, every int) {
 		st.End()
 		e.Job = i
 		e.Spans, e.SpanTotalSec = st.Finish()
-		p := tr.Begin(e)
-		p.End(0.021, false)
+		tr.Emit(e)
 	}
 }
 

@@ -138,7 +138,7 @@ func pidPolicy(g *group, plat *platform.Platform, table *platform.SwitchTable) p
 			return dec.Target, 0
 		},
 		onEnd: func(j *job, at platform.Level, execSec float64) {
-			pid.JobEnd(nil, execSec)
+			pid.JobEnd(nil, governor.Outcome{ExecSec: execSec})
 		},
 	}
 }

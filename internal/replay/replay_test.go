@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -16,9 +15,8 @@ import (
 	"repro/internal/workload"
 )
 
-// tracedRun mirrors dvfssim's trace pipeline: run one governor on sha,
-// capture live controller events when the governor is a prediction
-// controller, and merge the simulator's ground truth over them.
+// tracedRun runs one governor on sha and returns the run's decision
+// log, as dvfssim writes it.
 func tracedRun(t testing.TB, gName string, jobs int) (*sim.Result, []obs.DecisionEvent) {
 	t.Helper()
 	w, err := workload.ByName("sha")
@@ -30,20 +28,11 @@ func tracedRun(t testing.TB, gName string, jobs int) (*sim.Result, []obs.Decisio
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mem *obs.MemorySink
-	if ctl, ok := g.(*core.Controller); ok {
-		mem = &obs.MemorySink{}
-		ctl.SetTracer(obs.NewTracer(obs.TracerOptions{Sinks: []obs.Sink{mem}}))
-	}
-	r, err := sim.Run(w, g, sim.Config{Plat: suite.Plat, Jobs: jobs, Seed: 8})
+	r, events, err := trace.Simulate(w, g, sim.Config{Plat: suite.Plat, Jobs: jobs, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var live []obs.DecisionEvent
-	if mem != nil {
-		live = mem.Events()
-	}
-	return r, trace.MergeDecisions(live, r)
+	return r, events
 }
 
 // The acceptance criterion: replaying a simulator trace reproduces the
@@ -115,7 +104,7 @@ func TestReplaySpanAttribution(t *testing.T) {
 			t.Errorf("phase %s missing from attribution: %+v", want, g.Phases)
 		}
 	}
-	// The merged ledger's exec phase is the simulator's measured
+	// The ledger's exec phase is the simulator's measured
 	// execution, so its mean must agree with the jobs themselves.
 	var execSum float64
 	for i := range events {

@@ -188,28 +188,29 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 		execSec := st.execJob(wk.CPU*cfg.Plat.CPIScale*noise, wk.MemSec*cfg.Plat.MemScale*noise)
 
 		end := st.now
-		missed := end > deadline+timeEps
-		res := out.PerTask[mj.task]
-		if missed {
-			res.Misses++
-		}
-		res.Records = append(res.Records, JobRecord{
-			Index:        mj.index,
-			ReleaseSec:   mj.release,
+		o := governor.Outcome{
 			StartSec:     start,
-			EndSec:       end,
-			DeadlineSec:  deadline,
-			Missed:       missed,
-			LevelIdx:     dec.Target.Index,
 			FromLevelIdx: fromLevel,
-			FreqKHz:      int64(dec.Target.FreqHz / 1e3),
 			PredictorSec: predictorSec,
 			SwitchSec:    st.switchSecAcc,
 			ExecSec:      execSec,
-
+			Missed:       end > deadline+timeEps,
+		}
+		res := out.PerTask[mj.task]
+		if o.Missed {
+			res.Misses++
+		}
+		res.Records = append(res.Records, JobRecord{
+			Index:            mj.index,
+			ReleaseSec:       mj.release,
+			EndSec:           end,
+			DeadlineSec:      deadline,
+			LevelIdx:         dec.Target.Index,
+			FreqKHz:          int64(dec.Target.FreqHz / 1e3),
 			PredictedExecSec: dec.PredictedExecSec,
+			Outcome:          o,
 		})
-		t.Gov.JobEnd(job, execSec)
+		t.Gov.JobEnd(job, o)
 
 		if cfg.IdleBetweenJobs && st.cur.Index != cfg.Plat.MinLevel().Index {
 			st.doSwitch(cfg.Plat.MinLevel())

@@ -114,27 +114,24 @@ func (c Config) withDefaults(w *workload.Workload) Config {
 	return c
 }
 
-// JobRecord is the per-job outcome.
+// JobRecord is the per-job outcome: the measured Outcome the governor
+// was given at JobEnd, plus the job's schedule and decision.
 type JobRecord struct {
-	Index                        int
-	ReleaseSec, StartSec, EndSec float64
-	DeadlineSec                  float64
-	Missed                       bool
-	// LevelIdx is the level selected at job start; FromLevelIdx is the
-	// level the platform was at when the job was released (the switch
-	// source — replay needs it to price the transition).
-	LevelIdx     int
-	FromLevelIdx int
+	Index                           int
+	ReleaseSec, EndSec, DeadlineSec float64
+	// LevelIdx is the level selected at job start.
+	LevelIdx int
 	// FreqKHz is LevelIdx's clock rate — recorded so decision logs stay
 	// checkable against the platform they claim to come from.
 	FreqKHz int64
-	// PredictorSec, SwitchSec, ExecSec decompose the job's wall time.
-	// SwitchSec includes mid-job transitions forced by sampling
-	// governors; ExecSec is pure execution at speed.
-	PredictorSec, SwitchSec, ExecSec float64
 	// PredictedExecSec is the governor's expectation for ExecSec
 	// (NaN for governors that do not predict).
 	PredictedExecSec float64
+	// Outcome holds the start time, from-level (the switch source
+	// replay prices the transition from), the predictor, switch and
+	// execution times that decompose the job's wall time, and the
+	// deadline miss.
+	governor.Outcome
 }
 
 // Result aggregates a run.
@@ -497,26 +494,28 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 		execSec += st.execJob(cpu, mem)
 
 		end := st.now
-		missed := end > deadline+timeEps
-		if missed {
+		out := governor.Outcome{
+			StartSec:     start,
+			FromLevelIdx: fromLevel,
+			PredictorSec: predictorSec,
+			SwitchSec:    st.switchSecAcc,
+			ExecSec:      execSec,
+			Missed:       end > deadline+timeEps,
+		}
+		if out.Missed {
 			res.Misses++
 		}
 		res.Records = append(res.Records, JobRecord{
 			Index:            i,
 			ReleaseSec:       release,
-			StartSec:         start,
 			EndSec:           end,
 			DeadlineSec:      deadline,
-			Missed:           missed,
 			LevelIdx:         dec.Target.Index,
-			FromLevelIdx:     fromLevel,
 			FreqKHz:          int64(dec.Target.FreqHz / 1e3),
-			PredictorSec:     predictorSec,
-			SwitchSec:        st.switchSecAcc,
-			ExecSec:          execSec,
 			PredictedExecSec: dec.PredictedExecSec,
+			Outcome:          out,
 		})
-		gov.JobEnd(job, execSec)
+		gov.JobEnd(job, out)
 
 		// Pipelined placement: job i+1's predictor ran concurrently
 		// with job i (helper core), so its decision is ready at the

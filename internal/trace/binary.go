@@ -1,5 +1,5 @@
 // Binary decision-trace format. The JSONL codec is the scaling
-// bottleneck at fleet size — a merged DecisionEvent line runs ~600
+// bottleneck at fleet size — a completed DecisionEvent line runs ~600
 // bytes and a million-device sweep emits tens of millions of events —
 // so this file implements a compact length-prefixed binary container
 // for the same events, with JSONL kept as an export path (`dvfstrace

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/governor"
 	"repro/internal/sim"
 )
 
@@ -18,12 +19,12 @@ func sample() *sim.Result {
 		BudgetSec: 0.05,
 		EnergyJ:   1.25, SensorEnergyJ: 1.24, DurationSec: 15, Misses: 1,
 		Records: []sim.JobRecord{
-			{Index: 0, ReleaseSec: 0, StartSec: 0, EndSec: 0.02, DeadlineSec: 0.05,
-				LevelIdx: 7, PredictorSec: 0.0003, SwitchSec: 0.0008, ExecSec: 0.019,
-				PredictedExecSec: 0.021},
-			{Index: 1, ReleaseSec: 0.05, StartSec: 0.05, EndSec: 0.12, DeadlineSec: 0.10,
-				Missed: true, LevelIdx: 12, ExecSec: 0.07,
-				PredictedExecSec: math.NaN()},
+			{Index: 0, ReleaseSec: 0, EndSec: 0.02, DeadlineSec: 0.05,
+				LevelIdx: 7, PredictedExecSec: 0.021,
+				Outcome: governor.Outcome{StartSec: 0, PredictorSec: 0.0003, SwitchSec: 0.0008, ExecSec: 0.019}},
+			{Index: 1, ReleaseSec: 0.05, EndSec: 0.12, DeadlineSec: 0.10,
+				LevelIdx: 12, PredictedExecSec: math.NaN(),
+				Outcome: governor.Outcome{StartSec: 0.05, ExecSec: 0.07, Missed: true}},
 		},
 	}
 }
