@@ -110,7 +110,10 @@ func ReadJSONL(r io.Reader) ([]DecisionEvent, error) {
 // chrome://tracing or Perfetto. Each decision becomes a complete ("X")
 // event on the thread row of its chosen DVFS level — the timeline
 // therefore reads as per-level occupancy — and a deadline miss
-// additionally emits a global instant event.
+// additionally emits a global instant event where the job ended. A
+// completed simulated job (DeadlineSec > 0) spans its predictor time,
+// its measured transition and its execution, i.e. its simulated wall
+// time; other events use the switch estimate, the only one they have.
 type ChromeTraceSink struct {
 	mu    sync.Mutex
 	bw    *bufio.Writer
@@ -153,7 +156,11 @@ func (s *ChromeTraceSink) Emit(e *DecisionEvent) {
 		s.write(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"level %d"}}`,
 			e.Level, e.Level))
 	}
-	dur := e.PredictorSec + e.SwitchSec
+	switchSec := e.SwitchSec
+	if e.Done && e.DeadlineSec > 0 {
+		switchSec = e.MeasSwitchSec
+	}
+	dur := e.PredictorSec + switchSec
 	if e.Done {
 		dur += e.ActualExecSec
 	} else if e.Predicted {

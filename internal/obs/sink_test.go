@@ -47,7 +47,8 @@ func TestReadJSONLRejectsMalformedLine(t *testing.T) {
 
 // TestChromeTraceGolden pins the Chrome trace-event output: metadata
 // thread names per level, one complete event per decision, and a
-// global instant event per deadline miss.
+// global instant event per deadline miss. A completed simulated job
+// (DeadlineSec > 0) lasts its measured transition, not the estimate.
 func TestChromeTraceGolden(t *testing.T) {
 	var b strings.Builder
 	s := NewChromeTraceSink(&b)
@@ -56,6 +57,9 @@ func TestChromeTraceGolden(t *testing.T) {
 		PredictorSec: 0.001, SwitchSec: 0.0005, Done: true, ActualExecSec: 0.03})
 	s.Emit(&DecisionEvent{Seq: 1, Workload: "ldecode", Job: 1, TimeSec: 0.10,
 		Level: 3, Done: true, ActualExecSec: 0.01, Missed: true})
+	s.Emit(&DecisionEvent{Seq: 2, Workload: "ldecode", Job: 2, TimeSec: 0.15, DeadlineSec: 0.2,
+		Predicted: true, PredictedExecSec: 0.02, Level: 3, PredictorSec: 0.001,
+		SwitchSec: 0.0005, MeasSwitchSec: 0.0002, Done: true, ActualExecSec: 0.05, Missed: true})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,10 @@ func TestChromeTraceGolden(t *testing.T) {
 		`{"seq":0,"workload":"ldecode","job":0,"time_sec":0.05,"predicted":true,"predicted_exec_sec":0.02,"level":3,"predictor_sec":0.001,"switch_sec":0.0005,"done":true,"actual_exec_sec":0.03}}},` +
 		`{"name":"ldecode#1","ph":"X","ts":100000.000,"dur":10000.000,"pid":1,"tid":3,"args":{"decision":` +
 		`{"seq":1,"workload":"ldecode","job":1,"time_sec":0.1,"predicted":false,"level":3,"done":true,"actual_exec_sec":0.01,"missed":true}}},` +
-		`{"name":"deadline miss ldecode#1","ph":"i","s":"g","ts":110000.000,"pid":1,"tid":3}` +
+		`{"name":"deadline miss ldecode#1","ph":"i","s":"g","ts":110000.000,"pid":1,"tid":3},` +
+		`{"name":"ldecode#2","ph":"X","ts":150000.000,"dur":51200.000,"pid":1,"tid":3,"args":{"decision":` +
+		`{"seq":2,"workload":"ldecode","job":2,"time_sec":0.15,"deadline_sec":0.2,"predicted":true,"predicted_exec_sec":0.02,"level":3,"predictor_sec":0.001,"switch_sec":0.0005,"meas_switch_sec":0.0002,"done":true,"actual_exec_sec":0.05,"missed":true}}},` +
+		`{"name":"deadline miss ldecode#2","ph":"i","s":"g","ts":201200.000,"pid":1,"tid":3}` +
 		"]}\n"
 	if b.String() != want {
 		t.Errorf("chrome trace mismatch:\n--- got ---\n%s\n--- want ---\n%s", b.String(), want)
