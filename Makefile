@@ -46,11 +46,13 @@ bench:
 # without -idle) and of two dvfsfleet binary traces at 1 and 8
 # workers, checked against testdata/golden/decision-logs.sha256. One
 # normalization rule: "spans" and "span_total_sec", the only
-# wall-clock fields, are deleted before hashing. A change that moves
-# an output on purpose regenerates the file with `make golden
-# UPDATE=1` in the same diff.
+# wall-clock fields, are deleted before hashing. Beside them, the full
+# text of every `dvfsbench` experiment at seed 1, one file each under
+# testdata/golden/dvfsbench (under -race, only multitask and
+# placement). A change that moves an output on purpose regenerates
+# the files with `make golden UPDATE=1` in the same diff.
 golden:
-	go test -count=1 -run '^TestGolden$$' ./cmd/dvfssim $(if $(UPDATE),-update)
+	go test -count=1 -run '^TestGolden$$' ./cmd/dvfssim ./cmd/dvfsbench $(if $(UPDATE),-update)
 
 # Decision-path instrumentation budget: §3.4 charges the predictor's
 # cost against every job's budget, so tracing must stay well under
