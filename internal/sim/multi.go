@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/governor"
 	"repro/internal/platform"
@@ -12,12 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-// The paper supports "multiple non-overlapping tasks" on one core
-// (§4.1) but evaluates a single task; RunMulti implements the
-// multi-task case: several periodic tasks share the CPU, their jobs
-// serialize in release order, and each task brings its own governor
-// (typically its own generated prediction controller). Deadline
-// bookkeeping is per task; energy is shared.
+// RunMulti is the simulator's one job loop. The paper supports
+// "multiple non-overlapping tasks" on one core (§4.1) but evaluates a
+// single task, which Run simulates as RunMulti of one TaskSpec. The
+// tasks' jobs serialize on the core in release order, and each task
+// brings its own governor (typically its own generated prediction
+// controller) and its own input generator. Every job takes the same
+// step, whatever the number of tasks: the predictor placement and
+// Config.JobOffset apply per task. Deadline bookkeeping is per task;
+// energy is shared.
 
 // TaskSpec is one periodic task in a multi-task run.
 type TaskSpec struct {
@@ -36,12 +40,35 @@ type TaskSpec struct {
 	Jobs int
 }
 
-// MultiResult aggregates a multi-task run.
+func (t TaskSpec) withDefaults() TaskSpec {
+	if t.BudgetSec == 0 {
+		t.BudgetSec = t.W.DefaultBudgetSec
+	}
+	if t.PeriodSec == 0 {
+		t.PeriodSec = t.BudgetSec
+	}
+	if t.Jobs == 0 {
+		t.Jobs = t.W.EvalJobs
+	}
+	return t
+}
+
+// release returns the release time of the task's job j.
+func (t *TaskSpec) release(j int) float64 {
+	return t.OffsetSec + float64(j)*t.PeriodSec
+}
+
+// MultiResult aggregates a run of one or more tasks. The core's energy
+// is shared, so it is reported here and not per task.
 type MultiResult struct {
 	// PerTask holds one Result per TaskSpec, in order.
 	PerTask []*Result
-	// EnergyJ is the shared total energy.
-	EnergyJ     float64
+	// EnergyJ is the shared total energy, exactly integrated;
+	// SensorEnergyJ is the 213 Hz sensor's estimate of the same
+	// quantity. Both include the helper core's predictor energy.
+	EnergyJ, SensorEnergyJ float64
+	// Breakdown attributes EnergyJ to activities.
+	Breakdown   platform.Breakdown
 	DurationSec float64
 }
 
@@ -52,132 +79,151 @@ type multiJob struct {
 	release float64
 }
 
-// RunMulti simulates several tasks sharing the core. Sampling
-// governors are not supported in multi-task mode (the kernel would
-// need one shared policy; the paper's controllers are job-triggered).
+// taskState is one task's running state.
+type taskState struct {
+	TaskSpec
+	res     *Result
+	gen     workload.InputGen
+	globals map[string]int64
+	// prog is the task program, lowered once: it runs every job and
+	// every PeekWork.
+	prog *taskir.Lowered
+	// params holds the inputs of job paramsFor. A task asks for its
+	// jobs in order, and the pipelined look-ahead asks for the next
+	// job's before the job itself, so each job's are drawn once.
+	params    map[string]int64
+	paramsFor int
+	// pipelined is set when the placement is Pipelined and the task's
+	// inputs are known ahead; prepared is then the decision computed
+	// for job preparedFor during the task's previous job.
+	pipelined   bool
+	prepared    governor.Decision
+	preparedFor int
+}
+
+// job builds the governor's view of the task's job i, starting at
+// startSec. The generator draws job i's inputs at index i+jobOffset.
+func (ts *taskState) job(i int, startSec float64, jobOffset int) *governor.Job {
+	if i != ts.paramsFor {
+		ts.params, ts.paramsFor = ts.gen.Next(i+jobOffset), i
+	}
+	params := ts.params
+	release := ts.release(i)
+	deadline := release + ts.BudgetSec
+	globals, prog := ts.globals, ts.prog
+	return &governor.Job{
+		Index:              i,
+		Params:             params,
+		Globals:            globals,
+		ReleaseSec:         release,
+		DeadlineSec:        deadline,
+		RemainingBudgetSec: deadline - startSec,
+		PeekWork: func() taskir.Work {
+			env := taskir.NewEnv(globals)
+			env.Freeze()
+			env.SetParams(params)
+			pw, err := prog.Run(env, taskir.RunOptions{})
+			if err != nil {
+				return taskir.Work{}
+			}
+			return pw
+		},
+	}
+}
+
+// RunMulti simulates the tasks sharing the core. A sampling governor
+// must be the only task: the kernel runs one policy, and the paper's
+// controllers are job-triggered.
 func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("sim: no tasks")
 	}
-	if cfg.Plat == nil {
-		cfg.Plat = platform.ODROIDXU3A7()
-	}
-	if cfg.NoiseSigma == 0 {
-		cfg.NoiseSigma = 0.05
-	}
-	if cfg.NoiseSigma < 0 {
-		cfg.NoiseSigma = 0
-	}
-	if cfg.SensorRateHz == 0 {
-		cfg.SensorRateHz = platform.SensorRateHz
-	}
-	for i := range tasks {
-		t := &tasks[i]
-		if t.BudgetSec == 0 {
-			t.BudgetSec = t.W.DefaultBudgetSec
-		}
-		if t.PeriodSec == 0 {
-			t.PeriodSec = t.BudgetSec
-		}
-		if t.Jobs == 0 {
-			t.Jobs = t.W.EvalJobs
-		}
-		if t.Gov.SampleInterval() > 0 {
+	cfg = cfg.withDefaults()
+
+	states := make([]taskState, len(tasks))
+	total := 0
+	for i, t := range tasks {
+		t = t.withDefaults()
+		if len(tasks) > 1 && t.Gov.SampleInterval() > 0 {
 			return nil, fmt.Errorf("sim: sampling governor %q unsupported in multi-task mode", t.Gov.Name())
 		}
+		states[i] = taskState{
+			TaskSpec: t,
+			res: &Result{
+				Workload:  t.W.Name,
+				Governor:  t.Gov.Name(),
+				BudgetSec: t.BudgetSec,
+				Records:   make([]JobRecord, 0, t.Jobs),
+			},
+			gen:         t.W.NewGen(cfg.Seed + 1 + int64(i)),
+			globals:     t.W.FreshGlobals(),
+			prog:        taskir.Lower(t.W.Prog),
+			paramsFor:   -1,
+			pipelined:   cfg.Placement == Pipelined && t.W.InputsKnownAhead,
+			preparedFor: -1,
+		}
+		total += t.Jobs
 	}
 
-	// Build the global release schedule.
-	var sched []multiJob
-	for ti, t := range tasks {
-		for j := 0; j < t.Jobs; j++ {
-			sched = append(sched, multiJob{
-				task:    ti,
-				index:   j,
-				release: t.OffsetSec + float64(j)*t.PeriodSec,
-			})
+	// The global release schedule: every task's jobs in (release,
+	// task) order.
+	sched := make([]multiJob, 0, total)
+	for ti := range states {
+		for j := 0; j < states[ti].Jobs; j++ {
+			sched = append(sched, multiJob{task: ti, index: j, release: states[ti].release(j)})
 		}
 	}
-	sort.Slice(sched, func(i, j int) bool {
-		if sched[i].release != sched[j].release {
-			return sched[i].release < sched[j].release
+	slices.SortFunc(sched, func(a, b multiJob) int {
+		if c := cmp.Compare(a.release, b.release); c != 0 {
+			return c
 		}
-		return sched[i].task < sched[j].task
+		return cmp.Compare(a.task, b.task)
 	})
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	gov := tasks[0].Gov // the only task when it samples
 	st := &simState{
-		cfg:   cfg,
-		gov:   tasks[0].Gov, // sampling unused; st.gov only serves Sample()
-		rng:   rng,
-		meter: platform.NewEnergyMeter(cfg.SensorRateHz),
-		cur:   cfg.Plat.MaxLevel(),
+		cfg:      cfg,
+		gov:      gov,
+		rng:      rng,
+		meter:    platform.NewEnergyMeter(cfg.SensorRateHz),
+		cur:      cfg.Plat.MaxLevel(),
+		interval: gov.SampleInterval(),
 	}
-
-	out := &MultiResult{PerTask: make([]*Result, len(tasks))}
-	gens := make([]workload.InputGen, len(tasks))
-	globals := make([]map[string]int64, len(tasks))
-	progs := make([]*taskir.Lowered, len(tasks))
-	for i, t := range tasks {
-		out.PerTask[i] = &Result{
-			Workload:  t.W.Name,
-			Governor:  t.Gov.Name(),
-			BudgetSec: t.BudgetSec,
-		}
-		gens[i] = t.W.NewGen(cfg.Seed + 1 + int64(i))
-		globals[i] = t.W.FreshGlobals()
-		progs[i] = taskir.Lower(t.W.Prog)
-	}
+	st.nextSample = st.interval
 
 	for _, mj := range sched {
-		t := tasks[mj.task]
+		ts := &states[mj.task]
 		if st.now < mj.release {
 			st.idleUntil(mj.release)
 		}
 		start := st.now
 		fromLevel := st.cur.Index
-		deadline := mj.release + t.BudgetSec
-		params := gens[mj.task].Next(mj.index)
-		g := globals[mj.task]
-		prog := progs[mj.task]
-
-		job := &governor.Job{
-			Index:              mj.index,
-			Params:             params,
-			Globals:            g,
-			ReleaseSec:         mj.release,
-			DeadlineSec:        deadline,
-			RemainingBudgetSec: deadline - start,
-			PeekWork: func() taskir.Work {
-				env := taskir.NewEnv(g)
-				env.Freeze()
-				env.SetParams(params)
-				pw, err := prog.Run(env, taskir.RunOptions{})
-				if err != nil {
-					return taskir.Work{}
-				}
-				return pw
-			},
-		}
+		deadline := mj.release + ts.BudgetSec
+		job := ts.job(mj.index, start, cfg.JobOffset)
 
 		st.switchSecAcc = 0
-		dec := t.Gov.JobStart(job, st.cur)
-		predictorSec := dec.PredictorSec
-		if cfg.DisablePredictorCost {
-			predictorSec = 0
+		var dec governor.Decision
+		predictorSec := 0.0
+		if ts.preparedFor == mj.index {
+			// The decision was computed during the task's previous job;
+			// no budget is consumed now.
+			dec = ts.prepared
+		} else {
+			dec = ts.Gov.JobStart(job, st.cur)
+			predictorSec = dec.PredictorSec
+			if cfg.DisablePredictorCost {
+				predictorSec = 0
+			}
 		}
-		if predictorSec > 0 {
-			st.busyRun(predictorSec, cfg.Plat.ActivePower(st.cur))
-		}
-		if dec.Target.Index != st.cur.Index {
-			st.doSwitch(dec.Target)
-		}
+		ts.preparedFor = -1
 
-		env := taskir.NewEnv(g)
-		env.SetParams(params)
-		wk, err := prog.Run(env, taskir.RunOptions{})
+		// Execute the job for real (this advances the program state).
+		env := taskir.NewEnv(ts.globals)
+		env.SetParams(job.Params)
+		wk, err := ts.prog.Run(env, taskir.RunOptions{})
 		if err != nil {
-			return nil, fmt.Errorf("sim: %s job %d: %w", t.W.Name, mj.index, err)
+			return nil, fmt.Errorf("sim: %s job %d: %w", ts.W.Name, mj.index, err)
 		}
 		noise := 1.0
 		if cfg.NoiseSigma > 0 {
@@ -185,10 +231,26 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			lim := 3 * cfg.NoiseSigma
 			noise = math.Exp(math.Max(-lim, math.Min(lim, n)))
 		}
-		execSec := st.execJob(wk.CPU*cfg.Plat.CPIScale*noise, wk.MemSec*cfg.Plat.MemScale*noise)
+		cpu := wk.CPU * cfg.Plat.CPIScale * noise
+		mem := wk.MemSec * cfg.Plat.MemScale * noise
+
+		execSec := 0.0
+		if cfg.Placement == Parallel && predictorSec > 0 {
+			// The job starts immediately at the stale level while the
+			// predictor runs on a helper core.
+			execSec += st.execJobFor(&cpu, &mem, predictorSec)
+			st.helperRun(predictorSec)
+		} else if predictorSec > 0 {
+			st.busyRun(predictorSec, cfg.Plat.ActivePower(st.cur))
+		}
+		if (cpu > 0 || mem > timeEps) && dec.Target.Index != st.cur.Index {
+			st.doSwitch(dec.Target)
+		}
+		st.drainPending()
+		execSec += st.execJob(cpu, mem)
 
 		end := st.now
-		o := governor.Outcome{
+		out := governor.Outcome{
 			StartSec:     start,
 			FromLevelIdx: fromLevel,
 			PredictorSec: predictorSec,
@@ -196,11 +258,10 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			ExecSec:      execSec,
 			Missed:       end > deadline+timeEps,
 		}
-		res := out.PerTask[mj.task]
-		if o.Missed {
-			res.Misses++
+		if out.Missed {
+			ts.res.Misses++
 		}
-		res.Records = append(res.Records, JobRecord{
+		ts.res.Records = append(ts.res.Records, JobRecord{
 			Index:            mj.index,
 			ReleaseSec:       mj.release,
 			EndSec:           end,
@@ -208,24 +269,43 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			LevelIdx:         dec.Target.Index,
 			FreqKHz:          int64(dec.Target.FreqHz / 1e3),
 			PredictedExecSec: dec.PredictedExecSec,
-			Outcome:          o,
+			Outcome:          out,
 		})
-		t.Gov.JobEnd(job, o)
+		ts.Gov.JobEnd(job, out)
+
+		// Pipelined placement: the task's next predictor runs
+		// concurrently with this job (helper core), so its decision is
+		// ready at the next release with no timeline impact, only
+		// helper energy.
+		if next := mj.index + 1; ts.pipelined && next < ts.Jobs {
+			d := ts.Gov.JobStart(ts.job(next, ts.release(next), cfg.JobOffset), st.cur)
+			if !cfg.DisablePredictorCost && d.PredictorSec > 0 {
+				st.helperRun(d.PredictorSec)
+			}
+			ts.prepared, ts.preparedFor = d, next
+		}
 
 		if cfg.IdleBetweenJobs && st.cur.Index != cfg.Plat.MinLevel().Index {
 			st.doSwitch(cfg.Plat.MinLevel())
 		}
 	}
-	// Drain to the latest horizon.
+	// Drain to the latest task's horizon, so every governor is charged
+	// the same wall-clock time.
 	horizon := 0.0
-	for _, t := range tasks {
-		if h := t.OffsetSec + float64(t.Jobs)*t.PeriodSec; h > horizon {
-			horizon = h
-		}
+	for i := range states {
+		horizon = math.Max(horizon, states[i].release(states[i].Jobs))
 	}
 	st.idleUntil(horizon)
 
-	out.EnergyJ = st.meter.EnergyJoules()
-	out.DurationSec = st.meter.ElapsedSec()
-	return out, nil
+	res := &MultiResult{
+		PerTask:       make([]*Result, len(states)),
+		EnergyJ:       st.meter.EnergyJoules() + st.extraJoules,
+		SensorEnergyJ: st.meter.SensorEnergyJoules() + st.extraJoules,
+		Breakdown:     st.brk,
+		DurationSec:   st.meter.ElapsedSec(),
+	}
+	for i := range states {
+		res.PerTask[i] = states[i].res
+	}
+	return res, nil
 }

@@ -15,13 +15,11 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/governor"
 	"repro/internal/platform"
-	"repro/internal/taskir"
 	"repro/internal/workload"
 )
 
@@ -31,6 +29,8 @@ type Config struct {
 	Plat *platform.Platform
 	// BudgetSec is the per-job response-time requirement. Zero selects
 	// the workload's paper default (50 ms; 4 s for pocketsphinx).
+	// BudgetSec, PeriodSec and Jobs are Run's task's; RunMulti's tasks
+	// carry their own.
 	BudgetSec float64
 	// PeriodSec is the job release period; zero means BudgetSec.
 	PeriodSec float64
@@ -89,18 +89,9 @@ const (
 	Parallel
 )
 
-func (c Config) withDefaults(w *workload.Workload) Config {
+func (c Config) withDefaults() Config {
 	if c.Plat == nil {
 		c.Plat = platform.ODROIDXU3A7()
-	}
-	if c.BudgetSec == 0 {
-		c.BudgetSec = w.DefaultBudgetSec
-	}
-	if c.PeriodSec == 0 {
-		c.PeriodSec = c.BudgetSec
-	}
-	if c.Jobs == 0 {
-		c.Jobs = w.EvalJobs
 	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.05
@@ -293,6 +284,14 @@ func (st *simState) drainPending() {
 	st.pending = nil
 }
 
+// helperRun charges dur seconds of predictor work on the helper core,
+// off the main timeline (the parallel and pipelined placements).
+func (st *simState) helperRun(dur float64) {
+	e := dur * st.cfg.Plat.HelperPower()
+	st.extraJoules += e
+	st.brk.PredictorJ += e
+}
+
 // busyRun spends dur busy at constant power (predictor execution),
 // splitting at sampling boundaries.
 func (st *simState) busyRun(dur, watts float64) {
@@ -361,186 +360,15 @@ func (st *simState) execJob(cpuWork, memSec float64) float64 {
 	return st.execJobFor(&cpuWork, &memSec, math.Inf(1))
 }
 
-// Run simulates the workload under the governor.
+// Run simulates the workload under the governor: RunMulti of one task
+// that takes cfg's BudgetSec, PeriodSec and Jobs. The Result carries
+// the run's energy and duration.
 func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults(w)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	gen := w.NewGen(cfg.Seed + 1)
-	globals := w.FreshGlobals()
-
-	st := &simState{
-		cfg:      cfg,
-		gov:      gov,
-		rng:      rng,
-		meter:    platform.NewEnergyMeter(cfg.SensorRateHz),
-		cur:      cfg.Plat.MaxLevel(),
-		interval: gov.SampleInterval(),
+	m, err := RunMulti([]TaskSpec{{W: w, Gov: gov, BudgetSec: cfg.BudgetSec, PeriodSec: cfg.PeriodSec, Jobs: cfg.Jobs}}, cfg)
+	if err != nil {
+		return nil, err
 	}
-	st.nextSample = st.interval
-
-	res := &Result{
-		Workload:  w.Name,
-		Governor:  gov.Name(),
-		BudgetSec: cfg.BudgetSec,
-		Records:   make([]JobRecord, 0, cfg.Jobs),
-	}
-
-	// The task runs every job (and every PeekWork), so lower it once.
-	prog := taskir.Lower(w.Prog)
-
-	// paramsFor memoizes inputs so pipelined prediction can look one
-	// job ahead without double-advancing the generator.
-	paramsCache := map[int]map[string]int64{}
-	paramsFor := func(i int) map[string]int64 {
-		if p, ok := paramsCache[i]; ok {
-			return p
-		}
-		p := gen.Next(i + cfg.JobOffset)
-		paramsCache[i] = p
-		return p
-	}
-	makeJob := func(i int, startSec float64) *governor.Job {
-		release := float64(i) * cfg.PeriodSec
-		deadline := release + cfg.BudgetSec
-		params := paramsFor(i)
-		return &governor.Job{
-			Index:              i,
-			Params:             params,
-			Globals:            globals,
-			ReleaseSec:         release,
-			DeadlineSec:        deadline,
-			RemainingBudgetSec: deadline - startSec,
-			PeekWork: func() taskir.Work {
-				env := taskir.NewEnv(globals)
-				env.Freeze()
-				env.SetParams(params)
-				pw, err := prog.Run(env, taskir.RunOptions{})
-				if err != nil {
-					return taskir.Work{}
-				}
-				return pw
-			},
-		}
-	}
-
-	pipelined := cfg.Placement == Pipelined && w.InputsKnownAhead
-	var prepared *governor.Decision
-	preparedFor := -1
-
-	for i := 0; i < cfg.Jobs; i++ {
-		release := float64(i) * cfg.PeriodSec
-		if st.now < release {
-			st.idleUntil(release)
-		}
-		start := st.now
-		fromLevel := st.cur.Index
-		deadline := release + cfg.BudgetSec
-		params := paramsFor(i)
-		job := makeJob(i, start)
-
-		st.switchSecAcc = 0
-		var dec governor.Decision
-		predictorSec := 0.0
-		switch {
-		case pipelined && preparedFor == i:
-			// The decision was computed during the previous idle gap;
-			// no budget is consumed now.
-			dec = *prepared
-		default:
-			dec = gov.JobStart(job, st.cur)
-			predictorSec = dec.PredictorSec
-			if cfg.DisablePredictorCost {
-				predictorSec = 0
-			}
-		}
-		prepared, preparedFor = nil, -1
-
-		// Execute the job for real (this advances the program state).
-		env := taskir.NewEnv(globals)
-		env.SetParams(params)
-		wk, err := prog.Run(env, taskir.RunOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s job %d: %w", w.Name, i, err)
-		}
-		noise := 1.0
-		if cfg.NoiseSigma > 0 {
-			n := cfg.NoiseSigma * rng.NormFloat64()
-			lim := 3 * cfg.NoiseSigma
-			if n > lim {
-				n = lim
-			}
-			if n < -lim {
-				n = -lim
-			}
-			noise = math.Exp(n)
-		}
-		cpu := wk.CPU * cfg.Plat.CPIScale * noise
-		mem := wk.MemSec * cfg.Plat.MemScale * noise
-
-		execSec := 0.0
-		if cfg.Placement == Parallel && predictorSec > 0 {
-			// The job starts immediately at the stale level while the
-			// predictor runs on a helper core.
-			execSec += st.execJobFor(&cpu, &mem, predictorSec)
-			st.extraJoules += predictorSec * cfg.Plat.HelperPower()
-			st.brk.PredictorJ += predictorSec * cfg.Plat.HelperPower()
-		} else if predictorSec > 0 {
-			st.busyRun(predictorSec, cfg.Plat.ActivePower(st.cur))
-		}
-		if (cpu > 0 || mem > timeEps) && dec.Target.Index != st.cur.Index {
-			st.doSwitch(dec.Target)
-		}
-		st.drainPending()
-		execSec += st.execJob(cpu, mem)
-
-		end := st.now
-		out := governor.Outcome{
-			StartSec:     start,
-			FromLevelIdx: fromLevel,
-			PredictorSec: predictorSec,
-			SwitchSec:    st.switchSecAcc,
-			ExecSec:      execSec,
-			Missed:       end > deadline+timeEps,
-		}
-		if out.Missed {
-			res.Misses++
-		}
-		res.Records = append(res.Records, JobRecord{
-			Index:            i,
-			ReleaseSec:       release,
-			EndSec:           end,
-			DeadlineSec:      deadline,
-			LevelIdx:         dec.Target.Index,
-			FreqKHz:          int64(dec.Target.FreqHz / 1e3),
-			PredictedExecSec: dec.PredictedExecSec,
-			Outcome:          out,
-		})
-		gov.JobEnd(job, out)
-
-		// Pipelined placement: job i+1's predictor ran concurrently
-		// with job i (helper core), so its decision is ready at the
-		// next release with no timeline impact, only helper energy.
-		if pipelined && i+1 < cfg.Jobs {
-			next := makeJob(i+1, float64(i+1)*cfg.PeriodSec)
-			d := gov.JobStart(next, st.cur)
-			if !cfg.DisablePredictorCost && d.PredictorSec > 0 {
-				st.extraJoules += d.PredictorSec * cfg.Plat.HelperPower()
-				st.brk.PredictorJ += d.PredictorSec * cfg.Plat.HelperPower()
-			}
-			prepared, preparedFor = &d, i+1
-		}
-
-		if cfg.IdleBetweenJobs && st.cur.Index != cfg.Plat.MinLevel().Index {
-			st.doSwitch(cfg.Plat.MinLevel())
-		}
-	}
-	// Drain the final period so every governor is charged the same
-	// wall-clock horizon.
-	st.idleUntil(float64(cfg.Jobs) * cfg.PeriodSec)
-
-	res.EnergyJ = st.meter.EnergyJoules() + st.extraJoules
-	res.SensorEnergyJ = st.meter.SensorEnergyJoules() + st.extraJoules
-	res.Breakdown = st.brk
-	res.DurationSec = st.meter.ElapsedSec()
-	return res, nil
+	r := m.PerTask[0]
+	r.EnergyJ, r.SensorEnergyJ, r.Breakdown, r.DurationSec = m.EnergyJ, m.SensorEnergyJ, m.Breakdown, m.DurationSec
+	return r, nil
 }
