@@ -43,16 +43,19 @@ bench:
 
 # Golden decision logs: SHA-256 digests of the 16 dvfssim JSONL and
 # Chrome logs (8 workload/governor/platform configurations, with and
-# without -idle) and of two dvfsfleet binary traces at 1 and 8
+# without -idle) and of two dvfsfleet binary traces at 1, 2 and 8
 # workers, checked against testdata/golden/decision-logs.sha256. One
 # normalization rule: "spans" and "span_total_sec", the only
-# wall-clock fields, are deleted before hashing. Beside them, the full
-# text of every `dvfsbench` experiment at seed 1, one file each under
+# wall-clock fields, are deleted before hashing. The replay leg pins
+# the text, JSON and HTML reports dvfsreplay writes at seeds 0, 1 and
+# 7 for the 16 normalized dvfssim logs and both fleet traces
+# (testdata/golden/replay-reports.sha256). Beside them, the full text
+# of every `dvfsbench` experiment at seed 1, one file each under
 # testdata/golden/dvfsbench (under -race, only multitask and
 # placement). A change that moves an output on purpose regenerates
 # the files with `make golden UPDATE=1` in the same diff.
 golden:
-	go test -count=1 -run '^TestGolden$$' ./cmd/dvfssim ./cmd/dvfsbench $(if $(UPDATE),-update)
+	go test -count=1 -run '^TestGolden$$' ./cmd/dvfssim ./cmd/dvfsreplay ./cmd/dvfsbench $(if $(UPDATE),-update)
 
 # Decision-path instrumentation budget: §3.4 charges the predictor's
 # cost against every job's budget, so tracing must stay well under

@@ -47,9 +47,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	"repro/internal/obs"
@@ -60,21 +62,21 @@ import (
 
 func main() {
 	input := flag.String("input", "-", "decision log to replay, JSONL or binary (- for stdin)")
-	fleetMode := flag.String("fleet", "auto", "fleet replay: auto (fleet when the trace carries device IDs), on, off")
-	platName := flag.String("platform", "", "platform the trace was recorded on: a7, x86, biglittle (default: the one its events name, else a7)")
-	seed := flag.Int64("seed", 1, "seed for counterfactual switch-latency jitter (same seed → bit-identical output)")
-	rho := flag.Float64("rho", 0, "fallback memory-time fraction for cross-frequency time translation (0 → 0.3; predicted jobs estimate it from the trace)")
-	alpha := flag.Float64("alpha", 100, "α the traced model was trained with (anchors the α sweep)")
-	format := flag.String("format", "text", "stdout format: text or json")
-	jsonOut := flag.String("json", "", "also write the machine-readable bench document to this file")
-	htmlOut := flag.String("html", "", "also write a self-contained HTML report to this file")
-	baseline := flag.String("baseline", "", "compare against this committed bench document and fail on regression")
-	maxRegress := flag.Float64("max-regress", 5, "regression tolerance: energy percent / miss-rate points vs -baseline")
-	check := flag.Bool("check", false, "assert oracle ≤ traced ≤ performance energy ordering per group")
-	workers := flag.Int("workers", 0, "fleet replay parallelism: devices replayed concurrently (0 → GOMAXPROCS); reports are byte-identical at any setting")
-	sloTarget := flag.Float64("slo-target", 0, "fleet replay: track keyed SLO burn (fleet/platform/workload) against this miss-rate target (0 disables)")
-	var filter obs.EventFilter
-	filter.RegisterFilterFlags(flag.CommandLine)
+	var c config
+	flag.StringVar(&c.platName, "platform", "", "platform the trace was recorded on: a7, x86, biglittle (default: the one its events name, else a7)")
+	flag.StringVar(&c.fleetMode, "fleet", "auto", "fleet replay: auto (fleet when the trace carries device IDs), on, off")
+	flag.Int64Var(&c.seed, "seed", 1, "seed for counterfactual switch-latency jitter (same seed → bit-identical output)")
+	flag.Float64Var(&c.rho, "rho", 0, "fallback memory-time fraction for cross-frequency time translation (0 → 0.3; predicted jobs estimate it from the trace)")
+	flag.Float64Var(&c.alpha, "alpha", 100, "α the traced model was trained with (anchors the α sweep)")
+	flag.StringVar(&c.format, "format", "text", "stdout format: text or json")
+	flag.StringVar(&c.jsonOut, "json", "", "also write the machine-readable bench document to this file")
+	flag.StringVar(&c.htmlOut, "html", "", "also write a self-contained HTML report to this file")
+	flag.StringVar(&c.baseline, "baseline", "", "compare against this committed bench document and fail on regression")
+	flag.Float64Var(&c.maxRegress, "max-regress", 5, "regression tolerance: energy percent / miss-rate points vs -baseline")
+	flag.BoolVar(&c.check, "check", false, "assert oracle ≤ traced ≤ performance energy ordering per group")
+	flag.IntVar(&c.workers, "workers", 0, "fleet replay parallelism: devices replayed concurrently (0 → GOMAXPROCS); reports are byte-identical at any setting")
+	flag.Float64Var(&c.sloTarget, "slo-target", 0, "fleet replay: track keyed SLO burn (fleet/platform/workload) against this miss-rate target (0 disables)")
+	c.filter.RegisterFilterFlags(flag.CommandLine)
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -83,32 +85,30 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	log, err := logFlags.Logger(os.Stderr)
-	if err != nil {
+	var err error
+	if c.log, err = logFlags.Logger(os.Stderr); err != nil {
 		usageErr(err)
 	}
-	if *format != "text" && *format != "json" {
-		usageErr(fmt.Errorf("unknown format %q (use text or json)", *format))
+	if c.format != "text" && c.format != "json" {
+		usageErr(fmt.Errorf("unknown format %q (use text or json)", c.format))
 	}
-	if filter.Last < 0 {
+	if c.filter.Last < 0 {
 		usageErr(fmt.Errorf("-last must be non-negative"))
 	}
-	if *maxRegress <= 0 {
+	if c.maxRegress <= 0 {
 		usageErr(fmt.Errorf("-max-regress must be positive"))
 	}
-	if *fleetMode != "auto" && *fleetMode != "on" && *fleetMode != "off" {
-		usageErr(fmt.Errorf("unknown -fleet mode %q (use auto, on, or off)", *fleetMode))
+	if c.fleetMode != "auto" && c.fleetMode != "on" && c.fleetMode != "off" {
+		usageErr(fmt.Errorf("unknown -fleet mode %q (use auto, on, or off)", c.fleetMode))
 	}
-	if *workers < 0 {
+	if c.workers < 0 {
 		usageErr(fmt.Errorf("-workers must be non-negative"))
 	}
-	if *sloTarget < 0 || *sloTarget >= 1 {
+	if c.sloTarget < 0 || c.sloTarget >= 1 {
 		usageErr(fmt.Errorf("-slo-target must be in [0,1)"))
 	}
-	// flagPlat is the -platform model, nil when the flag is unset.
-	var flagPlat *platform.Platform
-	if *platName != "" {
-		if flagPlat, err = platform.ByName(*platName); err != nil {
+	if c.platName != "" {
+		if c.plat, err = platform.ByName(c.platName); err != nil {
 			usageErr(err)
 		}
 	}
@@ -122,18 +122,55 @@ func main() {
 		rd = f
 	}
 
-	fail := func(err error) {
+	exit, err := run(os.Stdout, os.Stderr, rd, c)
+	var usage usageError
+	switch {
+	case errors.As(err, &usage):
+		usageErr(err)
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "dvfsreplay:", err)
-		os.Exit(1)
+		exit = 1
 	}
+	os.Exit(exit)
+}
+
+// config holds dvfsreplay's validated flags.
+type config struct {
+	fleetMode string
+	// platName is -platform, and plat its model (nil when unset).
+	platName         string
+	plat             *platform.Platform
+	seed             int64
+	rho, alpha       float64
+	format           string
+	jsonOut, htmlOut string
+	baseline         string
+	maxRegress       float64
+	check            bool
+	workers          int
+	sloTarget        float64
+	filter           obs.EventFilter
+	log              *slog.Logger
+}
+
+// usageError is a flag combination the trace contradicts; main exits
+// 2 on it, with the flag summary.
+type usageError struct{ error }
+
+// run replays the decision log read from rd as c says: the report in
+// c.format on stdout, the JSON bench document and HTML report in the
+// files c names, and the baseline and ordering verdicts on stderr. It
+// returns the exit status, 1 on a regression or ordering violation;
+// an error is a usageError or an analysis failure.
+func run(stdout, stderr io.Writer, rd io.Reader, c config) (int, error) {
 	events, err := trace.ReadEvents(rd)
 	if err != nil {
-		fail(err)
+		return 1, err
 	}
-	events = filter.Apply(events)
+	events = c.filter.Apply(events)
 
-	isFleet := *fleetMode == "on"
-	if *fleetMode == "auto" && filter.Device == "" {
+	isFleet := c.fleetMode == "on"
+	if c.fleetMode == "auto" && c.filter.Device == "" {
 		for i := range events {
 			if events[i].Device != "" {
 				isFleet = true
@@ -142,130 +179,148 @@ func main() {
 		}
 	}
 	if isFleet {
-		if *baseline != "" || *check {
-			usageErr(fmt.Errorf("-baseline and -check are single-device modes; use -device to select one device or -fleet off"))
+		if c.baseline != "" || c.check {
+			return 2, usageError{fmt.Errorf("-baseline and -check are single-device modes; use -device to select one device or -fleet off")}
 		}
 		// Fleet events name their own platforms; -platform, else the
 		// A7, is the fallback for events that name none.
-		fallback := flagPlat
+		fallback := c.plat
 		if fallback == nil {
 			fallback = platform.ODROIDXU3A7()
 		}
 		var slo *obs.SLOTracker
-		if *sloTarget > 0 {
-			slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget, MaxKeys: 64})
+		if c.sloTarget > 0 {
+			slo = obs.NewSLOTracker(obs.SLOConfig{Target: c.sloTarget, MaxKeys: 64})
 		}
-		runFleet(events, replay.FleetOptions{
+		res, err := replay.RunFleet(events, replay.FleetOptions{
 			Plat:        fallback,
-			Seed:        *seed,
-			Rho:         *rho,
-			TracedAlpha: *alpha,
-			Workers:     *workers,
+			Seed:        c.seed,
+			Rho:         c.rho,
+			TracedAlpha: c.alpha,
+			Workers:     c.workers,
 			SLO:         slo,
-		}, *format, *jsonOut, *htmlOut, fail)
-		return
+		})
+		if err != nil {
+			return 1, err
+		}
+		if c.format == "json" {
+			if err := res.WriteJSON(stdout); err != nil {
+				return 1, err
+			}
+		} else {
+			res.WriteText(stdout)
+		}
+		return 0, writeReports(c, res)
 	}
 	// A single trace replays on the platform its events name; an
 	// explicit -platform must agree with them.
 	plat, err := eventsPlatform(events)
 	if err != nil {
-		fail(err)
+		return 1, err
 	}
 	switch {
-	case flagPlat != nil && plat != nil && flagPlat.Name != plat.Name:
-		usageErr(fmt.Errorf("-platform %s contradicts the trace, recorded on %s", *platName, plat.Name))
-	case flagPlat != nil:
-		plat = flagPlat
+	case c.plat != nil && plat != nil && c.plat.Name != plat.Name:
+		return 2, usageError{fmt.Errorf("-platform %s contradicts the trace, recorded on %s", c.platName, plat.Name)}
+	case c.plat != nil:
+		plat = c.plat
 	case plat == nil:
 		plat = platform.ODROIDXU3A7()
 	}
 	res, err := replay.Run(events, replay.Options{
 		Plat:        plat,
-		Seed:        *seed,
-		Rho:         *rho,
-		TracedAlpha: *alpha,
+		Seed:        c.seed,
+		Rho:         c.rho,
+		TracedAlpha: c.alpha,
 	})
 	if err != nil {
-		fail(err)
+		return 1, err
 	}
 	if len(res.Groups) == 0 {
-		fail(fmt.Errorf("no replayable (completed) events in the log after filtering"))
+		return 1, fmt.Errorf("no replayable (completed) events in the log after filtering")
 	}
 
-	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+	if c.format == "json" {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fail(err)
+			return 1, err
 		}
 	} else {
-		res.WriteText(os.Stdout)
+		res.WriteText(stdout)
 	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteHTML(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
+	if err := writeReports(c, res); err != nil {
+		return 1, err
 	}
 
 	exit := 0
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
+	if c.baseline != "" {
+		f, err := os.Open(c.baseline)
 		if err != nil {
-			fail(err)
+			return 1, err
 		}
 		base, err := replay.ReadBench(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			return 1, err
 		}
 		regressions, notes := replay.Compare(res, base, replay.CompareOptions{
-			MaxEnergyRegressPct: *maxRegress,
-			MaxMissRegressPts:   *maxRegress,
+			MaxEnergyRegressPct: c.maxRegress,
+			MaxMissRegressPts:   c.maxRegress,
 		})
 		for _, n := range notes {
-			log.Info("baseline drift", "note", n)
+			c.log.Info("baseline drift", "note", n)
 		}
 		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "dvfsreplay: REGRESSION:", r)
+			fmt.Fprintln(stderr, "dvfsreplay: REGRESSION:", r)
 			exit = 1
 		}
 		if len(regressions) == 0 {
-			fmt.Fprintf(os.Stderr, "dvfsreplay: baseline comparison passed (%d groups, tolerance %.1f%%)\n",
-				len(res.Groups), *maxRegress)
+			fmt.Fprintf(stderr, "dvfsreplay: baseline comparison passed (%d groups, tolerance %.1f%%)\n",
+				len(res.Groups), c.maxRegress)
 		}
 	}
-	if *check {
+	if c.check {
 		if viol := res.CheckOrdering(1); len(viol) > 0 {
 			for _, v := range viol {
-				fmt.Fprintln(os.Stderr, "dvfsreplay: ORDERING:", v)
+				fmt.Fprintln(stderr, "dvfsreplay: ORDERING:", v)
 			}
 			exit = 1
 		} else {
-			fmt.Fprintln(os.Stderr, "dvfsreplay: energy ordering check passed (oracle ≤ traced ≤ performance)")
+			fmt.Fprintln(stderr, "dvfsreplay: energy ordering check passed (oracle ≤ traced ≤ performance)")
 		}
 	}
-	os.Exit(exit)
+	return exit, nil
+}
+
+// report is a replay result, single-device or fleet.
+type report interface {
+	WriteJSON(io.Writer) error
+	WriteHTML(io.Writer) error
+}
+
+// writeReports writes res's JSON bench document and HTML report to
+// the files c names.
+func writeReports(c config, res report) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{c.jsonOut, res.WriteJSON}, {c.htmlOut, res.WriteHTML}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			return err
+		}
+		if err := out.write(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // eventsPlatform returns the platform a single-device trace's events
@@ -291,46 +346,4 @@ func eventsPlatform(events []obs.DecisionEvent) (*platform.Platform, error) {
 		named, namedAs = p, name
 	}
 	return named, nil
-}
-
-// runFleet renders a fleet-wide replay to stdout and the optional
-// json/html files, then exits via the shared failure path on error.
-func runFleet(events []obs.DecisionEvent, opts replay.FleetOptions, format, jsonOut, htmlOut string, fail func(error)) {
-	res, err := replay.RunFleet(events, opts)
-	if err != nil {
-		fail(err)
-	}
-	if format == "json" {
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-	} else {
-		res.WriteText(os.Stdout)
-	}
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	if htmlOut != "" {
-		f, err := os.Create(htmlOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteHTML(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
 }

@@ -111,7 +111,7 @@ func simLogs(t *testing.T, got map[string]string) {
 }
 
 // fleetTraces writes the binary traces `dvfsfleet -out` writes for two
-// fleets, at 1 and 8 workers, and records their digests. Fleet traces
+// fleets, at 1, 2 and 8 workers, and records their digests. Fleet traces
 // carry no spans, so they are hashed as written.
 func fleetTraces(t *testing.T, got map[string]string) {
 	for _, f := range []struct {
@@ -126,7 +126,7 @@ func fleetTraces(t *testing.T, got map[string]string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			var buf bytes.Buffer
 			bw := trace.NewBinaryWriter(&buf)
 			_, err := fleet.Run(fleet.Config{
