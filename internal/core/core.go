@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/dvfs"
@@ -125,7 +124,8 @@ type Profile struct {
 }
 
 // Controller is the generated prediction-based DVFS controller. It
-// implements governor.Governor.
+// implements governor.Governor, and any number of goroutines may share
+// one.
 type Controller struct {
 	W      *workload.Workload
 	Plat   *platform.Platform
@@ -154,14 +154,10 @@ type Controller struct {
 	// SliceBoundSec is SliceBound converted to seconds at fmax.
 	SliceBoundSec float64
 
-	// tracer, when set, receives a DecisionEvent per job: staged at
-	// JobStart, completed from the job's measured outcome and emitted
-	// at JobEnd. The controller itself stays feed-forward — tracing
-	// observes decisions, it never influences them.
-	tracer *obs.Tracer
-	// pendMu guards pending, the staged events keyed by job index.
-	pendMu  sync.Mutex
-	pending map[int]obs.DecisionEvent
+	// Base supplies the no-op JobEnd: the predictor is feed-forward
+	// (§3.4), so a job's outcome never reaches the controller, which
+	// holds no mutable state after Build.
+	governor.Base
 }
 
 var _ governor.Governor = (*Controller)(nil)
@@ -576,7 +572,7 @@ type Prediction struct {
 // PredictTrace evaluates the trained models on an already-recorded
 // feature trace and picks the level for a job with the given remaining
 // budget, predictor cost, and current level. This is the run-time
-// decision shared by JobStart (which records the trace by running the
+// decision shared by Decide (which records the trace by running the
 // prediction slice) and the dvfsd serving path (which receives the
 // trace over the wire).
 //
@@ -600,7 +596,7 @@ const vecStackDim = 256
 // PredictTraceSpans is PredictTrace with per-phase span capture: the
 // model evaluation and the level selection are timed on st (which may
 // be nil — every SpanTimer method is nil-safe). Both the simulator's
-// JobStart and dvfsd's predict path run decisions through here, so
+// Decide and dvfsd's predict path run decisions through here, so
 // in-process and served decisions carry identical phase ledgers.
 //
 //dvfs:hotpath
@@ -638,50 +634,79 @@ func (c *Controller) PredictTraceSpans(tr *features.Trace, params map[string]int
 	}
 }
 
-// SetTracer attaches (or, with nil, detaches) a decision tracer: each
-// traced decision carries its span ledger and is emitted once, when
-// JobEnd completes it. Not safe to call concurrently with
-// JobStart/JobEnd — wire the tracer before handing the controller to
-// a simulator.
-func (c *Controller) SetTracer(t *obs.Tracer) {
-	c.tracer = t
-	if t != nil && c.pending == nil {
-		c.pending = map[int]obs.DecisionEvent{}
+// JobStart implements governor.Governor: it is Decide without an
+// event.
+func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.Decision {
+	return c.Decide(job, cur, nil)
+}
+
+// Decide is the run-time decision: run the prediction slice, predict
+// execution times at fmin/fmax, and pick the lowest frequency whose
+// (margin-inflated) predicted time fits the effective budget. When e
+// is non-nil, Decide also fills in e, the decision's event, with what
+// only the controller sees: the feature hash, the raw tfmin/tfmax, the
+// §3.4 budget ledger, the margin, the switch-table estimate and the
+// span ledger of the decision's phases. The job's measured outcome
+// completes the event later (governor.Outcome.Complete).
+//
+// Decide is safe for concurrent use as long as callers do not mutate
+// job.Globals or job.Params during the call: the slice runs in a
+// frozen environment (globals are read, never written), the trace and
+// the span ledger are per-call, and PredictTrace reads only immutable
+// trained state.
+func (c *Controller) Decide(job *governor.Job, cur platform.Level, e *obs.DecisionEvent) governor.Decision {
+	// Span capture (events only): the ledger roots at "decide" and
+	// times slice evaluation, model prediction, and level selection —
+	// §3.4's predictor cost as measured wall-clock phases. st is nil
+	// without an event; every SpanTimer method is nil-safe.
+	var st *obs.SpanTimer
+	if e != nil {
+		st = obs.NewSpanTimer()
+		st.Start(obs.PhaseDecide)
+		st.Start(obs.PhaseSliceEval)
+	}
+	tr := features.NewTrace()
+	sw, err := c.Slice.Run(job.Globals, job.Params, tr)
+	st.End()
+	if err != nil {
+		// A broken slice must never break the application: fall back
+		// to maximum frequency (always deadline-safe). Its event is an
+		// unpredicted decision.
+		top := c.Plat.MaxLevel()
+		if e != nil {
+			*e = obs.DecisionEvent{}
+			c.describe(e, job, cur, top, st)
+		}
+		return governor.Decision{Target: top, PredictedExecSec: math.NaN()}
+	}
+	predictorSec := c.Plat.JobTimeAt(sw.CPU, sw.MemSec, cur)
+
+	p := c.PredictTraceSpans(tr, job.Params, job.RemainingBudgetSec, predictorSec, cur, st)
+	if e != nil {
+		*e = obs.DecisionEvent{
+			FeatHash:         p.FeatHash,
+			Predicted:        true,
+			TFminSec:         p.TFminSec,
+			TFmaxSec:         p.TFmaxSec,
+			PredictedExecSec: p.PredictedExecSec,
+			Margin:           c.Selector.Margin,
+			EffBudgetSec:     p.EffBudgetSec,
+		}
+		c.describe(e, job, cur, p.Target, st)
+	}
+	return governor.Decision{
+		Target:           p.Target,
+		PredictorSec:     p.PredictorSec,
+		PredictedExecSec: p.PredictedExecSec,
 	}
 }
 
-// Clone returns a controller sharing c's immutable trained state
-// (models, slice, selector, profile) with fresh mutable state: no
-// tracer and no staged events. The trained half is read-only after
-// Build, so clones are safe to drive from different goroutines —
-// fleet simulation trains one controller per (platform, workload) and
-// hands every device its own clone, paying the multi-second training
-// cost once instead of per device.
-func (c *Controller) Clone() *Controller {
-	return &Controller{
-		W:             c.W,
-		Plat:          c.Plat,
-		Instr:         c.Instr,
-		Slice:         c.Slice,
-		Schema:        c.Schema,
-		ModelMin:      c.ModelMin,
-		ModelMax:      c.ModelMax,
-		Selector:      c.Selector,
-		Prof:          c.Prof,
-		hints:         c.hints,
-		memFrac:       c.memFrac,
-		quadCols:      c.quadCols,
-		SliceBound:    c.SliceBound,
-		SliceBoundSec: c.SliceBoundSec,
-	}
-}
-
-// stage holds the traced view of one run-time decision until JobEnd
-// completes it with the job's outcome. The switch-time field is the
-// selector's table estimate for the cur→target transition — the
-// quantity §3.4 subtracts from the budget; the measured transition
-// arrives with the outcome.
-func (c *Controller) stage(job *governor.Job, cur, target platform.Level, e obs.DecisionEvent, st *obs.SpanTimer) {
+// describe fills in the fields every decision event of c carries: the
+// job's identity and schedule, the chosen level, the span ledger st
+// timed, and the switch-time estimate — the selector's table entry for
+// the cur→target transition, the quantity §3.4 subtracts from the
+// budget; the measured transition arrives with the outcome.
+func (c *Controller) describe(e *obs.DecisionEvent, job *governor.Job, cur, target platform.Level, st *obs.SpanTimer) {
 	e.Workload = c.W.Name
 	e.Governor = c.Name()
 	e.Job = job.Index
@@ -694,89 +719,7 @@ func (c *Controller) stage(job *governor.Job, cur, target platform.Level, e obs.
 		e.SwitchSec = c.Selector.Switch.Lookup(cur.Index, target.Index)
 	}
 	e.Spans, e.SpanTotalSec = st.Finish()
-	c.pendMu.Lock()
-	c.pending[job.Index] = e
-	c.pendMu.Unlock()
 }
-
-// JobStart implements governor.Governor: run the prediction slice,
-// predict execution times at fmin/fmax, and pick the lowest frequency
-// whose (margin-inflated) predicted time fits the effective budget.
-//
-// JobStart is safe for concurrent use as long as callers do not mutate
-// job.Globals or job.Params during the call: the slice runs in a
-// frozen environment (globals are read, never written), the trace is
-// per-call, and PredictTrace reads only immutable trained state.
-func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.Decision {
-	// Span capture (tracing only): the ledger roots at "decide" and
-	// times slice evaluation, model prediction, and level selection —
-	// §3.4's predictor cost as measured wall-clock phases. st is nil
-	// when untraced; every SpanTimer method is nil-safe.
-	var st *obs.SpanTimer
-	if c.tracer != nil {
-		st = obs.NewSpanTimer()
-		st.Start(obs.PhaseDecide)
-		st.Start(obs.PhaseSliceEval)
-	}
-	tr := features.NewTrace()
-	sw, err := c.Slice.Run(job.Globals, job.Params, tr)
-	st.End()
-	if err != nil {
-		// A broken slice must never break the application: fall back
-		// to maximum frequency (always deadline-safe). Traced, the
-		// fallback is an unpredicted decision.
-		top := c.Plat.MaxLevel()
-		if c.tracer != nil {
-			c.stage(job, cur, top, obs.DecisionEvent{}, st)
-		}
-		return governor.Decision{Target: top, PredictedExecSec: math.NaN()}
-	}
-	predictorSec := c.Plat.JobTimeAt(sw.CPU, sw.MemSec, cur)
-
-	p := c.PredictTraceSpans(tr, job.Params, job.RemainingBudgetSec, predictorSec, cur, st)
-	if c.tracer != nil {
-		c.stage(job, cur, p.Target, obs.DecisionEvent{
-			FeatHash:         p.FeatHash,
-			Predicted:        true,
-			TFminSec:         p.TFminSec,
-			TFmaxSec:         p.TFmaxSec,
-			PredictedExecSec: p.PredictedExecSec,
-			Margin:           c.Selector.Margin,
-			EffBudgetSec:     p.EffBudgetSec,
-		}, st)
-	}
-	return governor.Decision{
-		Target:           p.Target,
-		PredictorSec:     p.PredictorSec,
-		PredictedExecSec: p.PredictedExecSec,
-	}
-}
-
-// JobEnd implements governor.Governor. The predictor stays
-// feed-forward — the outcome is never fed back into the model — but
-// when a tracer is attached the job's staged decision event is
-// completed from the measured outcome (governor.Outcome.Complete) and
-// emitted.
-func (c *Controller) JobEnd(job *governor.Job, out governor.Outcome) {
-	if c.tracer == nil {
-		return
-	}
-	c.pendMu.Lock()
-	e, ok := c.pending[job.Index]
-	delete(c.pending, job.Index)
-	c.pendMu.Unlock()
-	if !ok {
-		return
-	}
-	out.Complete(&e)
-	c.tracer.Emit(e)
-}
-
-// SampleInterval implements governor.Governor.
-func (c *Controller) SampleInterval() float64 { return 0 }
-
-// Sample implements governor.Governor.
-func (c *Controller) Sample(_ float64, cur platform.Level) platform.Level { return cur }
 
 // SelectedFeatureNames lists the schema columns with non-zero
 // coefficients in either model — what §4.2's cross-platform comparison

@@ -2,22 +2,22 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/governor"
 	"repro/internal/obs"
 )
 
-// TestTracerRecordsResidualInProcess: with a tracer attached, JobStart
-// stages a DecisionEvent and JobEnd completes it with the job's
-// outcome, so the signed residual is computed in-process without
-// feeding anything back into the predictor.
+// TestTracerRecordsResidualInProcess: Decide fills in the decision's
+// event, the job's outcome completes it and a tracer publishes it, so
+// the signed residual is computed in-process without feeding anything
+// back into the predictor.
 func TestTracerRecordsResidualInProcess(t *testing.T) {
 	c := buildLDecode(t)
 	var mem obs.MemorySink
 	drift := obs.NewDriftMonitor(obs.DriftConfig{})
 	tr := obs.NewTracer(obs.TracerOptions{RingSize: 64, Sinks: []obs.Sink{&mem}, Drift: drift})
-	c.SetTracer(tr)
 
 	gen := c.W.NewGen(7)
 	globals := c.W.FreshGlobals()
@@ -30,10 +30,16 @@ func TestTracerRecordsResidualInProcess(t *testing.T) {
 			DeadlineSec:        0.050,
 			RemainingBudgetSec: 0.050,
 		}
-		dec := c.JobStart(job, c.Plat.MaxLevel())
+		var e obs.DecisionEvent
+		dec := c.Decide(job, c.Plat.MaxLevel(), &e)
+		// Without an event, the decision is the same.
+		if plain := c.JobStart(job, c.Plat.MaxLevel()); !reflect.DeepEqual(plain, dec) {
+			t.Fatalf("job %d: JobStart %+v, Decide %+v", i, plain, dec)
+		}
 		// Complete each job slightly over its prediction, as the
 		// simulator would after running it.
-		c.JobEnd(job, governor.Outcome{PredictorSec: dec.PredictorSec, ExecSec: dec.PredictedExecSec + 0.001})
+		governor.Outcome{PredictorSec: dec.PredictorSec, ExecSec: dec.PredictedExecSec + 0.001}.Complete(&e)
+		tr.Emit(e)
 	}
 
 	events := mem.Events()
@@ -72,30 +78,21 @@ func TestTracerRecordsResidualInProcess(t *testing.T) {
 		t.Errorf("drift under rate = %g, want 1", r)
 	}
 
-	// JobEnd for an unknown job (or after detach) must be a no-op.
-	c.JobEnd(&governor.Job{Index: 999}, governor.Outcome{ExecSec: 0.01})
-	c.SetTracer(nil)
-	c.JobEnd(&governor.Job{Index: 0}, governor.Outcome{ExecSec: 0.01})
-	if got := len(mem.Events()); got != n {
-		t.Errorf("stray JobEnd published events: %d", got)
-	}
 }
 
 // TestSpanLedgerNesting checks the invariants of the per-phase span
-// ledger on in-process decisions: every traced decision carries a
+// ledger on in-process decisions: every decision event carries a
 // decide span whose children (slice eval, model predict, level select)
 // nest inside it and sum to no more than the parent, the outcome spans
 // (dvfs switch, job exec) carry the measured outcome, and the
 // top-level spans tile [0, SpanTotalSec] exactly.
 func TestSpanLedgerNesting(t *testing.T) {
 	c := buildLDecode(t)
-	var mem obs.MemorySink
-	c.SetTracer(obs.NewTracer(obs.TracerOptions{RingSize: 64, Sinks: []obs.Sink{&mem}}))
-
 	gen := c.W.NewGen(7)
 	globals := c.W.FreshGlobals()
 	const n = 8
-	for i := 0; i < n; i++ {
+	events := make([]obs.DecisionEvent, n)
+	for i := range events {
 		job := &governor.Job{
 			Index:              i,
 			Params:             gen.Next(i),
@@ -103,15 +100,11 @@ func TestSpanLedgerNesting(t *testing.T) {
 			DeadlineSec:        0.050,
 			RemainingBudgetSec: 0.050,
 		}
-		dec := c.JobStart(job, c.Plat.MaxLevel())
+		dec := c.Decide(job, c.Plat.MaxLevel(), &events[i])
 		// A measured transition unlike any switch-table estimate.
-		c.JobEnd(job, governor.Outcome{SwitchSec: 123e-6 * float64(i+1), ExecSec: dec.PredictedExecSec + 0.001})
+		governor.Outcome{SwitchSec: 123e-6 * float64(i+1), ExecSec: dec.PredictedExecSec + 0.001}.Complete(&events[i])
 	}
 
-	events := mem.Events()
-	if len(events) != n {
-		t.Fatalf("sink saw %d events, want %d", len(events), n)
-	}
 	for i, e := range events {
 		if e.MeasSwitchSec != 123e-6*float64(i+1) {
 			t.Fatalf("event %d: MeasSwitchSec %g, want the outcome's %g", i, e.MeasSwitchSec, 123e-6*float64(i+1))

@@ -26,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/ordered"
@@ -348,10 +347,12 @@ func Run(cfg Config) (*Result, error) {
 	return agg.result(), nil
 }
 
-// runDevice simulates one device: resolve its workload, instantiate a
-// per-device governor (cloning the shared trained controller — its
-// mutable half must not be shared across goroutines), run it, with
-// its decision log when events are wanted, and adapt the outcome. The
+// runDevice simulates one device: resolve its workload and governor,
+// run it, with its decision log when events are wanted, and adapt the
+// outcome. A prediction governor is the suite's trained controller,
+// shared by every device of its (platform, workload) and every worker:
+// it holds no mutable state after Build, and a traced decision's event
+// lives in trace.Simulate's log, not in the controller. The
 // per-decision work inside the run is the already-annotated
 // //dvfs:hotpath controller path (core.Controller.PredictTrace).
 func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite, plats map[string]*platform.Platform) (devOut, error) {
@@ -363,9 +364,6 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 	gov, err := suite.Governor(cfg.Governor, w)
 	if err != nil {
 		return devOut{}, fmt.Errorf("fleet: device %s: %w", spec.ID, err)
-	}
-	if ctl, ok := gov.(*core.Controller); ok {
-		gov = ctl.Clone()
 	}
 	simCfg := cfg.SimConfig(spec, plats[spec.Platform])
 	var out devOut
