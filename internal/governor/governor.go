@@ -54,8 +54,10 @@ type Outcome struct {
 	// FromLevelIdx is the level the platform was at when the job
 	// started (the switch source).
 	FromLevelIdx int
-	// PredictorSec is the predictor time charged to the job's timeline
-	// (zero when its placement or the configuration made it free).
+	// PredictorSec is the predictor time on the job's timeline, before
+	// the switch: zero when the configuration made the predictor free
+	// or it ran on a helper core (sim.Pipelined and sim.Parallel), whose
+	// energy the run's breakdown still charges.
 	PredictorSec float64
 	// SwitchSec is the measured DVFS transition time, including
 	// mid-job transitions forced by sampling governors.

@@ -237,9 +237,11 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 		execSec := 0.0
 		if cfg.Placement == Parallel && predictorSec > 0 {
 			// The job starts immediately at the stale level while the
-			// predictor runs on a helper core.
+			// predictor runs on a helper core: its time is helper
+			// energy, not part of the job's timeline.
 			execSec += st.execJobFor(&cpu, &mem, predictorSec)
 			st.helperRun(predictorSec)
+			predictorSec = 0
 		} else if predictorSec > 0 {
 			st.busyRun(predictorSec, cfg.Plat.ActivePower(st.cur))
 		}

@@ -181,37 +181,34 @@ func TestRunMultiPlacements(t *testing.T) {
 		if math.Abs(r.SensorEnergyJ-r.EnergyJ)/r.EnergyJ > 0.02 {
 			t.Errorf("placement %d: sensor energy %.4g deviates from exact %.4g", pl, r.SensorEnergyJ, r.EnergyJ)
 		}
-		// Only a pipelined task whose inputs are known ahead (ldecode)
-		// stops charging its jobs after the first; xpilot stays
-		// sequential.
+		// A job's timeline carries no predictor time under Parallel,
+		// nor under Pipelined once a task whose inputs are known ahead
+		// (ldecode) has its first decision; xpilot stays sequential.
 		for i, res := range r.PerTask {
 			for _, rec := range res.Records {
-				hidden := pl == Pipelined && i == 0 && rec.Index > 0
+				hidden := pl == Parallel || pl == Pipelined && i == 0 && rec.Index > 0
 				if hidden != (rec.PredictorSec == 0) {
 					t.Fatalf("placement %d task %d job %d: predictor time %g", pl, i, rec.Index, rec.PredictorSec)
 				}
 			}
 		}
 		// A charged predictor runs busy on the core at the job's
-		// from-level, or on the helper core under Parallel; a decision
-		// prepared during the task's previous job ran on the helper.
-		var want, prepared float64
+		// from-level; every other decision's predictor ran on the
+		// helper core, beside its job (Parallel) or during the task's
+		// previous job (Pipelined).
+		var want, helper float64
 		for i, res := range r.PerTask {
 			charged := 0.0
 			for _, rec := range res.Records {
-				power := p.ActivePower(p.Levels[rec.FromLevelIdx])
-				if pl == Parallel {
-					power = p.HelperPower()
-				}
-				want += rec.PredictorSec * power
+				want += rec.PredictorSec * p.ActivePower(p.Levels[rec.FromLevelIdx])
 				charged += rec.PredictorSec
 			}
-			ahead := tasks[i].Gov.(*startRecorder).predictorSec - charged
-			want += ahead * p.HelperPower()
-			prepared += ahead
+			h := tasks[i].Gov.(*startRecorder).predictorSec - charged
+			want += h * p.HelperPower()
+			helper += h
 		}
-		if (pl == Pipelined) != (prepared > 0) {
-			t.Errorf("placement %d: %g s of predictor time prepared ahead", pl, prepared)
+		if (pl == Sequential) != (helper == 0) {
+			t.Errorf("placement %d: %g s of predictor time on the helper core", pl, helper)
 		}
 		if got := r.Breakdown.PredictorJ; math.Abs(got-want) > 1e-9*want {
 			t.Errorf("placement %d: predictor energy %.9g, want %.9g", pl, got, want)

@@ -76,10 +76,10 @@ func checkOutcome(t *testing.T, r *sim.Result, events []obs.DecisionEvent) {
 
 // TestSimulateCompletesControllerEvents: a traced prediction
 // controller's events are completed once, from the simulator's
-// measured outcome, under every predictor placement. In the pipelined
-// and no-predictor-cost runs the controller's own ledger charges a
-// predictor estimate the timeline does not, so an event that kept the
-// controller's view would fail the comparison.
+// measured outcome, under every predictor placement. In the parallel,
+// pipelined and no-predictor-cost runs the controller's own ledger
+// charges a predictor estimate the timeline does not, so an event that
+// kept the controller's view would fail the comparison.
 func TestSimulateCompletesControllerEvents(t *testing.T) {
 	w, ctl := buildController(t, "ldecode")
 	for _, c := range []struct {
@@ -88,7 +88,7 @@ func TestSimulateCompletesControllerEvents(t *testing.T) {
 		free bool // the timeline charges no predictor time after job 0
 	}{
 		{"sequential", sim.Config{Placement: sim.Sequential}, false},
-		{"parallel", sim.Config{Placement: sim.Parallel}, false},
+		{"parallel", sim.Config{Placement: sim.Parallel}, true},
 		{"pipelined", sim.Config{Placement: sim.Pipelined}, true},
 		{"no-predictor-cost", sim.Config{DisablePredictorCost: true}, true},
 	} {
@@ -149,12 +149,24 @@ func TestSimulateTracesSliceFallback(t *testing.T) {
 }
 
 // TestChromeBarsMatchSimulatedJobs: in the Chrome trace of a traced
-// prediction run, each job's bar lasts its simulated wall time
-// (EndSec − StartSec) and each deadline-miss marker sits where the job
-// ended, to the trace's nanosecond resolution.
+// prediction run, under every predictor placement, each job's bar
+// lasts its simulated wall time (EndSec − StartSec) and each
+// deadline-miss marker sits where the job ended, to the trace's
+// nanosecond resolution.
 func TestChromeBarsMatchSimulatedJobs(t *testing.T) {
 	w, ctl := buildController(t, "ldecode")
-	r, events, err := trace.Simulate(w, ctl, sim.Config{Jobs: 60, Seed: 3, BudgetSec: 0.03})
+	for _, pl := range []struct {
+		name string
+		p    sim.Placement
+	}{{"sequential", sim.Sequential}, {"pipelined", sim.Pipelined}, {"parallel", sim.Parallel}} {
+		t.Run(pl.name, func(t *testing.T) {
+			checkChromeBars(t, w, ctl, sim.Config{Jobs: 60, Seed: 3, BudgetSec: 0.03, Placement: pl.p})
+		})
+	}
+}
+
+func checkChromeBars(t *testing.T, w *workload.Workload, ctl *core.Controller, cfg sim.Config) {
+	r, events, err := trace.Simulate(w, ctl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
