@@ -6,14 +6,13 @@
 // devices?". fleet answers them by driving N simulated devices (each
 // with its own platform model, workload, phase offset, and seeded
 // RNG) through a worker pool and aggregating per-device energy and
-// miss distributions online with the obs streaming-quantile
-// histograms.
+// miss distributions online with obs streaming-quantile sketches.
 //
 // Determinism is load-bearing: for a fixed Config the aggregate
 // result and every emitted trace byte are identical regardless of
 // worker count or scheduling. Workers finish devices out of order;
 // a commit stage reassembles them in device-index order before any
-// float is summed, any histogram observed, or any event emitted, so
+// float is summed, any sketch fed, or any event emitted, so
 // the accumulation order — and therefore every bit of the output —
 // is fixed by the configuration alone. The cross-check in
 // TestFleetMatchesPerDeviceSims (aggregate == sum of standalone
@@ -330,8 +329,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// Workers finish devices out of order; the commit stage folds them
 	// in device-index order, single-threaded, so everything
-	// order-sensitive (float sums, histogram observations, trace
-	// emission, sequence numbering) is fixed by the configuration.
+	// order-sensitive (float sums, sketch updates, trace emission,
+	// sequence numbering) is fixed by the configuration.
 	agg := newAggregator(cfg)
 	err := ordered.Run(cfg.Devices, cfg.Workers,
 		func(i int) (devOut, error) { return runDevice(cfg, cfg.Spec(i), suites, plats) },
@@ -399,10 +398,10 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 // aggregator folds committed devices into the fleet result. All state
 // is touched only by the commit stage.
 type aggregator struct {
-	cfg        Config
-	res        Result
-	energyH    *obs.Histogram
-	missH      *obs.Histogram
+	cfg Config
+	res Result
+	// energySk and missSk, t-digests, answer the per-device quantile
+	// queries (≤1% rank error, TestFleetSketchQuantilesMatchExact).
 	energySk   *obs.QuantileSketch
 	missSk     *obs.QuantileSketch
 	byPlatform map[string]*GroupAgg
@@ -411,25 +410,8 @@ type aggregator struct {
 }
 
 func newAggregator(cfg Config) *aggregator {
-	reg := obs.NewRegistry()
-	// Device energy spans idle 20-job traces (~tens of mJ) up to
-	// multi-second heavyweight mixes; log-linear buckets keep the
-	// relative quantile error flat across that range.
-	missBounds := make([]float64, 101)
-	for i := range missBounds {
-		missBounds[i] = float64(i) / 100
-	}
 	return &aggregator{
-		cfg: cfg,
-		energyH: reg.Histogram("fleet_device_energy_joules",
-			"per-device total energy", obs.LogLinearBuckets(1e-4, 1e4, 30)),
-		missH: reg.Histogram("fleet_device_miss_rate",
-			"per-device deadline miss fraction", missBounds),
-		// Sketches ride alongside the histograms: the histograms keep
-		// the fixed-bucket exposition shape, the t-digests answer the
-		// quantile queries (≤1% rank error with no bucket-boundary
-		// sensitivity — the histogram's weak spot when a distribution
-		// concentrates inside one log-linear bucket).
+		cfg:        cfg,
 		energySk:   obs.NewQuantileSketch(0),
 		missSk:     obs.NewQuantileSketch(0),
 		byPlatform: map[string]*GroupAgg{},
@@ -452,8 +434,6 @@ func (a *aggregator) commit(out *devOut) {
 	a.res.Jobs += d.Jobs
 	a.res.Misses += d.Misses
 	a.res.EnergyJ += d.EnergyJ
-	a.energyH.Observe(d.EnergyJ)
-	a.missH.Observe(d.MissRate())
 	a.energySk.Add(d.EnergyJ)
 	a.missSk.Add(d.MissRate())
 	for _, g := range []*GroupAgg{

@@ -290,8 +290,8 @@ func TestFleetBaselineGovernor(t *testing.T) {
 // TestFleetSketchQuantilesMatchExact: the Result's sketch-backed
 // per-device distributions must sit within 1% rank error of the exact
 // quantiles computed from PerDevice — the acceptance bar the t-digest
-// was brought in to meet (the log-linear histograms it rides alongside
-// cannot promise this when a distribution concentrates in one bucket).
+// was brought in to meet (a log-linear bucket histogram cannot promise
+// this when a distribution concentrates in one bucket).
 func TestFleetSketchQuantilesMatchExact(t *testing.T) {
 	cfg := Config{
 		Devices:   600,
