@@ -28,27 +28,20 @@ func (s *Suite) RunAblationMargin() ([]MarginPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	margins := []float64{-1, 0.05, 0.10, 0.20, 0.30} // -1 encodes 0
+	// core treats a negative margin as exactly zero.
+	ctrls, err := s.buildEach(w, len(margins), func(i int, c *core.Config) { c.Margin = margins[i] })
+	if err != nil {
+		return nil, err
+	}
 	var pts []MarginPoint
-	for _, m := range []float64{-1, 0.05, 0.10, 0.20, 0.30} { // -1 encodes 0
-		margin := m
-		if margin < 0 {
-			margin = 0
-		}
-		ctrl, err := core.Build(w, core.Config{
-			Plat:        s.Plat,
-			ProfileSeed: s.Seed + 17,
-			Switch:      s.Switch,
-			Margin:      m, // core treats negative as exactly zero
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, ctrl := range ctrls {
 		r, err := sim.Run(w, ctrl, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err
 		}
 		pts = append(pts, MarginPoint{
-			Margin:    margin,
+			Margin:    max(margins[i], 0),
 			EnergyPct: 100 * r.EnergyJ / perf.EnergyJ,
 			MissPct:   100 * r.MissRate(),
 		})
@@ -72,28 +65,25 @@ func (s *Suite) RunAblationSwitchTable() ([]SwitchTableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []SwitchTableResult
-	for _, tbl := range []struct {
+	tables := []struct {
 		name string
 		t    *platform.SwitchTable
 	}{
 		{"p95", s.Switch},
 		{"mean", platform.MeanSwitchTable(s.Plat)},
-	} {
-		ctrl, err := core.Build(w, core.Config{
-			Plat:        s.Plat,
-			ProfileSeed: s.Seed + 17,
-			Switch:      tbl.t,
-		})
-		if err != nil {
-			return nil, err
-		}
+	}
+	ctrls, err := s.buildEach(w, len(tables), func(i int, c *core.Config) { c.Switch = tables[i].t })
+	if err != nil {
+		return nil, err
+	}
+	var out []SwitchTableResult
+	for i, ctrl := range ctrls {
 		r, err := sim.Run(w, ctrl, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, SwitchTableResult{
-			Table:     tbl.name,
+			Table:     tables[i].name,
 			EnergyPct: 100 * r.EnergyJ / perf.EnergyJ,
 			MissPct:   100 * r.MissRate(),
 		})
@@ -116,19 +106,11 @@ type SliceAblationRow struct {
 func (s *Suite) RunAblationSlice() ([]SliceAblationRow, error) {
 	var rows []SliceAblationRow
 	for _, w := range workload.All() {
-		lasso, err := s.Controller(w)
+		ctrls, err := s.buildEach(w, 2, func(i int, c *core.Config) { c.KeepAllFeatures = i == 1 })
 		if err != nil {
 			return nil, err
 		}
-		full, err := core.Build(w, core.Config{
-			Plat:            s.Plat,
-			ProfileSeed:     s.Seed + 17,
-			Switch:          s.Switch,
-			KeepAllFeatures: true,
-		})
-		if err != nil {
-			return nil, err
-		}
+		lasso, full := ctrls[0], ctrls[1]
 		rl, err := sim.Run(w, lasso, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err

@@ -80,23 +80,19 @@ func (s *Suite) RunFig20() ([]Fig20Point, error) {
 	if err != nil {
 		return nil, err
 	}
+	alphas := []float64{1, 10, 100, 1000}
+	ctrls, err := s.buildEach(w, len(alphas), func(i int, c *core.Config) { c.Alpha = alphas[i] })
+	if err != nil {
+		return nil, err
+	}
 	var pts []Fig20Point
-	for _, alpha := range []float64{1, 10, 100, 1000} {
-		ctrl, err := core.Build(w, core.Config{
-			Plat:        s.Plat,
-			ProfileSeed: s.Seed + 17,
-			Switch:      s.Switch,
-			Alpha:       alpha,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, ctrl := range ctrls {
 		r, err := sim.Run(w, ctrl, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err
 		}
 		pts = append(pts, Fig20Point{
-			Alpha:     alpha,
+			Alpha:     alphas[i],
 			EnergyPct: 100 * r.EnergyJ / perf.EnergyJ,
 			MissPct:   100 * r.MissRate(),
 		})
@@ -174,16 +170,11 @@ func (s *Suite) RunXPlat() ([]XPlatRow, error) {
 	x86 := newX86Suite(s.Seed)
 	var rows []XPlatRow
 	for _, w := range workload.All() {
-		arm, err := s.Controller(w)
-		if err != nil {
+		if err := TrainControllers(w, s, x86); err != nil {
 			return nil, err
 		}
-		xc, err := x86.Controller(w)
-		if err != nil {
-			return nil, err
-		}
-		armSet := arm.SelectedFeatureNames()
-		x86Set := xc.SelectedFeatureNames()
+		armSet := s.controllers[w.Name].SelectedFeatureNames()
+		x86Set := x86.controllers[w.Name].SelectedFeatureNames()
 		rows = append(rows, XPlatRow{
 			Benchmark:   w.Name,
 			ARMFeatures: armSet,

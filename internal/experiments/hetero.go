@@ -38,12 +38,11 @@ func (s *Suite) RunHetero() ([]HeteroPoint, error) {
 		return nil, err
 	}
 	bl := NewSuiteOn(platform.BigLITTLE(), s.Seed)
-	blEA, err := core.Build(w, core.Config{
-		Plat:        bl.Plat,
-		ProfileSeed: s.Seed + 17,
-		Switch:      bl.Switch,
-		EnergyAware: true,
-	})
+	// One profile trains the A7 controller, the big.LITTLE one and its
+	// energy-aware variant.
+	ea := bl.config()
+	ea.EnergyAware = true
+	ctrls, err := core.BuildEach(w, []core.Config{s.config(), bl.config(), ea})
 	if err != nil {
 		return nil, err
 	}
@@ -54,15 +53,15 @@ func (s *Suite) RunHetero() ([]HeteroPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		a7, err := s.runOne("prediction", w, sim.Config{BudgetSec: budget})
+		a7, err := sim.Run(w, ctrls[0], sim.Config{Plat: s.Plat, Seed: s.Seed + 7, BudgetSec: budget})
 		if err != nil {
 			return nil, err
 		}
-		big, err := bl.runOne("prediction", w, sim.Config{BudgetSec: budget})
+		big, err := sim.Run(w, ctrls[1], sim.Config{Plat: bl.Plat, Seed: s.Seed + 7, BudgetSec: budget})
 		if err != nil {
 			return nil, err
 		}
-		ea, err := sim.Run(w, blEA, sim.Config{Plat: bl.Plat, Seed: s.Seed + 7, BudgetSec: budget})
+		ea, err := sim.Run(w, ctrls[2], sim.Config{Plat: bl.Plat, Seed: s.Seed + 7, BudgetSec: budget})
 		if err != nil {
 			return nil, err
 		}

@@ -35,19 +35,11 @@ func (s *Suite) RunHints() ([]HintsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := s.Controller(w)
+		ctrls, err := s.buildEach(w, 2, func(i int, c *core.Config) { c.UseHints = i == 1 })
 		if err != nil {
 			return nil, err
 		}
-		hinted, err := core.Build(w, core.Config{
-			Plat:        s.Plat,
-			ProfileSeed: s.Seed + 17,
-			Switch:      s.Switch,
-			UseHints:    true,
-		})
-		if err != nil {
-			return nil, err
-		}
+		base, hinted := ctrls[0], ctrls[1]
 		rBase, err := sim.Run(w, base, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err
@@ -108,23 +100,19 @@ func (s *Suite) RunOverheadCap() ([]OverheadCapPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	capsMS := []float64{0, 20, 5, 1}
+	ctrls, err := s.buildEach(w, len(capsMS), func(i int, c *core.Config) { c.MaxPredictorSec = capsMS[i] * 1e-3 })
+	if err != nil {
+		return nil, err
+	}
 	var pts []OverheadCapPoint
-	for _, capMS := range []float64{0, 20, 5, 1} {
-		ctrl, err := core.Build(w, core.Config{
-			Plat:            s.Plat,
-			ProfileSeed:     s.Seed + 17,
-			Switch:          s.Switch,
-			MaxPredictorSec: capMS * 1e-3,
-		})
-		if err != nil {
-			return nil, err
-		}
+	for i, ctrl := range ctrls {
 		r, err := sim.Run(w, ctrl, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err
 		}
 		pts = append(pts, OverheadCapPoint{
-			CapMS:       capMS,
+			CapMS:       capsMS[i],
 			PredictorMS: r.MeanPredictorSec() * 1e3,
 			Features:    len(ctrl.Slice.NeededFIDs),
 			EnergyPct:   100 * r.EnergyJ / perf.EnergyJ,
@@ -159,19 +147,11 @@ func (s *Suite) RunQuadratic() ([]QuadraticRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		lin, err := s.Controller(w)
+		ctrls, err := s.buildEach(w, 2, func(i int, c *core.Config) { c.Quadratic = i == 1 })
 		if err != nil {
 			return nil, err
 		}
-		quad, err := core.Build(w, core.Config{
-			Plat:        s.Plat,
-			ProfileSeed: s.Seed + 17,
-			Switch:      s.Switch,
-			Quadratic:   true,
-		})
-		if err != nil {
-			return nil, err
-		}
+		lin, quad := ctrls[0], ctrls[1]
 		rLin, err := sim.Run(w, lin, sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 		if err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/governor"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -48,20 +47,13 @@ func (s *Suite) RunMultiTask() ([]MultiTaskRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Contention-aware coordination (§7 extension): fresh controllers,
-	// wrapped so each reserves wall time for the other's releases.
-	ldC, err := core.Build(workload.LDecode(), core.Config{Plat: s.Plat, ProfileSeed: s.Seed + 17, Switch: s.Switch})
-	if err != nil {
-		return nil, err
-	}
-	xpC, err := core.Build(workload.XPilot(), core.Config{Plat: s.Plat, ProfileSeed: s.Seed + 17, Switch: s.Switch})
-	if err != nil {
-		return nil, err
-	}
+	// Contention-aware coordination (§7 extension): the same
+	// controllers (they keep no state between jobs), wrapped so each
+	// reserves wall time for the other's releases.
 	coordn := governor.NewCoordinator()
 	coord, err := sim.RunMulti(mkTasks(
-		coordn.Wrap(ldC, 0.100, 0),
-		coordn.Wrap(xpC, 0.050, 0.037)),
+		coordn.Wrap(ldCtrl, 0.100, 0),
+		coordn.Wrap(xpCtrl, 0.050, 0.037)),
 		sim.Config{Plat: s.Plat, Seed: s.Seed + 7})
 	if err != nil {
 		return nil, err

@@ -60,11 +60,7 @@ func TrainControllers(w *workload.Workload, suites ...*Suite) error {
 	for _, s := range suites {
 		if _, ok := s.controllers[w.Name]; !ok {
 			todo = append(todo, s)
-			cfgs = append(cfgs, core.Config{
-				Plat:        s.Plat,
-				ProfileSeed: s.Seed + 17,
-				Switch:      s.Switch,
-			})
+			cfgs = append(cfgs, s.config())
 		}
 	}
 	if len(todo) == 0 {
@@ -78,6 +74,25 @@ func TrainControllers(w *workload.Workload, suites ...*Suite) error {
 		s.controllers[w.Name] = ctls[i]
 	}
 	return nil
+}
+
+// config is the suite's configuration of a prediction controller: its
+// platform and switch table, profiled at the suite's seed.
+func (s *Suite) config() core.Config {
+	return core.Config{Plat: s.Plat, ProfileSeed: s.Seed + 17, Switch: s.Switch}
+}
+
+// buildEach trains n controllers for w from one profile
+// (core.BuildEach): controller i has the suite's configuration as
+// vary(i, ·) changes it. A study's configurations share the suite's
+// profile, so each study profiles each workload once.
+func (s *Suite) buildEach(w *workload.Workload, n int, vary func(i int, c *core.Config)) ([]*core.Controller, error) {
+	cfgs := make([]core.Config, n)
+	for i := range cfgs {
+		cfgs[i] = s.config()
+		vary(i, &cfgs[i])
+	}
+	return core.BuildEach(w, cfgs)
 }
 
 // GovernorNames is the evaluation order of §5.2.
