@@ -1,9 +1,14 @@
-# Local mirror of .github/workflows/ci.yml: `make check` runs the
-# exact gate CI enforces.
+# Local mirror of .github/workflows/ci.yml's correctness gate: `make
+# check` runs gofmt, vet, build, the race-enabled tests, perfbench's
+# vet and short tests, the goldens, lint and the alloc gate. It leaves
+# out CI's daemon and pipeline smokes (trace-, dash-, replay-, fleet-,
+# fleet-obs-, tsdb- and alert-smoke), its bench gates (obs-, serve-,
+# replay-, fleet- and tsdb-bench, and the one-iteration benchmark
+# runs) and the 20 s fuzz step.
 
-.PHONY: check fmt vet build test lint alloc-gate golden bench serve-bench obs-bench trace-smoke replay-smoke replay-bench dash-smoke fleet-smoke fleet-bench fleet-obs-smoke tsdb-smoke tsdb-bench alert-smoke
+.PHONY: check fmt vet build test perfbench-check lint alloc-gate golden bench serve-bench obs-bench trace-smoke replay-smoke replay-bench dash-smoke fleet-smoke fleet-bench fleet-obs-smoke tsdb-smoke tsdb-bench alert-smoke
 
-check: fmt vet build test lint alloc-gate
+check: fmt vet build test perfbench-check golden lint alloc-gate
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -34,6 +39,11 @@ build:
 
 test:
 	go test -race ./...
+
+# perfbench is its own module, so vet, build and test above never
+# compile it.
+perfbench-check:
+	cd perfbench && go vet ./... && go test -short ./...
 
 lint:
 	go run ./cmd/dvfslint -workload all
