@@ -47,7 +47,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,8 +62,8 @@ import (
 func main() {
 	input := flag.String("input", "-", "decision log to replay, JSONL or binary (- for stdin)")
 	var c config
-	flag.StringVar(&c.platName, "platform", "", "platform the trace was recorded on: a7, x86, biglittle (default: the one its events name, else a7)")
 	flag.StringVar(&c.fleetMode, "fleet", "auto", "fleet replay: auto (fleet when the trace carries device IDs), on, off")
+	flag.StringVar(&c.platName, "platform", "", "platform the trace was recorded on: a7, x86, biglittle (default: the one its events name, else a7)")
 	flag.Int64Var(&c.seed, "seed", 1, "seed for counterfactual switch-latency jitter (same seed → bit-identical output)")
 	flag.Float64Var(&c.rho, "rho", 0, "fallback memory-time fraction for cross-frequency time translation (0 → 0.3; predicted jobs estimate it from the trace)")
 	flag.Float64Var(&c.alpha, "alpha", 100, "α the traced model was trained with (anchors the α sweep)")
@@ -123,13 +122,11 @@ func main() {
 	}
 
 	exit, err := run(os.Stdout, os.Stderr, rd, c)
-	var usage usageError
 	switch {
-	case errors.As(err, &usage):
+	case exit == 2:
 		usageErr(err)
 	case err != nil:
 		fmt.Fprintln(os.Stderr, "dvfsreplay:", err)
-		exit = 1
 	}
 	os.Exit(exit)
 }
@@ -153,15 +150,12 @@ type config struct {
 	log              *slog.Logger
 }
 
-// usageError is a flag combination the trace contradicts; main exits
-// 2 on it, with the flag summary.
-type usageError struct{ error }
-
 // run replays the decision log read from rd as c says: the report in
 // c.format on stdout, the JSON bench document and HTML report in the
 // files c names, and the baseline and ordering verdicts on stderr. It
-// returns the exit status, 1 on a regression or ordering violation;
-// an error is a usageError or an analysis failure.
+// returns the exit status: 2 with the error when the trace contradicts
+// the flags, 1 with the error on an analysis failure, and 1 without
+// one on a regression or ordering violation.
 func run(stdout, stderr io.Writer, rd io.Reader, c config) (int, error) {
 	events, err := trace.ReadEvents(rd)
 	if err != nil {
@@ -180,7 +174,7 @@ func run(stdout, stderr io.Writer, rd io.Reader, c config) (int, error) {
 	}
 	if isFleet {
 		if c.baseline != "" || c.check {
-			return 2, usageError{fmt.Errorf("-baseline and -check are single-device modes; use -device to select one device or -fleet off")}
+			return 2, fmt.Errorf("-baseline and -check are single-device modes; use -device to select one device or -fleet off")
 		}
 		// Fleet events name their own platforms; -platform, else the
 		// A7, is the fallback for events that name none.
@@ -220,7 +214,7 @@ func run(stdout, stderr io.Writer, rd io.Reader, c config) (int, error) {
 	}
 	switch {
 	case c.plat != nil && plat != nil && c.plat.Name != plat.Name:
-		return 2, usageError{fmt.Errorf("-platform %s contradicts the trace, recorded on %s", c.platName, plat.Name)}
+		return 2, fmt.Errorf("-platform %s contradicts the trace, recorded on %s", c.platName, plat.Name)
 	case c.plat != nil:
 		plat = c.plat
 	case plat == nil:
