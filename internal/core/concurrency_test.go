@@ -7,16 +7,19 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/governor"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
 // The serving daemon (internal/serve) shares one Controller across all
-// request goroutines, so the prediction path must be race-clean:
-// JobStart may only read shared state (the frozen slice environment
-// copies global writes into per-call locals, the trace is per-call,
-// and PredictTrace touches nothing mutable). This test hammers one
-// controller from 32 goroutines under -race and checks every goroutine
-// reaches identical decisions for identical jobs.
+// request goroutines, and fleet simulation across its workers, so the
+// decision path must be race-clean: Decide may only read shared state
+// (the frozen slice environment copies global writes into per-call
+// locals, the trace and span ledger are per-call, and PredictTrace
+// touches nothing mutable). This test hammers one controller from 32
+// goroutines under -race, half of them filling in decision events, and
+// checks every goroutine reaches identical decisions for identical
+// jobs.
 func TestControllerConcurrentJobStart(t *testing.T) {
 	w := workload.SHA()
 	c, err := Build(w, Config{ProfileJobs: 60, ProfileSeed: 7})
@@ -44,11 +47,15 @@ func TestControllerConcurrentJobStart(t *testing.T) {
 	errs := make(chan string, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < jobs; i++ {
 				job := &governor.Job{Params: params[i], Globals: globals, RemainingBudgetSec: w.DefaultBudgetSec}
-				d := c.JobStart(job, c.Plat.MaxLevel())
+				var e *obs.DecisionEvent
+				if g%2 == 1 {
+					e = &obs.DecisionEvent{}
+				}
+				d := c.Decide(job, c.Plat.MaxLevel(), e)
 				if !reflect.DeepEqual(d, ref[i]) {
 					select {
 					case errs <- "concurrent decision differs from single-threaded reference":
@@ -57,7 +64,7 @@ func TestControllerConcurrentJobStart(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	close(errs)
