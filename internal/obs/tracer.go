@@ -42,11 +42,11 @@ func NewTracer(opts TracerOptions) *Tracer {
 	}
 }
 
-// Emit publishes an event as it stands: a completed decision (the
-// prediction controller emits each one at JobEnd, once the simulator's
-// outcome has completed it), or a one-shot decision whose outcome will
-// never be reported (a dvfsd predict request, where the job runs on
-// the client).
+// Emit publishes a live decision as it stands: a dvfsd predict
+// request's one-shot event, whose outcome will never be reported (the
+// job runs on the client). A simulated decision's event never passes
+// through a tracer: trace.Simulate builds the run's decision log from
+// its records.
 func (t *Tracer) Emit(e DecisionEvent) { t.publish(&e) }
 
 // publish fans one event out to the ring, the sinks, and the
