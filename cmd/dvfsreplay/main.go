@@ -3,11 +3,11 @@
 // (attributed to execution, predictor, DVFS switches, and idle slack)
 // and replays every decision under counterfactual policies — oracle,
 // performance, powersave, the PID baseline, and what-if margin/α
-// sweeps of the predictor — without re-running the workload. When
-// events carry per-phase span ledgers (dvfssim/dvfsd with tracing on)
-// the report also attributes the predictor overhead to measured
-// phases — slice eval, model predict, level select — alongside the
-// static estimate the energy reconstruction charges.
+// sweeps of the predictor — without re-running the workload. It
+// replays completed decisions only: dvfsd's served decisions are
+// one-shot (the job runs on the client) and are skipped, so every
+// duration a report prices — predictor, switch, execution — is on the
+// simulated clock of the run that wrote the log.
 //
 // A single trace replays on the platform its events name (dvfssim and
 // dvfsfleet stamp it on every event); -platform names it for traces

@@ -15,11 +15,10 @@ import (
 // request goroutines, and fleet simulation across its workers, so the
 // decision path must be race-clean: Decide may only read shared state
 // (the frozen slice environment copies global writes into per-call
-// locals, the trace and span ledger are per-call, and PredictTrace
-// touches nothing mutable). This test hammers one controller from 32
-// goroutines under -race, half of them filling in decision events, and
-// checks every goroutine reaches identical decisions for identical
-// jobs.
+// locals, the trace is per-call, and PredictTrace touches nothing
+// mutable). This test hammers one controller from 32 goroutines under
+// -race, half of them filling in decision events, and checks every
+// goroutine reaches identical decisions for identical jobs.
 func TestControllerConcurrentJobStart(t *testing.T) {
 	w := workload.SHA()
 	c, err := Build(w, Config{ProfileJobs: 60, ProfileSeed: 7})

@@ -595,9 +595,9 @@ const vecStackDim = 256
 
 // PredictTraceSpans is PredictTrace with per-phase span capture: the
 // model evaluation and the level selection are timed on st (which may
-// be nil — every SpanTimer method is nil-safe). Both the simulator's
-// Decide and dvfsd's predict path run decisions through here, so
-// in-process and served decisions carry identical phase ledgers.
+// be nil — every SpanTimer method is nil-safe). dvfsd's predict path
+// passes its served ledger; the simulator's Decide passes none, since
+// a simulated decision's cost is simulated.
 //
 //dvfs:hotpath
 func (c *Controller) PredictTraceSpans(tr *features.Trace, params map[string]int64, budgetSec, predictorSec float64, cur platform.Level, st *obs.SpanTimer) Prediction {
@@ -645,29 +645,18 @@ func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.De
 // (margin-inflated) predicted time fits the effective budget. When e
 // is non-nil, Decide also fills in e, the decision's event, with what
 // only the controller sees: the feature hash, the raw tfmin/tfmax, the
-// §3.4 budget ledger, the margin, the switch-table estimate and the
-// span ledger of the decision's phases. The job's measured outcome
-// completes the event later (governor.Outcome.Complete).
+// §3.4 budget ledger, the margin and the switch-table estimate. It
+// times nothing on the host: the decision's cost is the simulated
+// predictor time, which the job's outcome records when it completes
+// the event (governor.Outcome.Complete).
 //
 // Decide is safe for concurrent use as long as callers do not mutate
 // job.Globals or job.Params during the call: the slice runs in a
-// frozen environment (globals are read, never written), the trace and
-// the span ledger are per-call, and PredictTrace reads only immutable
-// trained state.
+// frozen environment (globals are read, never written), the trace is
+// per-call, and PredictTrace reads only immutable trained state.
 func (c *Controller) Decide(job *governor.Job, cur platform.Level, e *obs.DecisionEvent) governor.Decision {
-	// Span capture (events only): the ledger roots at "decide" and
-	// times slice evaluation, model prediction, and level selection —
-	// §3.4's predictor cost as measured wall-clock phases. st is nil
-	// without an event; every SpanTimer method is nil-safe.
-	var st *obs.SpanTimer
-	if e != nil {
-		st = obs.NewSpanTimer()
-		st.Start(obs.PhaseDecide)
-		st.Start(obs.PhaseSliceEval)
-	}
 	tr := features.NewTrace()
 	sw, err := c.Slice.Run(job.Globals, job.Params, tr)
-	st.End()
 	if err != nil {
 		// A broken slice must never break the application: fall back
 		// to maximum frequency (always deadline-safe). Its event is an
@@ -675,13 +664,13 @@ func (c *Controller) Decide(job *governor.Job, cur platform.Level, e *obs.Decisi
 		top := c.Plat.MaxLevel()
 		if e != nil {
 			*e = obs.DecisionEvent{}
-			c.describe(e, job, cur, top, st)
+			c.describe(e, job, cur, top)
 		}
 		return governor.Decision{Target: top, PredictedExecSec: math.NaN()}
 	}
 	predictorSec := c.Plat.JobTimeAt(sw.CPU, sw.MemSec, cur)
 
-	p := c.PredictTraceSpans(tr, job.Params, job.RemainingBudgetSec, predictorSec, cur, st)
+	p := c.PredictTrace(tr, job.Params, job.RemainingBudgetSec, predictorSec, cur)
 	if e != nil {
 		*e = obs.DecisionEvent{
 			FeatHash:         p.FeatHash,
@@ -692,7 +681,7 @@ func (c *Controller) Decide(job *governor.Job, cur platform.Level, e *obs.Decisi
 			Margin:           c.Selector.Margin,
 			EffBudgetSec:     p.EffBudgetSec,
 		}
-		c.describe(e, job, cur, p.Target, st)
+		c.describe(e, job, cur, p.Target)
 	}
 	return governor.Decision{
 		Target:           p.Target,
@@ -702,11 +691,11 @@ func (c *Controller) Decide(job *governor.Job, cur platform.Level, e *obs.Decisi
 }
 
 // describe fills in the fields every decision event of c carries: the
-// job's identity and schedule, the chosen level, the span ledger st
-// timed, and the switch-time estimate — the selector's table entry for
-// the cur→target transition, the quantity §3.4 subtracts from the
-// budget; the measured transition arrives with the outcome.
-func (c *Controller) describe(e *obs.DecisionEvent, job *governor.Job, cur, target platform.Level, st *obs.SpanTimer) {
+// job's identity and schedule, the chosen level, and the switch-time
+// estimate — the selector's table entry for the cur→target transition,
+// the quantity §3.4 subtracts from the budget; the measured transition
+// arrives with the outcome.
+func (c *Controller) describe(e *obs.DecisionEvent, job *governor.Job, cur, target platform.Level) {
 	e.Workload = c.W.Name
 	e.Governor = c.Name()
 	e.Job = job.Index
@@ -718,7 +707,6 @@ func (c *Controller) describe(e *obs.DecisionEvent, job *governor.Job, cur, targ
 	if c.Selector.Switch != nil {
 		e.SwitchSec = c.Selector.Switch.Lookup(cur.Index, target.Index)
 	}
-	e.Spans, e.SpanTotalSec = st.Finish()
 }
 
 // SelectedFeatureNames lists the schema columns with non-zero

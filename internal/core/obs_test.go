@@ -79,86 +79,3 @@ func TestTracerRecordsResidualInProcess(t *testing.T) {
 	}
 
 }
-
-// TestSpanLedgerNesting checks the invariants of the per-phase span
-// ledger on in-process decisions: every decision event carries a
-// decide span whose children (slice eval, model predict, level select)
-// nest inside it and sum to no more than the parent, the outcome spans
-// (dvfs switch, job exec) carry the measured outcome, and the
-// top-level spans tile [0, SpanTotalSec] exactly.
-func TestSpanLedgerNesting(t *testing.T) {
-	c := buildLDecode(t)
-	gen := c.W.NewGen(7)
-	globals := c.W.FreshGlobals()
-	const n = 8
-	events := make([]obs.DecisionEvent, n)
-	for i := range events {
-		job := &governor.Job{
-			Index:              i,
-			Params:             gen.Next(i),
-			Globals:            globals,
-			DeadlineSec:        0.050,
-			RemainingBudgetSec: 0.050,
-		}
-		dec := c.Decide(job, c.Plat.MaxLevel(), &events[i])
-		// A measured transition unlike any switch-table estimate.
-		governor.Outcome{SwitchSec: 123e-6 * float64(i+1), ExecSec: dec.PredictedExecSec + 0.001}.Complete(&events[i])
-	}
-
-	for i, e := range events {
-		if e.MeasSwitchSec != 123e-6*float64(i+1) {
-			t.Fatalf("event %d: MeasSwitchSec %g, want the outcome's %g", i, e.MeasSwitchSec, 123e-6*float64(i+1))
-		}
-		if len(e.Spans) == 0 {
-			t.Fatalf("event %d carries no span ledger", i)
-		}
-		decide := obs.SpanDur(e.Spans, obs.PhaseDecide)
-		if decide <= 0 {
-			t.Fatalf("event %d: no decide span in %+v", i, e.Spans)
-		}
-		// Children of decide: present, nested inside the parent's window,
-		// and summing to no more than the parent (the parent also covers
-		// inter-phase glue).
-		var childSum float64
-		for _, name := range []string{obs.PhaseSliceEval, obs.PhasePredict, obs.PhaseSelect} {
-			found := false
-			for _, s := range e.Spans {
-				if s.Name == name {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("event %d: missing %s span in %+v", i, name, e.Spans)
-			}
-			childSum += obs.SpanDur(e.Spans, name)
-		}
-		const eps = 1e-9
-		if childSum > decide+eps {
-			t.Errorf("event %d: child phases sum %.9g > decide %.9g", i, childSum, decide)
-		}
-		for _, s := range e.Spans {
-			if s.Depth == 1 && (s.StartSec < -eps || s.EndSec() > decide+eps) {
-				t.Errorf("event %d: child span %s [%g,%g] outside decide [0,%g]",
-					i, s.Name, s.StartSec, s.EndSec(), decide)
-			}
-		}
-		// Outcome spans carry the measured outcome, and the top-level
-		// spans tile [0, SpanTotalSec].
-		if d := obs.SpanDur(e.Spans, obs.PhaseSwitch); math.Abs(d-e.MeasSwitchSec) > eps {
-			t.Errorf("event %d: switch span %g != MeasSwitchSec %g (estimate %g)", i, d, e.MeasSwitchSec, e.SwitchSec)
-		}
-		if d := obs.SpanDur(e.Spans, obs.PhaseExec); math.Abs(d-e.ActualExecSec) > eps {
-			t.Errorf("event %d: exec span %g != ActualExecSec %g", i, d, e.ActualExecSec)
-		}
-		var topSum float64
-		for _, s := range e.Spans {
-			if s.Depth == 0 {
-				topSum += s.DurSec
-			}
-		}
-		if e.SpanTotalSec <= 0 || math.Abs(topSum-e.SpanTotalSec) > 1e-6*e.SpanTotalSec+eps {
-			t.Errorf("event %d: top-level phases sum %.9g != span total %.9g",
-				i, topSum, e.SpanTotalSec)
-		}
-	}
-}

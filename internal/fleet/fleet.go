@@ -102,9 +102,9 @@ type Config struct {
 	Workers int
 	// Sink, when non-nil, receives every device's decision log
 	// (trace.Simulate: one completed event per job) in device order,
-	// with globally reassigned sequence numbers and without span
-	// ledgers. Nil skips event materialization entirely — the
-	// aggregate-only fast path the 100k-device bench uses.
+	// with globally reassigned sequence numbers. Nil skips event
+	// materialization entirely — the aggregate-only fast path the
+	// 100k-device bench uses.
 	Sink obs.Sink
 	// Progress, when non-nil, is called from the commit stage as
 	// devices complete (monotonic done counts, in order).
@@ -384,13 +384,6 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 	for i := range out.events {
 		out.events[i].Device = spec.ID
 		out.events[i].Platform = spec.Platform
-		// Span ledgers measure the *host's* per-phase decision latency
-		// on its wall clock — meaningless for a simulated device, and
-		// the one wall-clock-dependent field that would break
-		// bit-identical traces across runs. Fleet traces carry
-		// simulated time only.
-		out.events[i].Spans = nil
-		out.events[i].SpanTotalSec = 0
 	}
 	return out, nil
 }

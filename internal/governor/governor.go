@@ -72,10 +72,12 @@ type Outcome struct {
 
 // Complete writes the outcome into e, the decision event of the job it
 // measured: the job's start time, from-level, charged predictor time,
-// measured switch time, execution time and deadline miss, the signed
-// residual when e carries a prediction, and the switch and execution
-// spans of e's ledger. Every completed decision event in the
-// repository is completed here, so each field has one definition.
+// measured switch time, execution time and deadline miss, and the
+// signed residual when e carries a prediction. Every completed
+// decision event in the repository is completed here, so each field
+// has one definition. The three durations are the job's phases on the
+// simulated clock; Complete writes no span ledger, which is for
+// host-timed (served) decisions only.
 func (o Outcome) Complete(e *obs.DecisionEvent) {
 	e.TimeSec = o.StartSec
 	e.FromLevel = o.FromLevelIdx
@@ -87,7 +89,6 @@ func (o Outcome) Complete(e *obs.DecisionEvent) {
 	if e.Predicted {
 		e.ResidualSec = o.ExecSec - e.PredictedExecSec
 	}
-	obs.AppendOutcomeSpans(e, o.SwitchSec, o.ExecSec)
 }
 
 // Governor is a DVFS controller under simulation.

@@ -18,7 +18,7 @@ func TestSpanCaptureZeroAlloc(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		var st SpanTimer
-		st.Start(PhaseDecide)
+		st.Start(PhaseServe)
 		st.Start(PhasePredict)
 		st.Next(PhaseSelect)
 		st.End()

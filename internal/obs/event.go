@@ -111,15 +111,16 @@ type DecisionEvent struct {
 	// on the simulator's wall clock. It has this one definition on
 	// every completed event (governor.Outcome.Complete writes it).
 	Missed bool `json:"missed,omitempty"`
-	// Spans is the decision's per-phase latency ledger (slice eval,
-	// model predict, level select, DVFS switch, job exec), flat in
-	// preorder with nesting encoded by Span.Depth. Empty when the
-	// source does not capture spans (old logs, record-only adapters,
-	// sampled-out decisions).
+	// Spans is a served decision's per-phase latency ledger on dvfsd's
+	// clock (serve: ingest, registry lookup, model predict, level
+	// select), flat in preorder with nesting encoded by Span.Depth.
+	// Empty on simulated decisions, whose phases are the outcome
+	// fields above (PredictorSec, MeasSwitchSec, ActualExecSec), and on
+	// sampled-out served ones.
 	Spans []Span `json:"spans,omitempty"`
 	// SpanTotalSec is the ledger's extent — the end of its last
-	// top-level span — i.e. the decision's end-to-end time from slice
-	// start through job completion. Zero when Spans is empty.
+	// top-level span — i.e. the served decision's time in dvfsd. Zero
+	// when Spans is empty.
 	SpanTotalSec float64 `json:"span_total_sec,omitempty"`
 }
 

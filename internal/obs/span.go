@@ -9,22 +9,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Phase names for the span ledger. A decision's ledger mirrors the
-// §3.4 budget arithmetic: the predictor's own cost (slice evaluation,
-// model prediction, level selection) and the DVFS switch estimate are
-// subtracted from the job's budget, and what remains pays for the job
-// itself. Spans make that ledger a measured quantity instead of a
-// static estimate.
+// Phase names for the span ledger of a served decision, the one
+// decision whose cost is host time: dvfsd times its own request
+// handling. A simulated decision's cost is simulated and lives in its
+// outcome fields (DecisionEvent.PredictorSec, MeasSwitchSec,
+// ActualExecSec), so it carries no ledger.
 const (
-	// PhaseDecide is the in-process controller's decision root: it
-	// encloses slice evaluation, model prediction, and level selection.
-	PhaseDecide = "decide"
 	// PhaseServe is the serving tier's root: it encloses request
 	// ingest, registry lookup, model prediction, and level selection.
 	PhaseServe = "serve"
-	// PhaseSliceEval is the prediction slice's execution (the dominant
-	// predictor cost the paper charges against the budget).
-	PhaseSliceEval = "slice_eval"
 	// PhasePredict is feature vectorization plus the two model
 	// evaluations (tfmin, tfmax).
 	PhasePredict = "model_predict"
@@ -34,11 +27,6 @@ const (
 	PhaseIngest = "http_ingest"
 	// PhaseLookup is the model-registry lookup + wire-trace decode.
 	PhaseLookup = "registry_lookup"
-	// PhaseSwitch is the DVFS transition the job's timeline paid: the
-	// measured transition time (DecisionEvent.MeasSwitchSec).
-	PhaseSwitch = "dvfs_switch"
-	// PhaseExec is the job's execution at the chosen level.
-	PhaseExec = "job_exec"
 )
 
 // Span is one timed phase of a decision. Ledgers are stored flat in
@@ -174,59 +162,13 @@ func (t *SpanTimer) Finish() ([]Span, float64) {
 	return t.spans[:t.n:t.n], total
 }
 
-// AppendOutcomeSpans extends a decision's ledger with the outcome
-// phases the decision path cannot time itself: the DVFS transition and
-// the job's execution, as measured. It is idempotent — existing
-// top-level switch / exec spans are replaced — so completing an event
-// twice re-times its ledger instead of duplicating phases. Events
-// without a ledger are left untouched (there is nothing to anchor the
-// outcome to).
-func AppendOutcomeSpans(e *DecisionEvent, switchSec, execSec float64) {
-	if len(e.Spans) == 0 {
-		return
-	}
-	spans := make([]Span, 0, len(e.Spans)+2)
-	off := 0.0
-	for _, s := range e.Spans {
-		if s.Depth == 0 && (s.Name == PhaseSwitch || s.Name == PhaseExec) {
-			continue
-		}
-		spans = append(spans, s)
-		if s.Depth == 0 && s.EndSec() > off {
-			off = s.EndSec()
-		}
-	}
-	if switchSec > 0 {
-		spans = append(spans, Span{Name: PhaseSwitch, StartSec: off, DurSec: switchSec})
-		off += switchSec
-	}
-	if execSec >= 0 {
-		spans = append(spans, Span{Name: PhaseExec, StartSec: off, DurSec: execSec})
-		off += execSec
-	}
-	e.Spans = spans
-	e.SpanTotalSec = off
-}
-
-// SpanDur returns the summed duration of every span named name in the
-// ledger, at any depth.
-func SpanDur(spans []Span, name string) float64 {
-	total := 0.0
-	for _, s := range spans {
-		if s.Name == name {
-			total += s.DurSec
-		}
-	}
-	return total
-}
-
-// SpanSampler decides, per decision, whether to hand out a SpanTimer:
-// every Nth decision gets one, the rest get nil (every SpanTimer
-// method is nil-safe, so callers never branch). Head sampling bounds
-// the capture cost — each boundary is a monotonic clock read, which
-// §3.4's budget accounting must pay for — while keeping the ledger
-// statistically representative. N ≤ 1 captures every decision (the
-// simulator and test default; replay fidelity wants full ledgers).
+// SpanSampler decides, per served decision, whether to hand out a
+// SpanTimer: every Nth decision gets one, the rest get nil (every
+// SpanTimer method is nil-safe, so callers never branch). Head
+// sampling bounds the capture cost — each boundary is a monotonic
+// clock read, which §3.4's budget accounting must pay for — while
+// keeping the ledger statistically representative. N ≤ 1 captures
+// every decision (dvfsd's default, -span-every 1).
 type SpanSampler struct {
 	every uint64
 	n     atomic.Uint64
@@ -262,19 +204,15 @@ type PhaseStat struct {
 	MaxSec  float64 `json:"max_sec"`
 }
 
-// phaseRank orders known phases the way a ledger reads: roots first,
-// then decision sub-phases, then outcome phases. Unknown names sort
-// after, alphabetically.
+// phaseRank orders known phases the way a ledger reads: the root
+// first, then its sub-phases. Unknown names sort after,
+// alphabetically.
 var phaseRank = map[string]int{
-	PhaseDecide:    0,
-	PhaseServe:     1,
-	PhaseIngest:    2,
-	PhaseLookup:    3,
-	PhaseSliceEval: 4,
-	PhasePredict:   5,
-	PhaseSelect:    6,
-	PhaseSwitch:    7,
-	PhaseExec:      8,
+	PhaseServe:   0,
+	PhaseIngest:  1,
+	PhaseLookup:  2,
+	PhasePredict: 3,
+	PhaseSelect:  4,
 }
 
 // AnalyzePhases aggregates the span ledgers of a decision log into

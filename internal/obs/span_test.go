@@ -8,20 +8,20 @@ import (
 
 func TestSpanTimerNesting(t *testing.T) {
 	st := NewSpanTimer()
-	st.Start(PhaseDecide)
-	st.Start(PhaseSliceEval)
+	st.Start(PhaseServe)
+	st.Start(PhaseLookup)
 	st.Next(PhasePredict)
 	st.Next(PhaseSelect)
 	st.End() // level_select
-	st.End() // decide
+	st.End() // serve
 	spans, total := st.Finish()
 
 	want := []struct {
 		name  string
 		depth int
 	}{
-		{PhaseDecide, 0},
-		{PhaseSliceEval, 1},
+		{PhaseServe, 0},
+		{PhaseLookup, 1},
 		{PhasePredict, 1},
 		{PhaseSelect, 1},
 	}
@@ -38,11 +38,11 @@ func TestSpanTimerNesting(t *testing.T) {
 	}
 	// The children are contiguous: each starts where the previous ended,
 	// the first at the parent's start, the last ending at the parent's
-	// end (decide was closed by the same boundary as level_select's End,
+	// end (serve was closed by the same boundary as level_select's End,
 	// modulo one extra clock read — allow a generous tolerance).
-	decide := spans[0]
-	if decide.StartSec != 0 {
-		t.Errorf("decide starts at %g, want 0", decide.StartSec)
+	root := spans[0]
+	if root.StartSec != 0 {
+		t.Errorf("serve starts at %g, want 0", root.StartSec)
 	}
 	childSum := 0.0
 	prevEnd := 0.0
@@ -53,11 +53,11 @@ func TestSpanTimerNesting(t *testing.T) {
 		prevEnd = s.EndSec()
 		childSum += s.DurSec
 	}
-	if childSum > decide.DurSec+1e-12 {
-		t.Errorf("children sum %g > parent %g", childSum, decide.DurSec)
+	if childSum > root.DurSec+1e-12 {
+		t.Errorf("children sum %g > parent %g", childSum, root.DurSec)
 	}
-	if total < decide.DurSec || math.Abs(total-decide.EndSec()) > 1e-12 {
-		t.Errorf("total %g, want decide end %g", total, decide.EndSec())
+	if total < root.DurSec || math.Abs(total-root.EndSec()) > 1e-12 {
+		t.Errorf("total %g, want serve end %g", total, root.EndSec())
 	}
 }
 
@@ -89,7 +89,7 @@ func TestSpanTimerOverflow(t *testing.T) {
 	// degrade by skipping, not corrupt the ledger or panic, and Ends
 	// must pair with the skipped Starts.
 	for i := 0; i < maxSpans+3; i++ {
-		st.Start(PhaseDecide)
+		st.Start(PhaseServe)
 	}
 	for i := 0; i < maxSpans+3; i++ {
 		st.End()
@@ -110,7 +110,7 @@ func TestSpanTimerOverflow(t *testing.T) {
 
 func TestSpanTimerNilSafe(t *testing.T) {
 	var st *SpanTimer
-	st.Start(PhaseDecide)
+	st.Start(PhaseServe)
 	st.Next(PhasePredict)
 	st.End()
 	if spans, total := st.Finish(); spans != nil || total != 0 {
@@ -141,52 +141,15 @@ func TestSpanSampler(t *testing.T) {
 	}
 }
 
-func TestAppendOutcomeSpansIdempotent(t *testing.T) {
-	e := DecisionEvent{Spans: []Span{
-		{Name: PhaseDecide, StartSec: 0, DurSec: 0.001},
-		{Name: PhasePredict, Depth: 1, StartSec: 0.0002, DurSec: 0.0005},
-	}}
-	AppendOutcomeSpans(&e, 0.0001, 0.020)
-	first := append([]Span(nil), e.Spans...)
-	if got := SpanDur(e.Spans, PhaseSwitch); got != 0.0001 {
-		t.Errorf("switch span %g, want 0.0001", got)
-	}
-	if got := SpanDur(e.Spans, PhaseExec); got != 0.020 {
-		t.Errorf("exec span %g, want 0.020", got)
-	}
-	if want := 0.001 + 0.0001 + 0.020; math.Abs(e.SpanTotalSec-want) > 1e-12 {
-		t.Errorf("span total %g, want %g", e.SpanTotalSec, want)
-	}
-
-	// Re-timing with measured ground truth replaces, not duplicates.
-	AppendOutcomeSpans(&e, 0.0002, 0.025)
-	if len(e.Spans) != len(first) {
-		t.Fatalf("re-append grew ledger to %d spans: %+v", len(e.Spans), e.Spans)
-	}
-	if got := SpanDur(e.Spans, PhaseExec); got != 0.025 {
-		t.Errorf("re-timed exec span %g, want 0.025", got)
-	}
-	if want := 0.001 + 0.0002 + 0.025; math.Abs(e.SpanTotalSec-want) > 1e-12 {
-		t.Errorf("re-timed span total %g, want %g", e.SpanTotalSec, want)
-	}
-
-	// No ledger → nothing to anchor outcomes to: stays empty.
-	var bare DecisionEvent
-	AppendOutcomeSpans(&bare, 0.001, 0.01)
-	if bare.Spans != nil || bare.SpanTotalSec != 0 {
-		t.Errorf("outcome spans appended to ledger-less event: %+v", bare)
-	}
-}
-
 func TestAnalyzePhases(t *testing.T) {
 	events := []DecisionEvent{
 		{Spans: []Span{
-			{Name: PhaseDecide, DurSec: 0.002},
+			{Name: PhaseServe, DurSec: 0.002},
 			{Name: PhasePredict, Depth: 1, DurSec: 0.001},
-			{Name: PhaseExec, StartSec: 0.002, DurSec: 0.03},
+			{Name: PhaseSelect, StartSec: 0.002, DurSec: 0.03},
 		}},
 		{Spans: []Span{
-			{Name: PhaseDecide, DurSec: 0.004},
+			{Name: PhaseServe, DurSec: 0.004},
 			{Name: PhasePredict, Depth: 1, DurSec: 0.003},
 		}},
 		{}, // no ledger: contributes nothing
@@ -195,15 +158,15 @@ func TestAnalyzePhases(t *testing.T) {
 	if len(stats) != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	// Canonical order: decide before model_predict before job_exec.
-	if stats[0].Name != PhaseDecide || stats[1].Name != PhasePredict || stats[2].Name != PhaseExec {
+	// Canonical order: serve before model_predict before level_select.
+	if stats[0].Name != PhaseServe || stats[1].Name != PhasePredict || stats[2].Name != PhaseSelect {
 		t.Fatalf("phase order = %s, %s, %s", stats[0].Name, stats[1].Name, stats[2].Name)
 	}
 	if d := stats[0]; d.N != 2 || math.Abs(d.MeanSec-0.003) > 1e-12 || d.MaxSec != 0.004 {
-		t.Errorf("decide stats = %+v", d)
+		t.Errorf("serve stats = %+v", d)
 	}
 	if e := stats[2]; e.N != 1 || e.MaxSec != 0.03 {
-		t.Errorf("exec stats = %+v", e)
+		t.Errorf("level_select stats = %+v", e)
 	}
 	if AnalyzePhases(nil) != nil {
 		t.Error("AnalyzePhases(nil) != nil")
@@ -231,8 +194,8 @@ func TestReportRendersPhases(t *testing.T) {
 	events := []DecisionEvent{{
 		Done: true,
 		Spans: []Span{
-			{Name: PhaseDecide, DurSec: 0.002},
-			{Name: PhaseExec, StartSec: 0.002, DurSec: 0.03},
+			{Name: PhaseServe, DurSec: 0.002},
+			{Name: PhaseSelect, StartSec: 0.002, DurSec: 0.03},
 		},
 	}}
 	r := Analyze(events)
@@ -242,7 +205,7 @@ func TestReportRendersPhases(t *testing.T) {
 	var b strings.Builder
 	r.WriteText(&b)
 	if !strings.Contains(b.String(), "phases      measured spans on 1 events") ||
-		!strings.Contains(b.String(), PhaseExec) {
+		!strings.Contains(b.String(), PhaseSelect) {
 		t.Errorf("text report missing phase block:\n%s", b.String())
 	}
 }

@@ -34,7 +34,7 @@ func TestSSERoundTrip(t *testing.T) {
 	var b strings.Builder
 	events := []DecisionEvent{
 		{Seq: 0, Workload: "ldecode", Job: 0, Done: true, ActualExecSec: 0.01,
-			Spans: []Span{{Name: PhaseDecide, DurSec: 0.001}, {Name: PhasePredict, Depth: 1, DurSec: 0.0004}}},
+			Spans: []Span{{Name: PhaseServe, DurSec: 0.001}, {Name: PhasePredict, Depth: 1, DurSec: 0.0004}}},
 		{Seq: 1, Workload: "sha", Job: 1, Missed: true},
 	}
 	for i := range events {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dvfs"
 	"repro/internal/governor"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/stats"
 )
@@ -186,25 +185,6 @@ func analyzeGroup(g *group, opts Options, tb tables) GroupResult {
 			gr.Predicted++
 		}
 	}
-	// Measured per-phase attribution: what the static predictor-cost
-	// estimate actually decomposes into. Reporting only — the energy
-	// reconstruction above already used the estimates the trace charged.
-	if n := len(g.spanLedgers); n > 0 {
-		gr.SpanJobs = n
-		gr.Phases = obs.AnalyzePhases(g.spanLedgers)
-		gr.EstPredictorSec = g.estSum / float64(n)
-		var meas float64
-		for i := range g.spanLedgers {
-			for _, sp := range g.spanLedgers[i].Spans {
-				if sp.Depth == 0 && (sp.Name == obs.PhaseDecide || sp.Name == obs.PhaseServe) {
-					meas += sp.DurSec
-					break
-				}
-			}
-		}
-		gr.MeasPredictorSec = meas / float64(n)
-	}
-
 	policies := []policy{
 		{name: "performance", decide: func(_ *job, _ platform.Level, _ float64) (platform.Level, float64) {
 			return plat.MaxLevel(), 0

@@ -138,20 +138,6 @@ type GroupResult struct {
 	// Approx lists reasons the traced reconstruction is approximate
 	// (empty = the energy model matches the simulator's exactly).
 	Approx []string `json:"approx,omitempty"`
-	// SpanJobs counts replayed jobs whose events carried a measured
-	// span ledger; Phases is their per-phase latency distribution.
-	// MeasPredictorSec is the mean measured decision time (the
-	// decide/serve root span) — the measured counterpart of the static
-	// PredictorSec estimate §3.4 charges against every budget. The
-	// energy reconstruction keeps using the static estimate (that is
-	// what the traced run charged); the measured spans attribute where
-	// it went. All zero/empty when the log predates span capture.
-	SpanJobs         int             `json:"span_jobs,omitempty"`
-	Phases           []obs.PhaseStat `json:"phases,omitempty"`
-	MeasPredictorSec float64         `json:"meas_predictor_sec,omitempty"`
-	// EstPredictorSec is the mean static estimate over the same jobs,
-	// for the measured-vs-estimated comparison the report prints.
-	EstPredictorSec float64 `json:"est_predictor_sec,omitempty"`
 	// Traced is the reconstruction of what the trace actually spent.
 	Traced Outcome `json:"traced"`
 	// Policies holds the counterfactuals in deterministic order.
@@ -235,11 +221,6 @@ type group struct {
 	rho                float64
 	approx             []string
 	hasSched           bool
-	// spanLedgers holds the span ledgers of replayed events that carry
-	// one (reduced to just the spans — AnalyzePhases needs nothing
-	// else), with estSum accumulating the same jobs' static estimates.
-	spanLedgers []obs.DecisionEvent
-	estSum      float64
 }
 
 // Run replays a decision log. Events without a recorded outcome are
@@ -367,10 +348,6 @@ func (g *group) add(e *obs.DecisionEvent, plat *platform.Platform) {
 		j.release = e.TimeSec
 		j.deadline = e.TimeSec + e.BudgetSec
 		j.from = -1
-	}
-	if len(e.Spans) > 0 {
-		g.spanLedgers = append(g.spanLedgers, obs.DecisionEvent{Spans: e.Spans})
-		g.estSum += e.PredictorSec
 	}
 	if e.Predicted && e.TFminSec > 0 && e.TFmaxSec > 0 {
 		j.predicted = true

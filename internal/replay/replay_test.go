@@ -72,63 +72,6 @@ func TestReplayCrossValidatesAgainstSimulator(t *testing.T) {
 	}
 }
 
-// TestReplaySpanAttribution: a prediction trace captured with span
-// ledgers yields measured per-phase predictor-overhead attribution —
-// and the measured decision time replaces nothing in the energy
-// reconstruction (cross-validation stays within 1%, checked above).
-func TestReplaySpanAttribution(t *testing.T) {
-	_, events := tracedRun(t, "prediction", 60)
-	res, err := replay.Run(events, replay.Options{Plat: platform.ODROIDXU3A7()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := res.Group("sha", "prediction")
-	if g == nil {
-		t.Fatal("no sha/prediction group")
-	}
-	if g.SpanJobs != g.Jobs {
-		t.Errorf("span ledgers on %d of %d jobs, want all (sampling off)", g.SpanJobs, g.Jobs)
-	}
-	if g.MeasPredictorSec <= 0 || g.EstPredictorSec <= 0 {
-		t.Errorf("predictor attribution: measured %g, estimate %g", g.MeasPredictorSec, g.EstPredictorSec)
-	}
-	byName := map[string]obs.PhaseStat{}
-	for _, ph := range g.Phases {
-		byName[ph.Name] = ph
-	}
-	for _, want := range []string{
-		obs.PhaseDecide, obs.PhaseSliceEval, obs.PhasePredict,
-		obs.PhaseSelect, obs.PhaseSwitch, obs.PhaseExec,
-	} {
-		if byName[want].N == 0 {
-			t.Errorf("phase %s missing from attribution: %+v", want, g.Phases)
-		}
-	}
-	// The ledger's exec phase is the simulator's measured
-	// execution, so its mean must agree with the jobs themselves.
-	var execSum float64
-	for i := range events {
-		execSum += events[i].ActualExecSec
-	}
-	if got, want := byName[obs.PhaseExec].MeanSec, execSum/float64(len(events)); math.Abs(got-want) > 1e-9 {
-		t.Errorf("exec phase mean %g, want measured mean %g", got, want)
-	}
-	// Decision phases live at micro/millisecond scale; the decide root
-	// must bound its children.
-	dec := byName[obs.PhaseDecide]
-	if sum := byName[obs.PhaseSliceEval].MeanSec + byName[obs.PhasePredict].MeanSec + byName[obs.PhaseSelect].MeanSec; sum > dec.MeanSec+1e-9 {
-		t.Errorf("child phase means sum %g > decide mean %g", sum, dec.MeanSec)
-	}
-
-	var b bytes.Buffer
-	res.WriteText(&b)
-	for _, want := range []string{"predictor measured", "decision spans on", obs.PhaseSliceEval} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("text report missing %q:\n%s", want, b.String())
-		}
-	}
-}
-
 func TestReplayOrderingAndCounterfactuals(t *testing.T) {
 	_, events := tracedRun(t, "prediction", 80)
 	res, err := replay.Run(events, replay.Options{Plat: platform.ODROIDXU3A7()})

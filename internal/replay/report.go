@@ -7,8 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // WriteText renders the replay deterministically for a terminal: one
@@ -33,15 +31,6 @@ func (r *Result) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  traced    %.3f J = exec %.3f + predictor %.3f + switch %.3f + idle %.3f;  %d misses (%.2f%%)\n",
 			g.Traced.EnergyJ, b.ExecJ, b.PredictorJ, b.SwitchJ, b.IdleJ,
 			g.Traced.Misses, 100*g.Traced.MissRate)
-		if g.SpanJobs > 0 {
-			fmt.Fprintf(w, "  predictor measured %s/job (decision spans on %d jobs) vs static estimate %s/job\n",
-				obs.FormatDur(g.MeasPredictorSec), g.SpanJobs, obs.FormatDur(g.EstPredictorSec))
-			for _, ph := range g.Phases {
-				fmt.Fprintf(w, "    %-14s %6d  mean %-10s p50 %-10s p95 %-10s max %s\n",
-					ph.Name, ph.N, obs.FormatDur(ph.MeanSec), obs.FormatDur(ph.P50Sec),
-					obs.FormatDur(ph.P95Sec), obs.FormatDur(ph.MaxSec))
-			}
-		}
 		fmt.Fprintf(w, "  %-14s %10s %8s %8s %9s %10s\n",
 			"policy", "energy J", "norm %", "misses", "miss %", "Δenergy %")
 		for _, p := range g.Policies {

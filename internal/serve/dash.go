@@ -423,12 +423,12 @@ var historyCharts = []historyChart{
 }
 
 // decisionMicros is the measured decision-phase time in microseconds
-// per span-carrying event (the decide/serve root span).
+// per span-carrying event (the serve root span).
 func decisionMicros(events []obs.DecisionEvent) []float64 {
 	var out []float64
 	for i := range events {
 		for _, sp := range events[i].Spans {
-			if sp.Depth == 0 && (sp.Name == obs.PhaseDecide || sp.Name == obs.PhaseServe) {
+			if sp.Depth == 0 && sp.Name == obs.PhaseServe {
 				out = append(out, 1e6*sp.DurSec)
 				break
 			}

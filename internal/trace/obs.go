@@ -13,7 +13,7 @@ import (
 // decider is a governor that describes its own decisions
 // (core.Controller): Decide is its JobStart, and fills in e with what
 // only the governor sees — the feature hash, the raw tfmin/tfmax, the
-// §3.4 budget ledger, the margin and the span ledger.
+// §3.4 budget ledger and the margin.
 type decider interface {
 	Decide(job *governor.Job, cur platform.Level, e *obs.DecisionEvent) governor.Decision
 }
@@ -40,9 +40,10 @@ func (k *keeper) JobStart(job *governor.Job, cur platform.Level) governor.Decisi
 // as core.Controller) fills in each job's event as it decides; any
 // other governor's events carry the job records' fields
 // (DecisionEvents). Either way each event is completed from its
-// record's outcome (governor.Outcome.Complete). The whole log is
-// returned at once because callers stamp and order it before it
-// reaches their sinks.
+// record's outcome (governor.Outcome.Complete), so every duration in
+// the log is on the simulated clock and no event carries a span
+// ledger. The whole log is returned at once because callers stamp and
+// order it before it reaches their sinks.
 func Simulate(w *workload.Workload, gov governor.Governor, cfg sim.Config) (*sim.Result, []obs.DecisionEvent, error) {
 	var k *keeper
 	if d, ok := gov.(decider); ok {
