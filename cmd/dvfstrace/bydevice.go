@@ -3,7 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -15,7 +15,7 @@ import (
 // offline twin of dvfsd's GET /v1/fleet. Energy uses the platform
 // power model when the trace carries resolvable platform names, and
 // the f² proxy otherwise (same rule the replayer applies).
-func runByDevice(events []obs.DecisionEvent, topN int, format string) error {
+func runByDevice(w io.Writer, events []obs.DecisionEvent, topN int, format string) error {
 	ft := obs.NewFleetTracker(obs.FleetConfig{
 		TopK:         topN,
 		EnergyPerJob: trace.EnergyEstimator(),
@@ -25,15 +25,15 @@ func runByDevice(events []obs.DecisionEvent, topN int, format string) error {
 	}
 	snap := ft.Snapshot()
 	if format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(snap)
 	}
-	writeByDeviceText(os.Stdout, &snap)
+	writeByDeviceText(w, &snap)
 	return nil
 }
 
-func writeByDeviceText(w *os.File, s *obs.FleetStatus) {
+func writeByDeviceText(w io.Writer, s *obs.FleetStatus) {
 	fmt.Fprintf(w, "fleet    %d devices, %d events, %d completed, %d misses (%.2f%%)\n",
 		s.Devices, s.Events, s.Completed, s.Misses, 100*s.MissRate)
 	fmt.Fprintf(w, "health   %d healthy, %d degraded, %d outlier, %d fresh\n",
