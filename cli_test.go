@@ -115,17 +115,28 @@ func TestCLIRejectsUnknownWorkloadUpFront(t *testing.T) {
 	}
 }
 
+// dvfssim failure paths: each is a usage error (exit 2 + usage),
+// caught before any simulation runs.
 func TestCLIDvfssimRejectsBadGovernorAndPlatform(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
 	}
-	out := failCLI(t, "./cmd/dvfssim", "-governor", "warp-speed")
-	if !strings.Contains(out, "unknown governor") || !strings.Contains(out, "-governor") {
-		t.Errorf("bad governor output:\n%s", out)
+	tests := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"bad governor", []string{"-governor", "warp-speed"}, "unknown governor"},
+		{"bad platform", []string{"-platform", "quantum"}, "unknown platform"},
+		{"two sinks on stdout", []string{"-jobs", "5", "-trace", "-", "-chrome", "-"}, "cannot both write to stdout"},
 	}
-	out = failCLI(t, "./cmd/dvfssim", "-platform", "quantum")
-	if !strings.Contains(out, "unknown platform") {
-		t.Errorf("bad platform output:\n%s", out)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			out := failCLI(t, append([]string{"./cmd/dvfssim"}, tc.args...)...)
+			if !strings.Contains(out, tc.want) || !strings.Contains(out, "-governor") || !strings.Contains(out, "exit status 2") {
+				t.Errorf("want %q, the usage text and exit status 2:\n%s", tc.want, out)
+			}
+		})
 	}
 }
 
