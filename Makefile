@@ -59,7 +59,8 @@ bench:
 # testdata/golden/decision-logs.sha256. Every output is hashed as
 # written: a simulated log holds no host time. The replay leg pins the
 # text, JSON and HTML reports dvfsreplay writes at seeds 1, 2 and 7 for
-# the 16 dvfssim logs and both fleet traces
+# the 16 dvfssim logs and both fleet traces, and with -slo-target 0.01
+# at seed 1 for the fleet traces
 # (testdata/golden/replay-reports.sha256), and the dvfstrace leg the
 # text and JSON reports dvfstrace writes for the same 18 logs, plus the
 # -by-device 10 reports of both fleet traces

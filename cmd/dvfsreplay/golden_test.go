@@ -37,7 +37,9 @@ const (
 // TestGolden pins, by SHA-256 digest, the text, JSON and HTML reports
 // dvfsreplay's run() writes at seeds 1, 2 and 7 for every decision log
 // the dvfssim golden pins: the 16 dvfssim logs, and
-// both fleet traces, replayed in fleet mode. Each input is checked
+// both fleet traces, replayed in fleet mode. Each fleet trace is also
+// replayed at seed 1 with -slo-target 0.01, which adds the keyed SLO
+// burn section (the "-slo-s1" reports). Each input is checked
 // against its pinned digest first, so the reports are those of the
 // pinned logs. A change that moves a report on purpose regenerates the
 // digests with `go test ./cmd/dvfsreplay -run TestGolden -update` (or
@@ -48,23 +50,33 @@ func TestGolden(t *testing.T) {
 	logs := readDigests(t, logsPath)
 	got := map[string]string{}
 	dir := t.TempDir()
+	type leg struct {
+		suffix    string
+		seed      int64
+		sloTarget float64
+	}
 	for _, in := range inputs(t) {
 		if !*update && digest(in.log) != logs[in.pinned] {
 			t.Fatalf("%s: the replayed log is not the one %s pins as %s", in.name, logsPath, in.pinned)
 		}
-		for _, seed := range []int64{1, 2, 7} {
-			name := fmt.Sprintf("%s-s%d", in.name, seed)
+		legs := []leg{{"-s1", 1, 0}, {"-s2", 2, 0}, {"-s7", 7, 0}}
+		if strings.HasPrefix(in.name, "dvfsfleet/") {
+			legs = append(legs, leg{"-slo-s1", 1, 0.01})
+		}
+		for _, leg := range legs {
+			name := in.name + leg.suffix
 			jsonOut := filepath.Join(dir, "report.json")
 			htmlOut := filepath.Join(dir, "report.html")
 			var text bytes.Buffer
 			exit, err := run(&text, io.Discard, bytes.NewReader(in.log), config{
 				fleetMode:  "auto",
-				seed:       seed,
+				seed:       leg.seed,
 				alpha:      100,
 				format:     "text",
 				jsonOut:    jsonOut,
 				htmlOut:    htmlOut,
 				maxRegress: 5,
+				sloTarget:  leg.sloTarget,
 			})
 			if err != nil || exit != 0 {
 				t.Fatalf("%s: exit %d: %v", name, exit, err)
