@@ -152,6 +152,12 @@ func TestCLIDvfsdRejectsBadFlags(t *testing.T) {
 	if !strings.Contains(out, "unknown benchmark") {
 		t.Errorf("bad preload output:\n%s", out)
 	}
+	// Every served decision carries its span ledger; there is no
+	// sampling flag.
+	out = failCLI(t, "./cmd/dvfsd", "-span-every", "1")
+	if !strings.Contains(out, "flag provided but not defined: -span-every") || !strings.Contains(out, "-slo-target") || !strings.Contains(out, "exit status 2") {
+		t.Errorf("want the undefined-flag error, the usage text and exit status 2:\n%s", out)
+	}
 }
 
 func TestCLIDvfsloadFailsWithoutDaemon(t *testing.T) {

@@ -31,11 +31,17 @@
 // endpoints serve) plus the net/http/pprof handlers under
 // /debug/pprof/.
 //
+// Every served prediction emits a decision event (to
+// /debug/decisions, -trace and /v1/events) carrying its span ledger on
+// dvfsd's clock: serve, enclosing http_ingest, registry_lookup,
+// model_predict and level_select.
+//
 // Deadline-miss SLO tracking (-slo-target) watches ingested fleet
 // traces only: a served prediction's job runs on the client and never
-// reports whether it met its deadline. The tracker's burn rates are
-// exported as dvfsd_slo_burn_rate{key,window}, and the alert engine's
-// builtin slo_burn rule is what alerts on them.
+// reports whether it met its deadline. The tracker only measures: its
+// burn rates are exported as dvfsd_slo_burn_rate{key,window}, and the
+// alert engine's builtin slo_burn rule gives the one verdict on them
+// (GET /v1/alerts, and /debug/dash's active alerts).
 //
 // Model drift is likewise measured on ingested residuals only: the
 // drift monitor's per-workload under-prediction rate is exported as
@@ -107,9 +113,9 @@ type config struct {
 	timeout                       time.Duration
 	seed                          int64
 	// Decision tracing.
-	trace                  string
-	debug                  bool
-	streamQueue, spanEvery int
+	trace       string
+	debug       bool
+	streamQueue int
 	// Fleet observability.
 	sloTarget      float64
 	fleetTopK      int
@@ -135,7 +141,6 @@ func (c *config) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&c.debug, "debug", true, "serve /debug/decisions, /debug/slo, /debug/dash and /debug/pprof/")
 	fs.Float64Var(&c.sloTarget, "slo-target", 0.01, "deadline-miss SLO target for ingested fleet traces (0 disables burn-rate tracking)")
 	fs.IntVar(&c.streamQueue, "stream-queue", 256, "queued events per /v1/events subscriber before dropping (0 disables streaming)")
-	fs.IntVar(&c.spanEvery, "span-every", 1, "capture a per-phase span ledger on every Nth decision (1 = all)")
 	fs.IntVar(&c.fleetTopK, "fleet-topk", 10, "worst devices surfaced by the fleet tracker")
 	fs.Int64Var(&c.fleetMaxIngest, "fleet-max-ingest", 0, "byte limit for /v1/fleet/ingest bodies (0 = 256 MiB)")
 	fs.DurationVar(&c.tsdbScrape, "tsdb-scrape", 5*time.Second, "telemetry history scrape interval; alert rules evaluate on each tick (0 disables the embedded time-series store and alerting)")
@@ -155,8 +160,6 @@ func (c *config) validate() error {
 	switch {
 	case c.sloTarget < 0 || c.sloTarget >= 1:
 		return errors.New("-slo-target must be in [0, 1)")
-	case c.spanEvery < 0:
-		return errors.New("-span-every must be >= 0")
 	case c.fleetTopK < 0 || c.fleetMaxIngest < 0:
 		return errors.New("-fleet-topk and -fleet-max-ingest must be non-negative")
 	case c.tsdbScrape < 0 || c.tsdbBlock < 0:
@@ -336,7 +339,6 @@ func run(cfg config, log *slog.Logger) error {
 		Tracer:         tracer,
 		EnableDebug:    cfg.debug,
 		Stream:         stream,
-		SpanEvery:      cfg.spanEvery,
 		Fleet:          fleetTracker,
 		FleetSLO:       fleetSLO,
 		MaxIngestBytes: cfg.fleetMaxIngest,

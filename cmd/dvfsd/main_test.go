@@ -18,7 +18,6 @@ func TestConfigValidate(t *testing.T) {
 		{nil, ""},
 		{[]string{"-slo-target", "-0.01"}, "-slo-target must be in [0, 1)"},
 		{[]string{"-slo-target", "1"}, "-slo-target must be in [0, 1)"},
-		{[]string{"-span-every", "-1"}, "-span-every must be >= 0"},
 		{[]string{"-fleet-topk", "-1"}, "-fleet-topk and -fleet-max-ingest must be non-negative"},
 		{[]string{"-fleet-max-ingest", "-1"}, "-fleet-topk and -fleet-max-ingest must be non-negative"},
 		{[]string{"-tsdb-scrape", "-1s"}, "-tsdb-scrape and -tsdb-block must be non-negative"},

@@ -115,8 +115,7 @@ type DecisionEvent struct {
 	// clock (serve: ingest, registry lookup, model predict, level
 	// select), flat in preorder with nesting encoded by Span.Depth.
 	// Empty on simulated decisions, whose phases are the outcome
-	// fields above (PredictorSec, MeasSwitchSec, ActualExecSec), and on
-	// sampled-out served ones.
+	// fields above (PredictorSec, MeasSwitchSec, ActualExecSec).
 	Spans []Span `json:"spans,omitempty"`
 	// SpanTotalSec is the ledger's extent — the end of its last
 	// top-level span — i.e. the served decision's time in dvfsd. Zero

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
@@ -43,27 +42,17 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-// The burn-rate thresholds (observed miss rate ÷ Target) of the
-// multi-window multi-burn-rate pattern: a key latches Alerting once it
-// has completed sloMinSamples jobs and both windows burn at or above
-// their thresholds. SLOSlowBurn is exported because the alert engine's
-// built-in slo_burn rule fires on the same slow-window boundary.
-const (
-	sloFastBurn   = 10.0
-	SLOSlowBurn   = 2.0
-	sloMinSamples = 32
-)
+// SLOSlowBurn is the slow-window burn rate (observed miss rate ÷
+// Target) at which the alert engine's built-in slo_burn rule fires.
+const SLOSlowBurn = 2.0
 
 // SLOTracker maintains keyed deadline-miss burn rates over two sliding
 // windows. The fast window catches sharp regressions (a bad model
-// push) within ~a hundred jobs; the slow window keeps the status from
-// flapping on short bursts that the error budget can absorb. Each key
-// carries an Alerting status bit, latched when both windows burn past
-// their thresholds and cleared with hysteresis once both fall below
-// half of them. The tracker itself notifies no one: dvfsd exports the
-// burn rates as gauges and its alert engine's slo_burn rule owns the
-// alert lifecycle, while the latch is what /debug/slo (and the SLO
-// section of /debug/dash) and dvfsreplay print.
+// push) within ~a hundred jobs; the slow window rides out short bursts
+// that the error budget can absorb. The tracker only measures: dvfsd
+// exports the burn rates as gauges, and its alert engine's slo_burn
+// rule gives the one verdict on them. /debug/slo and dvfsreplay print
+// the rates.
 type SLOTracker struct {
 	cfg SLOConfig
 
@@ -75,7 +64,6 @@ type sloState struct {
 	fast, slow missWindow
 	total      int64
 	misses     int64
-	alerting   bool
 }
 
 // missWindow is a fixed-size circular buffer of deadline outcomes.
@@ -149,8 +137,7 @@ func (t *SLOTracker) ObserveEvent(e *DecisionEvent) {
 	}
 }
 
-// Observe feeds one completed job's deadline outcome for a key and
-// re-evaluates its status bit.
+// Observe feeds one completed job's deadline outcome for a key.
 func (t *SLOTracker) Observe(key string, missed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -178,16 +165,6 @@ func (t *SLOTracker) Observe(key string, missed bool) {
 	if missed {
 		st.misses++
 	}
-
-	fastBurn := st.fast.rate() / t.cfg.Target
-	slowBurn := st.slow.rate() / t.cfg.Target
-	switch {
-	case !st.alerting && st.total >= sloMinSamples &&
-		fastBurn >= sloFastBurn && slowBurn >= SLOSlowBurn:
-		st.alerting = true
-	case st.alerting && fastBurn < sloFastBurn/2 && slowBurn < SLOSlowBurn/2:
-		st.alerting = false
-	}
 }
 
 // SLOStatus is one key's current SLO state, as served by dvfsd's GET
@@ -200,7 +177,6 @@ type SLOStatus struct {
 	MissRate float64 `json:"miss_rate"`
 	FastBurn float64 `json:"fast_burn"`
 	SlowBurn float64 `json:"slow_burn"`
-	Alerting bool    `json:"alerting"`
 }
 
 func (t *SLOTracker) statusLocked(key string, st *sloState) SLOStatus {
@@ -211,7 +187,6 @@ func (t *SLOTracker) statusLocked(key string, st *sloState) SLOStatus {
 		Misses:   st.misses,
 		FastBurn: st.fast.rate() / t.cfg.Target,
 		SlowBurn: st.slow.rate() / t.cfg.Target,
-		Alerting: st.alerting,
 	}
 	if st.total > 0 {
 		s.MissRate = float64(st.misses) / float64(st.total)
@@ -233,16 +208,4 @@ func (t *SLOTracker) Snapshot() []SLOStatus {
 		out = append(out, t.statusLocked(name, t.per[name]))
 	}
 	return out
-}
-
-// BurnRates returns the key's current fast- and slow-window burn
-// rates (NaN with no observations).
-func (t *SLOTracker) BurnRates(key string) (fast, slow float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.per[key]
-	if st == nil {
-		return math.NaN(), math.NaN()
-	}
-	return st.fast.rate() / t.cfg.Target, st.slow.rate() / t.cfg.Target
 }

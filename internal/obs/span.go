@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -160,38 +159,6 @@ func (t *SpanTimer) Finish() ([]Span, float64) {
 		}
 	}
 	return t.spans[:t.n:t.n], total
-}
-
-// SpanSampler decides, per served decision, whether to hand out a
-// SpanTimer: every Nth decision gets one, the rest get nil (every
-// SpanTimer method is nil-safe, so callers never branch). Head
-// sampling bounds the capture cost — each boundary is a monotonic
-// clock read, which §3.4's budget accounting must pay for — while
-// keeping the ledger statistically representative. N ≤ 1 captures
-// every decision (dvfsd's default, -span-every 1).
-type SpanSampler struct {
-	every uint64
-	n     atomic.Uint64
-}
-
-// NewSpanSampler builds a sampler capturing one in every decisions.
-func NewSpanSampler(every int) *SpanSampler {
-	if every < 1 {
-		every = 1
-	}
-	return &SpanSampler{every: uint64(every)}
-}
-
-// Timer returns a fresh SpanTimer when this decision is sampled, nil
-// otherwise. Safe for concurrent use.
-func (s *SpanSampler) Timer() *SpanTimer {
-	if s == nil {
-		return nil
-	}
-	if s.every > 1 && (s.n.Add(1)-1)%s.every != 0 {
-		return nil
-	}
-	return NewSpanTimer()
 }
 
 // PhaseStat is one phase's latency distribution across a decision log.

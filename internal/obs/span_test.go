@@ -118,29 +118,6 @@ func TestSpanTimerNilSafe(t *testing.T) {
 	}
 }
 
-func TestSpanSampler(t *testing.T) {
-	s := NewSpanSampler(4)
-	got := 0
-	for i := 0; i < 16; i++ {
-		if s.Timer() != nil {
-			got++
-		}
-	}
-	if got != 4 {
-		t.Errorf("1-in-4 sampler handed out %d/16 timers", got)
-	}
-	if NewSpanSampler(1).Timer() == nil {
-		t.Error("every=1 sampler returned nil")
-	}
-	if NewSpanSampler(0).Timer() == nil {
-		t.Error("every=0 sampler (clamped to 1) returned nil")
-	}
-	var nilS *SpanSampler
-	if nilS.Timer() != nil {
-		t.Error("nil sampler returned a timer")
-	}
-}
-
 func TestAnalyzePhases(t *testing.T) {
 	events := []DecisionEvent{
 		{Spans: []Span{

@@ -125,24 +125,22 @@ var benchEvent = DecisionEvent{
 	Done: true, ActualExecSec: 0.021, ResidualSec: 0.001,
 }
 
-// benchSpans runs the decision-path emit loop with a served ledger's
-// shape, a root and three contiguous sub-phases (dvfsd's serve ledger
-// after its ingest phase): a full capture costs four monotonic
-// clock reads (≈40–70 ns each on commodity hardware) on top of the
-// bare emit, so `make obs-bench` gates the sampled path (every-16) to
-// stay within 20% of BenchmarkTracerEmit while the full path is gated
-// by the same absolute < 1000 ns/op §3.4 budget bound.
-func benchSpans(b *testing.B, every int) {
+// BenchmarkTracerEmitSpans runs the decision-path emit loop with a
+// served ledger's shape, a root and three contiguous sub-phases
+// (dvfsd's serve ledger after its ingest phase), captured on every
+// event as dvfsd does: four monotonic clock reads (≈40–70 ns each on
+// commodity hardware) on top of the bare emit. `make obs-bench` gates
+// it by the same absolute < 1000 ns/op §3.4 budget bound.
+func BenchmarkTracerEmitSpans(b *testing.B) {
 	tr := NewTracer(TracerOptions{
 		RingSize: 4096,
 		Drift:    NewDriftMonitor(DriftConfig{}),
 	})
-	sampler := NewSpanSampler(every)
 	e := benchEvent
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := sampler.Timer()
+		st := NewSpanTimer()
 		st.Start(PhaseServe)
 		st.Start(PhaseLookup)
 		st.Next(PhasePredict)
@@ -154,11 +152,3 @@ func benchSpans(b *testing.B, every int) {
 		tr.Emit(e)
 	}
 }
-
-// BenchmarkTracerEmitSpans measures full span capture on every event.
-func BenchmarkTracerEmitSpans(b *testing.B) { benchSpans(b, 1) }
-
-// BenchmarkTracerEmitSpansSampled measures the amortized cost at the
-// 1-in-16 head-sampling rate an overhead-sensitive deployment would
-// run (`dvfsd -span-every 16`).
-func BenchmarkTracerEmitSpansSampled(b *testing.B) { benchSpans(b, 16) }

@@ -36,12 +36,8 @@ func (r *FleetReplayResult) WriteText(w io.Writer) {
 	if len(r.SLO) > 0 {
 		fmt.Fprintf(w, "slo burn      target %.2f%% miss rate\n", 100*r.SLOTarget)
 		for _, s := range r.SLO {
-			alert := ""
-			if s.Alerting {
-				alert = "  ALERT"
-			}
-			fmt.Fprintf(w, "  %-24s %8d jobs, %6d misses (%.2f%%), burn fast %.2fx slow %.2fx%s\n",
-				s.Workload, s.Jobs, s.Misses, 100*s.MissRate, s.FastBurn, s.SlowBurn, alert)
+			fmt.Fprintf(w, "  %-24s %8d jobs, %6d misses (%.2f%%), burn fast %.2fx slow %.2fx\n",
+				s.Workload, s.Jobs, s.Misses, 100*s.MissRate, s.FastBurn, s.SlowBurn)
 		}
 	}
 }
@@ -97,13 +93,9 @@ func (r *FleetReplayResult) WriteHTML(w io.Writer) error {
 	if len(r.SLO) > 0 {
 		p.Section("Fleet SLO burn")
 		p.Para(fmt.Sprintf("Deadline-miss objective: %.2f%%. Burn is observed miss rate over the objective, per window.", 100*r.SLOTarget))
-		header := []string{"key", "jobs", "misses", "miss %", "fast burn", "slow burn", "alert"}
+		header := []string{"key", "jobs", "misses", "miss %", "fast burn", "slow burn"}
 		rows := make([][]string, 0, len(r.SLO))
 		for _, s := range r.SLO {
-			alert := ""
-			if s.Alerting {
-				alert = "ALERT"
-			}
 			rows = append(rows, []string{
 				s.Workload,
 				fmt.Sprintf("%d", s.Jobs),
@@ -111,10 +103,9 @@ func (r *FleetReplayResult) WriteHTML(w io.Writer) error {
 				fmt.Sprintf("%.2f", 100*s.MissRate),
 				fmt.Sprintf("%.2fx", s.FastBurn),
 				fmt.Sprintf("%.2fx", s.SlowBurn),
-				alert,
 			})
 		}
-		p.Table(header, rows, []bool{false, true, true, true, true, true, false})
+		p.Table(header, rows, []bool{false, true, true, true, true, true})
 	}
 
 	if len(r.ByPlatform) > 0 {

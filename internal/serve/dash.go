@@ -214,7 +214,8 @@ func fleetSection(p *render.HTMLPage, snap *obs.FleetStatus) {
 	}
 }
 
-// sloSection renders the fleet SLO's burn-rate status per key.
+// sloSection renders the fleet SLO's burn rates per key; the alerts
+// section shows whether slo_burn fires on them.
 func sloSection(p *render.HTMLPage, sr SLOResponse) {
 	p.Section(fmt.Sprintf("Fleet SLO burn (target %.2f%% miss rate)", 100*sr.Target))
 	if len(sr.Workloads) == 0 {
@@ -223,18 +224,14 @@ func sloSection(p *render.HTMLPage, sr SLOResponse) {
 	}
 	rows := make([][]string, 0, len(sr.Workloads))
 	for _, st := range sr.Workloads {
-		alerting := ""
-		if st.Alerting {
-			alerting = "ALERT"
-		}
 		rows = append(rows, []string{
 			st.Workload, fmt.Sprintf("%d", st.Jobs), fmt.Sprintf("%d", st.Misses),
 			fmt.Sprintf("%.2f%%", 100*st.MissRate),
-			fmt.Sprintf("%.2f", st.FastBurn), fmt.Sprintf("%.2f", st.SlowBurn), alerting,
+			fmt.Sprintf("%.2f", st.FastBurn), fmt.Sprintf("%.2f", st.SlowBurn),
 		})
 	}
-	p.Table([]string{"key", "jobs", "misses", "miss rate", "fast burn", "slow burn", ""},
-		rows, []bool{false, true, true, true, true, true, false})
+	p.Table([]string{"key", "jobs", "misses", "miss rate", "fast burn", "slow burn"},
+		rows, []bool{false, true, true, true, true, true})
 }
 
 // alertSection renders the alert engine's snapshot: counts, the rule

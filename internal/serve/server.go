@@ -40,9 +40,6 @@ type ServerOptions struct {
 	// decision stream. The broadcaster must also be attached to the
 	// tracer as a sink (cmd/dvfsd wires both ends).
 	Stream *obs.Broadcaster
-	// SpanEvery samples the per-phase span ledger on every Nth traced
-	// prediction; ≤ 1 captures all of them.
-	SpanEvery int
 	// Fleet, when non-nil, enables POST /v1/fleet/ingest (decision
 	// traces, JSONL or binary) and GET /v1/fleet, gives /debug/dash its
 	// fleet sections, and exports fleet gauges through the shared
@@ -105,7 +102,6 @@ type Server struct {
 	sem     chan struct{}
 	tracer  *obs.Tracer
 	stream  *obs.Broadcaster
-	spans   *obs.SpanSampler
 	start   time.Time
 	mux     *http.ServeMux
 
@@ -151,7 +147,6 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 		sem:     make(chan struct{}, opts.MaxInflight),
 		tracer:  opts.Tracer,
 		stream:  opts.Stream,
-		spans:   obs.NewSpanSampler(opts.SpanEvery),
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
 
@@ -219,10 +214,6 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	}
 	return s
 }
-
-// Metrics returns the server's metrics registry (cmd/dvfsd shares it
-// with the registry's build observer).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -487,10 +478,10 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The span ledger roots at "serve" and opens with request ingest so
 	// the HTTP read + decode is attributed; predictOne adds the lookup
-	// and decision phases. st is nil when untraced or sampled out.
+	// and decision phases. st is nil when untraced.
 	var st *obs.SpanTimer
 	if s.tracer != nil {
-		st = s.spans.Timer()
+		st = obs.NewSpanTimer()
 		st.Start(obs.PhaseServe)
 		st.Start(obs.PhaseIngest)
 	}
@@ -547,7 +538,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 //dvfs:noblock
 func (s *Server) predictOne(model string, job PredictJob, st *obs.SpanTimer) (PredictResponse, error) {
 	if st == nil && s.tracer != nil {
-		st = s.spans.Timer()
+		st = obs.NewSpanTimer()
 		st.Start(obs.PhaseServe)
 	}
 	st.Start(obs.PhaseLookup)
