@@ -74,17 +74,14 @@ golden:
 
 # Decision-path instrumentation budget: §3.4 charges the predictor's
 # cost against every job's budget, so tracing must stay well under
-# 1 µs/event amortized. Three gates: the bare emit and full span
-# capture (~5 monotonic clock reads) must each stay under 1000 ns/op
-# absolute, and 1-in-16 head-sampled span capture must stay within
-# 1.2x the bare-emit baseline. Sampled capture reads about 1.16x emit,
-# and one run of each benchmark spreads as wide as the 20 % margin, so
-# the test binary is built once and runs the three benchmarks in 31
-# alternating rounds, and each gate reads the per-benchmark medians
-# (fewer rounds failed unchanged code up to 5 % of the time).
+# 1 µs/event. Two gates: the bare emit and full span capture (the
+# ledger dvfsd builds for every served decision, ~5 monotonic clock
+# reads) must each stay under 1000 ns/op. The test binary is built
+# once and runs both benchmarks in 5 alternating rounds, and each gate
+# reads the per-benchmark median, so one noisy round cannot fail it.
 obs-bench:
 	@go test -c -o /tmp/obs-bench.test ./internal/obs
-	@rounds=31; rm -f /tmp/obs-bench.out; \
+	@rounds=5; rm -f /tmp/obs-bench.out; \
 	for round in $$(seq $$rounds); do \
 		/tmp/obs-bench.test -test.run '^$$' -test.bench '^BenchmarkTracerEmit' -test.benchtime 300ms \
 			-test.benchmem | grep '^Benchmark' | tee -a /tmp/obs-bench.out; \
@@ -92,14 +89,13 @@ obs-bench:
 	python3 -c "import re, statistics, sys; \
 rounds = int(sys.argv[1]); \
 runs = re.findall(r'^BenchmarkTracerEmit(\w*?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op', open('/tmp/obs-bench.out').read(), re.M); \
-assert len(runs) == 3 * rounds, f'obs-bench: want {rounds} runs of each of 3 benchmarks, got {len(runs)} runs'; \
-base, full, sampled = (statistics.median(float(ns) for name, ns in runs if name == b) for b in ('', 'Spans', 'SpansSampled')); \
+assert len(runs) == 2 * rounds, f'obs-bench: want {rounds} runs of each of 2 benchmarks, got {len(runs)} runs'; \
+base, full = (statistics.median(float(ns) for name, ns in runs if name == b) for b in ('', 'Spans')); \
 fails = [msg for bad, msg in ( \
     (base >= 1000, f'emit median {base:.0f} ns/op exceeds the 1000 ns/op budget'), \
-    (full >= 1000, f'full span capture median {full:.0f} ns/op exceeds the 1000 ns/op budget'), \
-    (sampled >= 1.2 * base, f'sampled span capture median {sampled:.0f} ns/op exceeds 1.2x the {base:.0f} ns/op emit median')) if bad]; \
+    (full >= 1000, f'full span capture median {full:.0f} ns/op exceeds the 1000 ns/op budget')) if bad]; \
 assert not fails, 'obs-bench: ' + '; '.join(fails); \
-print(f'obs-bench: medians of {rounds} rounds: emit {base:.0f}, +spans {full:.0f}, sampled 1/16 {sampled:.0f} ns/op ({sampled / base:.2f}x emit), within budget')" $$rounds
+print(f'obs-bench: medians of {rounds} rounds: emit {base:.0f}, +spans {full:.0f} ns/op, within budget')" $$rounds
 
 # Observability smoke: simulate with a decision log, then analyze it.
 trace-smoke:
