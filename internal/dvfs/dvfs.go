@@ -53,21 +53,6 @@ func (tp TwoPoint) TimeAt(f float64) float64 {
 	return tp.TmemSec + tp.Ndep/f
 }
 
-// FreqForBudget returns the exact (continuous) frequency that just
-// meets the budget: f = Ndep / (budget − Tmem). A non-positive
-// denominator means no frequency can meet the budget; +Inf is
-// returned so quantization clamps to the maximum level.
-func (tp TwoPoint) FreqForBudget(budgetSec float64) float64 {
-	rem := budgetSec - tp.TmemSec
-	if rem <= 0 {
-		return math.Inf(1)
-	}
-	if tp.Ndep <= 0 {
-		return 0
-	}
-	return tp.Ndep / rem
-}
-
 // Selector chooses discrete DVFS levels for jobs.
 type Selector struct {
 	// Plat supplies the discrete level grid.

@@ -42,23 +42,6 @@ func TestSolveDegenerateFrequencies(t *testing.T) {
 	}
 }
 
-func TestFreqForBudget(t *testing.T) {
-	tp := TwoPoint{Ndep: 10e6, TmemSec: 0.005}
-	// budget 15 ms → 10 ms for CPU → 1 GHz.
-	f := tp.FreqForBudget(0.015)
-	if math.Abs(f-1e9) > 1 {
-		t.Errorf("f = %g, want 1e9", f)
-	}
-	// Budget below Tmem → impossible → +Inf.
-	if !math.IsInf(tp.FreqForBudget(0.004), 1) {
-		t.Errorf("impossible budget should give +Inf, got %g", tp.FreqForBudget(0.004))
-	}
-	// No CPU work → any frequency, returns 0.
-	if (TwoPoint{Ndep: 0, TmemSec: 0.001}).FreqForBudget(0.01) != 0 {
-		t.Error("zero Ndep should give 0")
-	}
-}
-
 func newSelector(margin float64, withSwitch bool) *Selector {
 	p := platform.ODROIDXU3A7()
 	var tbl *platform.SwitchTable

@@ -117,18 +117,6 @@ func (m *Metrics) SyncRingDropped(ring string, total uint64) {
 	m.ringDropped.With(ring).RaiseTo(float64(total))
 }
 
-// RequestCount returns the total finished requests for a route across
-// all status codes (tests use it to check counter consistency).
-func (m *Metrics) RequestCount(route string) int64 {
-	var n int64
-	m.requests.Each(func(labelVals []string, value float64) {
-		if labelVals[0] == route {
-			n += int64(value)
-		}
-	})
-	return n
-}
-
 // WriteTo renders the registry in the Prometheus text format with
 // deterministic ordering.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) { return m.reg.WriteTo(w) }

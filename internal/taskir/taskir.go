@@ -321,42 +321,6 @@ func (p *Program) Validate() error {
 	return walk(p.Body)
 }
 
-// ControlSites returns the IDs of all conditionals, loops, and call
-// sites in the program in a deterministic (pre-order) order. These are
-// the candidate feature sites for instrumentation.
-func (p *Program) ControlSites() (branches, loops, calls []int) {
-	var walk func(stmts []Stmt)
-	walk = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *If:
-				branches = append(branches, st.ID)
-				walk(st.Then)
-				walk(st.Else)
-			case *While:
-				loops = append(loops, st.ID)
-				walk(st.Body)
-			case *Loop:
-				loops = append(loops, st.ID)
-				walk(st.Body)
-			case *Call:
-				calls = append(calls, st.ID)
-				// Walk function bodies in address order for determinism.
-				addrs := make([]int64, 0, len(st.Funcs))
-				for a := range st.Funcs {
-					addrs = append(addrs, a)
-				}
-				sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-				for _, a := range addrs {
-					walk(st.Funcs[a])
-				}
-			}
-		}
-	}
-	walk(p.Body)
-	return branches, loops, calls
-}
-
 // StmtCount returns the static number of statements in the program,
 // counting nested bodies. Used by tests and by slice size reporting.
 func (p *Program) StmtCount() int {

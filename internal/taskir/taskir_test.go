@@ -340,30 +340,6 @@ func TestValidateAcceptsIndexVar(t *testing.T) {
 	}
 }
 
-func TestControlSitesOrder(t *testing.T) {
-	p := &Program{
-		Globals: map[string]int64{},
-		Body: []Stmt{
-			&If{ID: 10, Cond: Const(1), Then: []Stmt{
-				&Loop{ID: 20, Count: Const(1)},
-			}},
-			&Call{ID: 30, Target: Const(1), Funcs: map[int64][]Stmt{
-				1: {&If{ID: 40, Cond: Const(0)}},
-			}},
-		},
-	}
-	br, lo, ca := p.ControlSites()
-	if len(br) != 2 || br[0] != 10 || br[1] != 40 {
-		t.Errorf("branches = %v", br)
-	}
-	if len(lo) != 1 || lo[0] != 20 {
-		t.Errorf("loops = %v", lo)
-	}
-	if len(ca) != 1 || ca[0] != 30 {
-		t.Errorf("calls = %v", ca)
-	}
-}
-
 func TestStmtCount(t *testing.T) {
 	p := &Program{
 		Globals: map[string]int64{},
@@ -542,7 +518,7 @@ func TestWhileLoopRunawayGuard(t *testing.T) {
 	}
 }
 
-func TestWhileInControlSitesAndCount(t *testing.T) {
+func TestWhileCountAndFormat(t *testing.T) {
 	p := &Program{
 		Globals: map[string]int64{},
 		Params:  []string{"n"},
@@ -552,10 +528,6 @@ func TestWhileInControlSitesAndCount(t *testing.T) {
 				&Assign{Dst: "v", Expr: Sub(Var("v"), Const(1))},
 			}},
 		},
-	}
-	_, loops, _ := p.ControlSites()
-	if len(loops) != 1 || loops[0] != 9 {
-		t.Errorf("loops = %v", loops)
 	}
 	if p.StmtCount() != 3 {
 		t.Errorf("StmtCount = %d, want 3", p.StmtCount())

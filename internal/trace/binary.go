@@ -17,11 +17,13 @@
 //	footer  := uint64-LE(index offset) "DVFSEND1"  (16 bytes)
 //
 // Every block is self-contained: the per-block string table and the
-// sequence-number delta chain reset at each block boundary, so a
-// reader holding the index can decode any block without touching the
-// ones before it — that is what makes fleet replay seekable. The
-// index entry's offsetDelta is relative to the previous block's tag
-// byte (the first entry is absolute).
+// sequence-number delta chain reset at each block boundary, so the
+// intern tables stay bounded and a block decodes without the ones
+// before it. The index records where each block lives; the index
+// entry's offsetDelta is relative to the previous block's tag byte
+// (the first entry is absolute). Readers here scan blocks in order
+// and only check that the index and footer are present, which is how
+// they tell a complete trace from a truncated write.
 //
 // Event encoding:
 //
@@ -113,8 +115,8 @@ const (
 	fbSpans
 )
 
-// BlockInfo is one index entry: where a block lives and what it holds.
-type BlockInfo struct {
+// blockInfo is one index entry: where a block lives and what it holds.
+type blockInfo struct {
 	// Offset is the absolute file offset of the block's tag byte.
 	Offset int64
 	// PayloadBytes is the encoded payload size (tag and length prefix
@@ -145,7 +147,7 @@ type BinaryWriter struct {
 	nextFlt  uint64
 	prevSeq  uint64
 	firstSeq uint64
-	blocks   []BlockInfo
+	blocks   []blockInfo
 
 	blockEvents int
 	blockBytes  int
@@ -411,7 +413,7 @@ func (bw *BinaryWriter) flushBlock() {
 	if bw.events == 0 {
 		return
 	}
-	info := BlockInfo{Offset: bw.off, Count: bw.events, FirstSeq: bw.firstSeq}
+	info := blockInfo{Offset: bw.off, Count: bw.events, FirstSeq: bw.firstSeq}
 	bw.scratch = bw.scratch[:0]
 	bw.scratch = append(bw.scratch, tagBlock)
 	bw.scratch = appendUvarint(bw.scratch, uint64(len(bw.buf))+uint64(uvarintLen(uint64(bw.events))))
@@ -796,8 +798,8 @@ func ScanBinary(r io.Reader, fn func(*obs.DecisionEvent) error) error {
 				return err
 			}
 		case tagIndex:
-			// The index is for seekable access; a sequential scan just
-			// drains it and checks the footer magic.
+			// The last section: a sequential scan drains the index and
+			// checks the footer magic.
 			rest, err := io.ReadAll(br)
 			if err != nil {
 				return fmt.Errorf("trace: reading index: %w", err)
@@ -838,115 +840,4 @@ func ReadEvents(r io.Reader) ([]obs.DecisionEvent, error) {
 		return ReadBinary(br)
 	}
 	return obs.ReadJSONL(br)
-}
-
-// ReadIndex reads the per-block index from a seekable binary trace:
-// the footer names the index offset, each entry names a self-contained
-// block. ReadBlockAt then decodes any single block without touching
-// the rest of the file.
-func ReadIndex(ra io.ReaderAt, size int64) ([]BlockInfo, error) {
-	if size < int64(len(binMagic))+footerLen {
-		return nil, fmt.Errorf("trace: file too small for a binary trace (%d bytes)", size)
-	}
-	head := make([]byte, len(binMagic))
-	if _, err := ra.ReadAt(head, 0); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if !IsBinaryTrace(head) {
-		return nil, fmt.Errorf("trace: not a binary decision trace (bad magic %q)", head)
-	}
-	footer := make([]byte, footerLen)
-	if _, err := ra.ReadAt(footer, size-footerLen); err != nil {
-		return nil, fmt.Errorf("trace: reading footer: %w", err)
-	}
-	if string(footer[8:]) != binEnd {
-		return nil, fmt.Errorf("trace: missing end-of-file footer (truncated write?)")
-	}
-	indexOff := int64(binary.LittleEndian.Uint64(footer[:8]))
-	if indexOff < int64(len(binMagic)) || indexOff > size-footerLen {
-		return nil, fmt.Errorf("trace: footer names index offset %d outside the file", indexOff)
-	}
-	raw := make([]byte, size-footerLen-indexOff)
-	if _, err := ra.ReadAt(raw, indexOff); err != nil {
-		return nil, fmt.Errorf("trace: reading index: %w", err)
-	}
-	if len(raw) < 1 || raw[0] != tagIndex {
-		return nil, fmt.Errorf("trace: index offset does not point at an index section")
-	}
-	d := &blockDecoder{data: raw[1:]}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("trace: index block count: %w", err)
-	}
-	if n > uint64(len(raw)) {
-		return nil, fmt.Errorf("trace: index claims %d blocks in %d bytes", n, len(raw))
-	}
-	blocks := make([]BlockInfo, 0, n)
-	prevOff := int64(0)
-	for i := uint64(0); i < n; i++ {
-		delta, err := d.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: index entry %d offset: %w", i, err)
-		}
-		payloadBytes, err := d.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: index entry %d size: %w", i, err)
-		}
-		count, err := d.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: index entry %d count: %w", i, err)
-		}
-		firstSeq, err := d.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("trace: index entry %d seq: %w", i, err)
-		}
-		blk := BlockInfo{
-			Offset:       prevOff + int64(delta),
-			PayloadBytes: int64(payloadBytes),
-			Count:        int(count),
-			FirstSeq:     firstSeq,
-		}
-		prevOff = blk.Offset
-		blocks = append(blocks, blk)
-	}
-	return blocks, nil
-}
-
-// ReadBlockAt decodes one indexed block — seekable replay's random
-// access path.
-func ReadBlockAt(ra io.ReaderAt, blk BlockInfo) ([]obs.DecisionEvent, error) {
-	prefix := make([]byte, 1+binary.MaxVarintLen64)
-	n, err := ra.ReadAt(prefix, blk.Offset)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("trace: reading block at %d: %w", blk.Offset, err)
-	}
-	prefix = prefix[:n]
-	if len(prefix) < 2 || prefix[0] != tagBlock {
-		return nil, fmt.Errorf("trace: offset %d does not start a block", blk.Offset)
-	}
-	payloadLen, consumed := binary.Uvarint(prefix[1:])
-	if consumed <= 0 || payloadLen > maxDecodePayload {
-		return nil, fmt.Errorf("trace: bad block length at %d", blk.Offset)
-	}
-	if int64(payloadLen) != blk.PayloadBytes {
-		return nil, fmt.Errorf("trace: block at %d has %d payload bytes, index says %d",
-			blk.Offset, payloadLen, blk.PayloadBytes)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := ra.ReadAt(payload, blk.Offset+1+int64(consumed)); err != nil {
-		return nil, fmt.Errorf("trace: block payload at %d: %w", blk.Offset, err)
-	}
-	out := make([]obs.DecisionEvent, 0, blk.Count)
-	err = decodePayload(payload, func(e *obs.DecisionEvent) error {
-		out = append(out, *e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != blk.Count {
-		return nil, fmt.Errorf("trace: block at %d decoded %d events, index says %d",
-			blk.Offset, len(out), blk.Count)
-	}
-	return out, nil
 }

@@ -187,13 +187,6 @@ func TestBinaryEmptyTrace(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("empty trace decoded %d events", len(got))
 	}
-	blocks, err := ReadIndex(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 0 {
-		t.Fatalf("empty trace has %d index entries", len(blocks))
-	}
 }
 
 // TestBinaryJSONLEquivalence is the golden round-trip: the same events
@@ -274,45 +267,6 @@ func TestBinarySizeRatio(t *testing.T) {
 	}
 }
 
-func TestBinaryIndexSeek(t *testing.T) {
-	events := mkEvents(5000) // > 2 blocks at the default 2048-event flush
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	ra := bytes.NewReader(buf.Bytes())
-	blocks, err := ReadIndex(ra, int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) < 2 {
-		t.Fatalf("expected multiple blocks, got %d", len(blocks))
-	}
-	var reassembled []obs.DecisionEvent
-	for i, blk := range blocks {
-		got, err := ReadBlockAt(ra, blk)
-		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-		if len(got) != blk.Count {
-			t.Fatalf("block %d: %d events, index says %d", i, len(got), blk.Count)
-		}
-		if got[0].Seq != blk.FirstSeq {
-			t.Fatalf("block %d: first seq %d, index says %d", i, got[0].Seq, blk.FirstSeq)
-		}
-		reassembled = append(reassembled, got...)
-	}
-	requireBitEqual(t, reassembled, events)
-
-	// Random access: decoding only the last block must not depend on
-	// earlier blocks (self-contained string tables and seq chains).
-	last, err := ReadBlockAt(ra, blocks[len(blocks)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, last, events[len(events)-len(last):])
-}
-
 func TestBinaryCorruptionDetected(t *testing.T) {
 	events := mkEvents(100)
 	var buf bytes.Buffer
@@ -332,9 +286,6 @@ func TestBinaryCorruptionDetected(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
-		}
-		if _, err := ReadIndex(bytes.NewReader(data), int64(len(data))); err == nil {
-			t.Errorf("%s: index read succeeded, want error", name)
 		}
 	}
 }
