@@ -29,11 +29,9 @@ type Config struct {
 	Plat *platform.Platform
 	// BudgetSec is the per-job response-time requirement. Zero selects
 	// the workload's paper default (50 ms; 4 s for pocketsphinx).
-	// BudgetSec, PeriodSec and Jobs are Run's task's; RunMulti's tasks
-	// carry their own.
+	// BudgetSec and Jobs are Run's task's, released every BudgetSec;
+	// RunMulti's tasks carry their own.
 	BudgetSec float64
-	// PeriodSec is the job release period; zero means BudgetSec.
-	PeriodSec float64
 	// Jobs is the number of jobs; zero selects the workload default.
 	Jobs int
 	// Seed drives all stochastic elements (switch jitter, work noise)
@@ -361,10 +359,10 @@ func (st *simState) execJob(cpuWork, memSec float64) float64 {
 }
 
 // Run simulates the workload under the governor: RunMulti of one task
-// that takes cfg's BudgetSec, PeriodSec and Jobs. The Result carries
-// the run's energy and duration.
+// that takes cfg's BudgetSec and Jobs and is released every BudgetSec.
+// The Result carries the run's energy and duration.
 func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, error) {
-	m, err := RunMulti([]TaskSpec{{W: w, Gov: gov, BudgetSec: cfg.BudgetSec, PeriodSec: cfg.PeriodSec, Jobs: cfg.Jobs}}, cfg)
+	m, err := RunMulti([]TaskSpec{{W: w, Gov: gov, BudgetSec: cfg.BudgetSec, Jobs: cfg.Jobs}}, cfg)
 	if err != nil {
 		return nil, err
 	}
