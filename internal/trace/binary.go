@@ -21,9 +21,9 @@
 // intern tables stay bounded and a block decodes without the ones
 // before it. The index records where each block lives; the index
 // entry's offsetDelta is relative to the previous block's tag byte
-// (the first entry is absolute). Readers here scan blocks in order
-// and only check that the index and footer are present, which is how
-// they tell a complete trace from a truncated write.
+// (the first entry is absolute). This package's reader scans blocks
+// in order and only checks that the index and footer are present,
+// which is how it tells a complete trace from a truncated write.
 //
 // Event encoding:
 //
