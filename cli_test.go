@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,13 +18,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/taskir"
+	"repro/internal/trace"
+	"repro/internal/tsdb"
 )
 
-// CLI smoke tests: build-and-run each command the way a user would.
-// They exercise flag parsing, the experiment dispatcher, and model
-// save/load end to end.
+// CLI tests: build-and-run each command the way a user would. They
+// exercise flag parsing, the experiment dispatcher, model save/load,
+// the trace, replay and fleet pipelines and the daemon end to end.
 
 func runCLI(t *testing.T, args ...string) string {
 	t.Helper()
@@ -319,57 +325,150 @@ func TestCLIDvfsreplayRejectsBadUsage(t *testing.T) {
 	}
 }
 
-// Full-binary live-telemetry round trip: boot dvfsd on an ephemeral
-// port, drive traffic with dvfsload (train + predict through the
-// API), tail the SSE stream with dvfstrace -follow, and fetch the
-// embedded operations dashboard.
-func TestCLIDvfsdLiveStreamAndDash(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the go tool and a daemon")
-	}
-	dir := t.TempDir()
-	bin := dir + "/dvfsd"
+// dvfsd is a daemon started by startDvfsd.
+type dvfsd struct {
+	URL    string // http://127.0.0.1:<port>
+	cmd    *exec.Cmd
+	log    strings.Builder // stderr; read it only after logEOF
+	logEOF chan struct{}   // closed once stderr is drained
+}
+
+// startDvfsd builds dvfsd into the test's temp dir and starts it on an
+// ephemeral port with args. The daemon is killed at cleanup unless
+// the test stops it first.
+func startDvfsd(t *testing.T, args ...string) *dvfsd {
+	t.Helper()
+	bin := t.TempDir() + "/dvfsd"
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dvfsd").CombinedOutput(); err != nil {
 		t.Fatalf("building dvfsd: %v\n%s", err, out)
 	}
-
-	daemon := exec.Command(bin, "-addr", "127.0.0.1:0")
-	stderr, err := daemon.StderrPipe()
+	d := &dvfsd{
+		cmd:    exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...),
+		logEOF: make(chan struct{}),
+	}
+	stderr, err := d.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := daemon.Start(); err != nil {
+	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		daemon.Process.Signal(syscall.SIGTERM)
-		daemon.Wait()
-	}()
+	t.Cleanup(func() { d.stop(syscall.SIGKILL) })
 
 	// -addr :0 works because dvfsd logs the resolved listener address;
 	// keep draining stderr after the match so the daemon never blocks.
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(d.logEOF)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
+			d.log.WriteString(line + "\n")
 			if i := strings.Index(line, "addr="); i >= 0 && strings.Contains(line, "dvfsd listening") {
-				addrCh <- strings.Fields(line[i+len("addr="):])[0]
+				addrCh <- "http://" + strings.Fields(line[i+len("addr="):])[0]
 			}
 		}
 	}()
-	var base string
 	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
+	case d.URL = <-addrCh:
 	case <-time.After(15 * time.Second):
 		t.Fatal("dvfsd never logged its listen address")
 	}
+	return d
+}
 
+// stop signals the daemon, waits for it to exit and returns its log.
+// Stopping an exited daemon only returns the log.
+func (d *dvfsd) stop(sig os.Signal) string {
+	d.cmd.Process.Signal(sig)
+	<-d.logEOF
+	d.cmd.Wait()
+	return d.log.String()
+}
+
+// httpGet fetches url and fails the test unless it answers 200.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d\n%s", url, resp.StatusCode, body)
+	}
+	return string(body)
+}
+
+func httpGetJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(httpGet(t, url)), v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// ingest POSTs a decision trace to dvfsd's fleet ingest and returns
+// the ack.
+func ingest(t *testing.T, base string, trace []byte) serve.FleetIngestResponse {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/fleet/ingest", "application/octet-stream", bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack serve.FleetIngestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: HTTP %d, %v", resp.StatusCode, err)
+	}
+	return ack
+}
+
+// waitFor polls cond every 100ms and fails the test after 20s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(100 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// Full-binary live-telemetry round trip: boot dvfsd on an ephemeral
+// port, drive traffic with dvfsload (train + predict through the
+// API, with its JSON report), tail the SSE stream with dvfstrace
+// -follow, and fetch the embedded operations dashboard.
+func TestCLIDvfsdLiveStreamAndDash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool and a daemon")
+	}
+	d := startDvfsd(t)
+	base := d.URL
+
+	report := t.TempDir() + "/BENCH_serve.json"
 	out := runCLI(t, "./cmd/dvfsload", "-addr", base, "-workload", "sha",
-		"-train", "-train-jobs", "80", "-jobs", "30", "-conns", "2")
+		"-train", "-train-jobs", "80", "-jobs", "30", "-conns", "2", "-json", report)
 	if !strings.Contains(out, "errors 0") {
 		t.Fatalf("load run saw request errors:\n%s", out)
+	}
+	var rep serve.Report
+	readJSON(t, report, &rep)
+	if rep.Requests != 30 || rep.Errors != 0 || rep.Host.NProc == 0 || rep.Host.GOMAXPROCS == 0 || rep.Host.Go == "" {
+		t.Errorf("load report %+v: want 30 requests, 0 errors and the host block", rep)
 	}
 
 	// Tail the live stream: -last replays ring backlog, so -follow-max
@@ -383,16 +482,7 @@ func TestCLIDvfsdLiveStreamAndDash(t *testing.T) {
 	}
 
 	// The dashboard serves a self-contained page with live charts.
-	resp, err := http.Get(base + "/debug/dash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/dash: HTTP %d\n%s", resp.StatusCode, body)
-	}
-	page := string(body)
+	page := httpGet(t, base+"/debug/dash")
 	for _, want := range []string{"<svg", "Decision phases", "sha"} {
 		if !strings.Contains(page, want) {
 			t.Errorf("dashboard missing %q", want)
@@ -400,6 +490,111 @@ func TestCLIDvfsdLiveStreamAndDash(t *testing.T) {
 	}
 	if strings.Contains(page, "http://") || strings.Contains(page, "<script") {
 		t.Errorf("dashboard is not self-contained")
+	}
+}
+
+// The alert engine on the real binary: dvfsd wires -tsdb-scrape,
+// -energy-budget, -incident-log and its logger into it. Under-predicted
+// fleet events fire model_stale and healthy ones resolve it; the API,
+// dashboard, metrics, journal and log all record the lifecycle.
+func TestCLIDvfsdAlertLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool and a daemon")
+	}
+	journal := t.TempDir() + "/incidents.jsonl"
+	d := startDvfsd(t, "-tsdb-scrape", "100ms", "-energy-budget", "0.001", "-incident-log", journal)
+
+	// 120 jobs that ran 50 ms against a 40 ms prediction, then 420 on
+	// time; the first batch goes in as a binary trace, the second as
+	// JSONL.
+	event := func(job int, actual, resid float64) *obs.DecisionEvent {
+		return &obs.DecisionEvent{
+			Seq: uint64(job + 1), Job: job, TimeSec: 0.1 * float64(job),
+			Workload: "sha", Device: "d0", Platform: "a7",
+			Predicted: true, Level: 2, FromLevel: 2,
+			PredictedExecSec: 0.04, PredictorSec: 0.001,
+			Done: true, ActualExecSec: actual, ResidualSec: resid,
+		}
+	}
+	var bad, good bytes.Buffer
+	bw := trace.NewBinaryWriter(&bad)
+	for job := 0; job < 120; job++ {
+		bw.Emit(event(job, 0.05, 0.01))
+	}
+	jw := obs.NewJSONLSink(&good)
+	for job := 120; job < 540; job++ {
+		jw.Emit(event(job, 0.04, -0.001))
+	}
+	if err := errors.Join(bw.Close(), jw.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	ack := ingest(t, d.URL, bad.Bytes())
+	var fleet obs.FleetStatus
+	httpGetJSON(t, d.URL+"/v1/fleet", &fleet)
+	if ack.Format != "binary" || ack.Devices != 1 || ack.Events != 120 ||
+		ack.Devices != fleet.Devices || uint64(ack.Events) != fleet.Events {
+		t.Fatalf("ingest ack %+v disagrees with GET /v1/fleet (%d devices, %d events)", ack, fleet.Devices, fleet.Events)
+	}
+
+	alerts := func() (s alert.Snapshot) {
+		httpGetJSON(t, d.URL+"/v1/alerts", &s)
+		return s
+	}
+	staleFiring := func(s alert.Snapshot) bool {
+		return slices.ContainsFunc(s.Active, func(a alert.ActiveAlert) bool {
+			return a.Rule == "model_stale" && a.State == alert.StateFiring
+		})
+	}
+	staleIncident := func(s alert.Snapshot, open bool) bool {
+		return slices.ContainsFunc(s.Incidents, func(in alert.Incident) bool {
+			return in.Rule == "model_stale" && (in.EndMs == 0) == open
+		})
+	}
+	waitFor(t, "model_stale to fire", func() bool { return staleFiring(alerts()) })
+	if s := alerts(); !staleIncident(s, true) ||
+		!slices.ContainsFunc(s.Rules, func(r alert.RuleStatus) bool { return r.Name == "energy_budget_burn" }) {
+		t.Errorf("want an open model_stale incident and the energy_budget_burn rule: %+v", s)
+	}
+	if page := httpGet(t, d.URL+"/debug/dash"); !strings.Contains(page, "model_stale") || !strings.Contains(page, "Incidents") {
+		t.Error("/debug/dash is missing the incident timeline")
+	}
+	metrics := httpGet(t, d.URL+"/metrics")
+	for _, name := range []string{"dvfsd_alerts_firing", "dvfsd_energy_joules_total", "dvfsd_model_under_rate"} {
+		if !strings.Contains(metrics, name) {
+			t.Errorf("/metrics is missing %s", name)
+		}
+	}
+	waitFor(t, "a firing span on the history charts", func() bool {
+		return strings.Contains(httpGet(t, d.URL+"/debug/dash?window=15m"), `class="firing"`)
+	})
+
+	if ack := ingest(t, d.URL, good.Bytes()); ack.Format != "jsonl" || ack.Events != 420 {
+		t.Fatalf("healthy ingest ack %+v", ack)
+	}
+	waitFor(t, "model_stale to resolve", func() bool {
+		s := alerts()
+		return !staleFiring(s) && staleIncident(s, false)
+	})
+
+	log := d.stop(syscall.SIGTERM)
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"to":"firing"`) || !strings.Contains(string(data), `"to":"resolved"`) {
+		t.Errorf("incident journal is missing a transition:\n%s", data)
+	}
+	// The engine logs each transition once; the drift monitor logs none.
+	var stale []string
+	for _, line := range strings.Split(log, "\n") {
+		if strings.Contains(line, "rule=model_stale") {
+			stale = append(stale, line)
+		}
+	}
+	if len(stale) != 2 || !strings.Contains(stale[0], `msg="ALERT firing"`) || !strings.Contains(stale[1], `msg="ALERT resolved"`) ||
+		strings.Contains(log, "prediction model") {
+		t.Errorf("want one firing and one resolved model_stale record and none from the drift monitor:\n%s", log)
 	}
 }
 
@@ -581,14 +776,15 @@ func TestCLIFleetPipeline(t *testing.T) {
 			t.Errorf("fleet summary missing %q:\n%s", want, out)
 		}
 	}
-	benchDoc, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
+	// The binary trace stays at least 5x smaller than its JSONL.
+	var benchDoc struct {
+		DevicesPerSec  float64 `json:"devices_per_sec"`
+		BinaryPerEvent float64 `json:"binary_bytes_per_event"`
+		Ratio          float64 `json:"jsonl_to_binary_ratio"`
 	}
-	for _, want := range []string{`"devices_per_sec"`, `"binary_bytes_per_event"`, `"jsonl_to_binary_ratio"`} {
-		if !strings.Contains(string(benchDoc), want) {
-			t.Errorf("bench document missing %q:\n%s", want, benchDoc)
-		}
+	readJSON(t, bench, &benchDoc)
+	if benchDoc.DevicesPerSec <= 0 || benchDoc.BinaryPerEvent <= 0 || benchDoc.Ratio < 5 {
+		t.Errorf("bench document %+v: want throughput, bytes/event and a JSONL/binary ratio >= 5", benchDoc)
 	}
 
 	// Determinism: a second run with the same seed writes identical bytes.
@@ -641,6 +837,18 @@ func TestCLIFleetPipeline(t *testing.T) {
 	}
 }
 
+// The fleet scale criterion: 100k devices run aggregate-only.
+func TestCLIDvfsfleet100kDevices(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	out := runCLI(t, "./cmd/dvfsfleet", "-devices", "100000", "-platforms", "a7,x86",
+		"-workload-mix", "sha:3,rijndael:1", "-seed", "42", "-progress", "4")
+	if !strings.Contains(out, "fleet   100000 devices, 2000000 jobs") {
+		t.Errorf("100k-device run:\n%s", out)
+	}
+}
+
 // dvfsfleet and the fleet paths of dvfsreplay reject bad usage with
 // exit 2 and a usage message.
 func TestCLIDvfsfleetRejectsBadUsage(t *testing.T) {
@@ -656,12 +864,14 @@ func TestCLIDvfsfleetRejectsBadUsage(t *testing.T) {
 		{"bad mix", []string{"./cmd/dvfsfleet", "-workload-mix", "sha:zero"}, "workload mix"},
 		{"unknown mix workload", []string{"./cmd/dvfsfleet", "-workload-mix", "nope:1"}, "unknown benchmark"},
 		{"bad fleet mode", []string{"./cmd/dvfsreplay", "-input", "x", "-fleet", "maybe"}, "unknown -fleet mode"},
+		// dvfstrace -by-device N prints the same health roll-up.
+		{"removed topk", []string{"./cmd/dvfsfleet", "-topk", "5"}, "flag provided but not defined: -topk"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			out := failCLI(t, tc.args...)
-			if !strings.Contains(out, tc.want) {
-				t.Errorf("missing %q:\n%s", tc.want, out)
+			if !strings.Contains(out, tc.want) || !strings.Contains(out, "Usage of") || !strings.Contains(out, "exit status 2") {
+				t.Errorf("want %q, the usage text and exit status 2:\n%s", tc.want, out)
 			}
 		})
 	}
@@ -679,6 +889,7 @@ func TestCLIDvfsreplayTakesPlatformFromTrace(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, tc := range []struct{ workload, plat, name string }{
+		{"sha", "a7", "odroid-xu3-a7"},
 		{"sha", "x86", "x86-i7"},
 		{"uzbl", "biglittle", "odroid-xu3-biglittle"},
 	} {
@@ -746,57 +957,33 @@ func TestCLIDvfstsdbBenchOnSimTrace(t *testing.T) {
 }
 
 // Crash-recovery acceptance: boot dvfsd with a store dir, drive load,
-// SIGKILL it mid-write, then inspect/query/compact the dir offline.
-// The recovered store must hold history and survive compaction.
+// query the live history, SIGKILL it mid-write, then
+// inspect/query/compact the dir offline. The recovered store must hold
+// history and survive compaction.
 func TestCLIDvfstsdbRecoversKilledDaemonStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool and a daemon")
 	}
-	dir := t.TempDir()
-	bin := dir + "/dvfsd"
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dvfsd").CombinedOutput(); err != nil {
-		t.Fatalf("building dvfsd: %v\n%s", err, out)
-	}
-	storeDir := dir + "/tsdb"
-
-	daemon := exec.Command(bin, "-addr", "127.0.0.1:0",
-		"-tsdb-scrape", "100ms", "-tsdb-dir", storeDir, "-tsdb-block", "1s")
-	stderr, err := daemon.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		daemon.Process.Kill()
-		daemon.Wait()
-	}()
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.Index(line, "addr="); i >= 0 && strings.Contains(line, "dvfsd listening") {
-				addrCh <- strings.Fields(line[i+len("addr="):])[0]
-			}
-		}
-	}()
-	var base string
-	select {
-	case addr := <-addrCh:
-		base = "http://" + addr
-	case <-time.After(15 * time.Second):
-		t.Fatal("dvfsd never logged its listen address")
-	}
+	storeDir := t.TempDir() + "/tsdb"
+	d := startDvfsd(t, "-tsdb-scrape", "100ms", "-tsdb-dir", storeDir, "-tsdb-block", "1s")
+	base := d.URL
 
 	runCLI(t, "./cmd/dvfsload", "-addr", base, "-workload", "sha",
 		"-train", "-train-jobs", "60", "-jobs", "40", "-conns", "2")
-	// Let a few 1s blocks seal, then kill without ceremony: only
-	// fsynced records may survive, and they must be enough.
+	// Let a few 1s blocks seal. The live store answers range queries
+	// and charts the dashboard's history window.
 	time.Sleep(3500 * time.Millisecond)
-	daemon.Process.Kill()
-	daemon.Wait()
+	var q serve.QueryResponse
+	httpGetJSON(t, base+"/v1/query?metric=dvfsd_requests_total&from=-5m", &q)
+	if !slices.ContainsFunc(q.Series, func(sr tsdb.SeriesResult) bool { return len(sr.Points) > 0 }) {
+		t.Errorf("/v1/query returned no history: %+v", q)
+	}
+	if page := httpGet(t, base+"/debug/dash?window=15m"); !strings.Contains(page, "tschart") {
+		t.Error("/debug/dash?window=15m rendered no history chart")
+	}
+	// Kill without ceremony: only fsynced records may survive, and
+	// they must be enough.
+	d.stop(syscall.SIGKILL)
 
 	out := runCLI(t, "./cmd/dvfstsdb", "-dir", storeDir)
 	if !strings.Contains(out, "go_goroutines") || strings.Contains(out, "samples    0") {

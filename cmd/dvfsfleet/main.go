@@ -23,10 +23,6 @@
 // in device order, so aggregates are bit-stable and trace bytes are
 // identical across worker counts.
 //
-// -topk N scores per-device health during the run (miss/drift/energy
-// EWMAs through the shared FleetTracker) and appends the top-N worst
-// devices with attribution to the summary.
-//
 // -summary writes the machine-readable fleet result as JSON; -bench
 // writes a BENCH-style JSON document (devices/sec, bytes/event for the
 // binary encoding vs JSONL) for CI trend tracking.
@@ -61,7 +57,6 @@ func main() {
 	out := flag.String("out", "", "write the fleet decision trace (binary) to this path (- for stdout)")
 	summary := flag.String("summary", "", "write the fleet result as JSON to this path")
 	bench := flag.String("bench", "", "write a BENCH-style JSON document to this path")
-	topk := flag.Int("topk", 0, "score device health during the run and print the top-N worst devices (0 disables)")
 	progressEvery := flag.Int("progress", 10, "progress lines per run on stderr (0 disables)")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -83,9 +78,6 @@ func main() {
 	}
 	if *progressEvery < 0 {
 		usageErr(fmt.Errorf("-progress must be non-negative"))
-	}
-	if *topk < 0 {
-		usageErr(fmt.Errorf("-topk must be non-negative"))
 	}
 	mix, err := fleet.ParseMix(*mixArg)
 	if err != nil {
@@ -135,16 +127,6 @@ func main() {
 		jsonlCount = &countWriter{w: io.Discard}
 		sinks = append(sinks, obs.NewJSONLSink(jsonlCount))
 	}
-	var health *obs.FleetTracker
-	if *topk > 0 {
-		// Health scoring rides the same event stream as the trace
-		// writers — a tee sink, not a second pass over the run.
-		health = obs.NewFleetTracker(obs.FleetConfig{
-			TopK:         *topk,
-			EnergyPerJob: trace.EnergyEstimator(),
-		})
-		sinks = append(sinks, fleetSink{health})
-	}
 	switch len(sinks) {
 	case 0:
 	case 1:
@@ -185,9 +167,6 @@ func main() {
 	elapsed := time.Since(start)
 
 	writeSummary(sumOut, res, elapsed)
-	if health != nil {
-		writeHealth(sumOut, health)
-	}
 	if *summary != "" {
 		if err := writeJSONFile(*summary, res); err != nil {
 			fail(err)
@@ -209,31 +188,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// fleetSink adapts a FleetTracker to the Sink interface the fleet
-// engine tees events through.
-type fleetSink struct{ t *obs.FleetTracker }
-
-func (s fleetSink) Emit(e *obs.DecisionEvent) { s.t.Emit(e) }
-func (s fleetSink) Close() error              { return nil }
-
-// writeHealth prints the tracker's roll-up: class counts, residual
-// quantiles off the merged sketches, and the worst devices with
-// attribution — the same scoring dvfsd's GET /v1/fleet serves.
-func writeHealth(w io.Writer, t *obs.FleetTracker) {
-	s := t.Snapshot()
-	fmt.Fprintf(w, "health  %d healthy, %d degraded, %d outlier, %d fresh; |resid|/pred p95 %.4f\n",
-		s.Healthy, s.Degraded, s.Outliers, s.Fresh, s.ResidualFrac.P95)
-	if len(s.Worst) > 0 {
-		fmt.Fprintf(w, "  %-16s %-12s %8s %8s %9s %12s %7s %-9s %s\n",
-			"device", "platform", "jobs", "miss %", "drift", "energy/job", "score", "class", "cause")
-		for _, d := range s.Worst {
-			fmt.Fprintf(w, "  %-16s %-12s %8d %8.2f %9.4f %12.4g %7.3f %-9s %s\n",
-				d.Device, d.Platform, d.Jobs, 100*d.MissRate,
-				d.DriftEWMA, d.EnergyPerJob, d.Score, d.Class, d.Attribution)
-		}
-	}
 }
 
 // countWriter counts bytes on their way to w.

@@ -10,8 +10,9 @@
 //	dvfstsdb -dir DIR -compact [-keep 6h]      # rewrite segments
 //	dvfstsdb -bench [-trace dec.jsonl] [-samples N] [-out bench.json]
 //
-// Times accept RFC3339, unix seconds, or offsets relative to the
-// newest stored sample ("-15m"). -compact rewrites every segment from
+// Times accept RFC3339, unix seconds, or "now" and offsets ("-15m")
+// relative to the newest stored sample, parsed as GET /v1/query parses
+// them (tsdb.ParseTime). -compact rewrites every segment from
 // the recovered chunks — reclaiming torn tails, dropped series, and
 // (with -keep) expired history — then atomically swaps the new
 // segments in. -bench measures compression, append cost, and range-
@@ -30,7 +31,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -109,25 +109,6 @@ func newestSample(s *tsdb.Store) int64 {
 	return newest
 }
 
-// parseTime resolves a -from/-to value against the store's newest
-// sample: RFC3339, unix seconds, or a duration offset ("-15m").
-func parseTime(s string, anchor time.Time) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return anchor.Add(d), nil
-	}
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return t, nil
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
-		sec, frac := math.Modf(f)
-		return time.Unix(int64(sec), int64(frac*1e9)), nil
-	}
-	return time.Time{}, fmt.Errorf("invalid time %q (RFC3339, unix seconds, or relative like -15m)", s)
-}
-
 func runInspect(dir string, jsonOut bool) error {
 	s, err := openReadOnly(dir)
 	if err != nil {
@@ -164,29 +145,23 @@ func runQuery(dir, metric, labelSel, fromS, toS string, step time.Duration, aggS
 	}
 	defer s.Close()
 
-	var lbls []tsdb.Label
-	if labelSel != "" {
-		for _, part := range strings.Split(labelSel, ",") {
-			name, value, ok := strings.Cut(part, "=")
-			if !ok || name == "" {
-				return fmt.Errorf("invalid label selector %q (want name=value,name2=value2)", part)
-			}
-			lbls = append(lbls, tsdb.Label{Name: name, Value: value})
-		}
+	lbls, err := tsdb.ParseLabels(labelSel)
+	if err != nil {
+		return err
 	}
 	agg, err := tsdb.ParseAgg(aggS)
 	if err != nil {
 		return err
 	}
 	anchor := time.UnixMilli(newestSample(s))
-	toT, err := parseTime(toS, anchor)
+	toT, err := tsdb.ParseTime(toS, anchor)
 	if err != nil {
 		return fmt.Errorf("-to: %w", err)
 	}
 	if toT.IsZero() {
 		toT = anchor
 	}
-	fromT, err := parseTime(fromS, anchor)
+	fromT, err := tsdb.ParseTime(fromS, anchor)
 	if err != nil {
 		return fmt.Errorf("-from: %w", err)
 	}

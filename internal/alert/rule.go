@@ -241,8 +241,8 @@ func LoadRules(path string) ([]Rule, error) {
 }
 
 // BuiltinOptions parameterize the shipped rules. Windows scale with
-// the scrape interval so the rules behave the same on a 100ms smoke
-// run and a 5s production scrape.
+// the scrape interval so the rules behave the same on a 100ms test
+// scrape and a 5s production scrape.
 type BuiltinOptions struct {
 	// Scrape is the telemetry scrape interval; zero → 5s.
 	Scrape time.Duration

@@ -89,7 +89,7 @@ type Config struct {
 	// names); empty selects "prediction".
 	Governor string
 	// Jobs is the per-device job count; zero selects 20 (enough for
-	// level churn, small enough for 100k-device CI smoke runs).
+	// level churn, small enough for 100k-device test runs).
 	Jobs int
 	// BudgetSec is the per-job deadline budget; zero selects each
 	// workload's paper default.

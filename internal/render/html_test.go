@@ -145,3 +145,30 @@ func TestHTMLPageEmptyBarChart(t *testing.T) {
 		t.Error("degenerate chart inputs should render nothing")
 	}
 }
+
+// A firing span shades a history chart only where it overlaps the
+// charted time range.
+func TestHTMLPageTimeSeriesSpans(t *testing.T) {
+	times := []int64{1000, 2000, 3000}
+	vals := []float64{1, 2, 3}
+	for _, tc := range []struct {
+		name  string
+		span  ChartSpan
+		rects int
+	}{
+		{"inside", ChartSpan{FromMs: 1500, ToMs: 2500, Label: "model_stale"}, 1},
+		{"outside", ChartSpan{FromMs: 4000, ToMs: 5000, Label: "model_stale"}, 0},
+	} {
+		p := NewHTMLPage("history")
+		p.TimeSeriesSpans("heap", times, vals, "%.0f", []ChartSpan{tc.span})
+		var b strings.Builder
+		p.WriteTo(&b)
+		out := b.String()
+		if !strings.Contains(out, `class="tschart"`) {
+			t.Fatalf("%s: no chart rendered", tc.name)
+		}
+		if got := strings.Count(out, `class="firing"`); got != tc.rects {
+			t.Errorf("%s span: %d firing rects, want %d", tc.name, got, tc.rects)
+		}
+	}
+}

@@ -116,7 +116,7 @@ func (o CompareOptions) withDefaults() CompareOptions {
 // Compare checks cur against a committed baseline and returns one
 // line per regression (empty = pass). Groups or policies present only
 // on one side are reported as informational drift, not regressions —
-// adding a workload to the smoke run must not fail CI.
+// adding a workload to the bench run must not fail CI.
 func Compare(cur, base *Result, opts CompareOptions) (regressions, notes []string) {
 	opts = opts.withDefaults()
 	key := func(g *GroupResult) string { return g.Workload + " / " + g.Governor }

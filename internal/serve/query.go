@@ -52,7 +52,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := time.Now()
-	to, err := parseQueryTime(q.Get("to"), now)
+	to, err := tsdb.ParseTime(q.Get("to"), now)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "to: " + err.Error()})
 		return
@@ -60,7 +60,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if to.IsZero() {
 		to = now
 	}
-	from, err := parseQueryTime(q.Get("from"), now)
+	from, err := tsdb.ParseTime(q.Get("from"), now)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "from: " + err.Error()})
 		return
@@ -68,7 +68,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if from.IsZero() {
 		from = to.Add(-15 * time.Minute)
 	}
-	labels, err := parseQueryLabels(q.Get("labels"))
+	labels, err := tsdb.ParseLabels(q.Get("labels"))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
@@ -110,29 +110,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseQueryTime accepts RFC3339, unix seconds (integer or float), the
-// literal "now", or a duration offset from now ("-15m"). Empty returns
-// the zero time so callers can apply their own default.
-func parseQueryTime(s string, now time.Time) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	if s == "now" {
-		return now, nil
-	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return now.Add(d), nil
-	}
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return t, nil
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
-		sec, frac := math.Modf(f)
-		return time.Unix(int64(sec), int64(frac*1e9)), nil
-	}
-	return time.Time{}, fmt.Errorf("invalid time %q (RFC3339, unix seconds, or relative like -15m)", s)
-}
-
 // parseQueryStep accepts a duration ("30s") or seconds ("30"); empty
 // or zero selects raw samples.
 func parseQueryStep(s string) (int64, error) {
@@ -149,23 +126,6 @@ func parseQueryStep(s string) (int64, error) {
 		return int64(f * 1000), nil
 	}
 	return 0, fmt.Errorf("invalid step %q (duration like 30s, or seconds)", s)
-}
-
-// parseQueryLabels parses "name=value,name2=value2" selectors.
-func parseQueryLabels(s string) ([]tsdb.Label, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]tsdb.Label, 0, len(parts))
-	for _, p := range parts {
-		name, value, ok := strings.Cut(p, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("invalid label selector %q (want name=value,name2=value2)", p)
-		}
-		out = append(out, tsdb.Label{Name: name, Value: value})
-	}
-	return out, nil
 }
 
 // scrubNonFinite drops points whose value won't survive JSON encoding

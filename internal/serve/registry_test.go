@@ -20,14 +20,18 @@ func TestTrainSingleFlight(t *testing.T) {
 		t.Skip("trains a model")
 	}
 	var shaBuilds int64
+	release := make(chan struct{})
 	plat := platform.ODROIDXU3A7()
 	reg, err := NewRegistry(RegistryOptions{
 		Plat:    plat,
 		Switch:  platform.MeasureSwitchTable(plat, 50, 0.95, 1),
 		Workers: 1,
 		Observe: func(name string, _ float64, _ error) {
-			if name == "sha" {
+			switch name {
+			case "sha":
 				atomic.AddInt64(&shaBuilds, 1)
+			case "ldecode":
+				<-release
 			}
 		},
 	})
@@ -37,20 +41,24 @@ func TestTrainSingleFlight(t *testing.T) {
 	defer reg.Close()
 
 	// Occupy the only worker so the sha flight stays pending while all
-	// callers arrive.
+	// callers arrive: the decoy build's completion hook holds the
+	// worker until every caller has its flight, however the callers
+	// are scheduled.
 	if _, _, err := reg.Train("ldecode", TrainConfig{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 
 	const callers = 16
 	tc := TrainConfig{ProfileJobs: 60, Seed: 7}
-	var wg sync.WaitGroup
+	var wg, joined sync.WaitGroup
+	joined.Add(callers)
 	statuses := make([]ModelStatus, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			f, _, err := reg.Train("sha", tc)
+			joined.Done()
 			if err != nil {
 				t.Error(err)
 				return
@@ -65,6 +73,8 @@ func TestTrainSingleFlight(t *testing.T) {
 			statuses[i] = st
 		}(i)
 	}
+	joined.Wait()
+	close(release)
 	wg.Wait()
 	if n := atomic.LoadInt64(&shaBuilds); n != 1 {
 		t.Fatalf("%d sha builds ran for %d concurrent train requests, want 1", n, callers)

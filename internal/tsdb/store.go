@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -401,6 +402,47 @@ func ParseAgg(s string) (Agg, error) {
 		return Agg(s), nil
 	}
 	return "", fmt.Errorf("tsdb: unknown aggregation %q (mean, min, max, count, rate)", s)
+}
+
+// ParseTime resolves a query bound: RFC3339, unix seconds (integer or
+// float), the literal "now", or a duration offset ("-15m"); "now" and
+// offsets are relative to anchor. Empty returns the zero time so
+// callers can apply their own default.
+func ParseTime(s string, anchor time.Time) (time.Time, error) {
+	if s == "" {
+		return time.Time{}, nil
+	}
+	if s == "now" {
+		return anchor, nil
+	}
+	if d, err := time.ParseDuration(s); err == nil {
+		return anchor.Add(d), nil
+	}
+	if t, err := time.Parse(time.RFC3339, s); err == nil {
+		return t, nil
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsNaN(f) && !math.IsInf(f, 0) {
+		sec, frac := math.Modf(f)
+		return time.Unix(int64(sec), int64(frac*1e9)), nil
+	}
+	return time.Time{}, fmt.Errorf("invalid time %q (RFC3339, unix seconds, or relative like -15m)", s)
+}
+
+// ParseLabels parses "name=value,name2=value2" selectors.
+func ParseLabels(s string) ([]Label, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	out := make([]Label, 0, len(parts))
+	for _, p := range parts {
+		name, value, ok := strings.Cut(p, "=")
+		if !ok || name == "" {
+			return nil, fmt.Errorf("invalid label selector %q (want name=value,name2=value2)", p)
+		}
+		out = append(out, Label{Name: name, Value: value})
+	}
+	return out, nil
 }
 
 // Query selects a time range from one metric.

@@ -329,3 +329,29 @@ func TestFloorDiv(t *testing.T) {
 		}
 	}
 }
+
+func TestParseTime(t *testing.T) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	cases := []struct {
+		in   string
+		want time.Time
+	}{
+		{"", time.Time{}},
+		{"now", now},
+		{"-15m", now.Add(-15 * time.Minute)},
+		{"2026-08-08T11:00:00Z", now.Add(-time.Hour)},
+		{"1786150800", time.Unix(1786150800, 0)},
+	}
+	for _, c := range cases {
+		got, err := ParseTime(c.in, now)
+		if err != nil {
+			t.Fatalf("%q: %v", c.in, err)
+		}
+		if !got.Equal(c.want) {
+			t.Fatalf("%q: %v, want %v", c.in, got, c.want)
+		}
+	}
+	if _, err := ParseTime("not-a-time", now); err == nil {
+		t.Fatal("garbage accepted")
+	}
+}
