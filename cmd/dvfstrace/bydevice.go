@@ -11,7 +11,8 @@ import (
 
 // runByDevice replays the events through a FleetTracker and reports
 // the fleet roll-up: per-class device counts, sketch-backed residual
-// quantiles, and the top-N worst devices with attribution — the
+// quantiles, exact quantiles across devices, the top-N worst devices
+// with attribution and the top-N by miss count — the
 // offline twin of dvfsd's GET /v1/fleet. Energy uses the platform
 // power model when the trace carries resolvable platform names, and
 // the f² proxy otherwise (same rule the replayer applies).
@@ -54,9 +55,9 @@ func writeByDeviceText(w io.Writer, s *obs.FleetStatus) {
 		}
 	}
 	if len(s.TopMiss) > 0 {
-		fmt.Fprintf(w, "top missing devices (space-saving, count ≤ shown, ≥ count−err):\n")
-		for _, h := range s.TopMiss {
-			fmt.Fprintf(w, "  %-20s %8d misses (≥ %d)\n", h.Key, h.Count, h.Count-h.Err)
+		fmt.Fprintf(w, "top missing devices:\n")
+		for _, d := range s.TopMiss {
+			fmt.Fprintf(w, "  %-20s %8d misses of %d jobs\n", d.Device, d.Misses, d.Jobs)
 		}
 	}
 }

@@ -23,9 +23,9 @@
 // keeps one fleet device's events.
 //
 // -by-device N switches to the fleet health report: the filtered
-// events replay through the same sketch-backed FleetTracker behind
-// dvfsd's GET /v1/fleet, and the report rolls up device health classes,
-// residual quantiles, and the top-N worst devices with attribution.
+// events replay through the same FleetTracker behind dvfsd's GET
+// /v1/fleet, and the report rolls up device health classes, residual
+// quantiles, and the top-N worst and top-N missing devices.
 //
 // -convert re-encodes the (filtered) input to -convert-format and
 // writes it to the given path ("-" for stdout) instead of analyzing:

@@ -5,22 +5,24 @@
 // margin cut cost in deadline misses across a million heterogeneous
 // devices?". fleet answers them by driving N simulated devices (each
 // with its own platform model, workload, phase offset, and seeded
-// RNG) through a worker pool and aggregating per-device energy and
-// miss distributions online with obs streaming-quantile sketches.
+// RNG) through a worker pool, keeping every device's outcome, and
+// reading the per-device energy and miss distributions exactly off
+// them.
 //
 // Determinism is load-bearing: for a fixed Config the aggregate
 // result and every emitted trace byte are identical regardless of
 // worker count or scheduling. Workers finish devices out of order;
 // a commit stage reassembles them in device-index order before any
-// float is summed, any sketch fed, or any event emitted, so
-// the accumulation order — and therefore every bit of the output —
-// is fixed by the configuration alone. The cross-check in
+// float is summed or any event emitted, so the accumulation order —
+// and therefore every bit of the output — is fixed by the
+// configuration alone. The cross-check in
 // TestFleetMatchesPerDeviceSims (aggregate == sum of standalone
 // dvfssim-equivalent runs) holds exactly, not approximately.
 package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +32,7 @@ import (
 	"repro/internal/ordered"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -249,8 +252,8 @@ type Result struct {
 	Jobs    int
 	Misses  int
 	EnergyJ float64
-	// DeviceEnergyJ and DeviceMissRate are streaming-quantile
-	// estimates of the per-device distributions.
+	// DeviceEnergyJ and DeviceMissRate are the exact quantiles of the
+	// per-device distributions (stats.QuantileSorted over PerDevice).
 	DeviceEnergyJ  Quantiles
 	DeviceMissRate Quantiles
 	// ByPlatform and ByWorkload break the fleet down, sorted by name.
@@ -329,8 +332,8 @@ func Run(cfg Config) (*Result, error) {
 
 	// Workers finish devices out of order; the commit stage folds them
 	// in device-index order, single-threaded, so everything
-	// order-sensitive (float sums, sketch updates, trace emission,
-	// sequence numbering) is fixed by the configuration.
+	// order-sensitive (float sums, trace emission, sequence numbering)
+	// is fixed by the configuration.
 	agg := newAggregator(cfg)
 	err := ordered.Run(cfg.Devices, cfg.Workers,
 		func(i int) (devOut, error) { return runDevice(cfg, cfg.Spec(i), suites, plats) },
@@ -391,12 +394,8 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 // aggregator folds committed devices into the fleet result. All state
 // is touched only by the commit stage.
 type aggregator struct {
-	cfg Config
-	res Result
-	// energySk and missSk, t-digests, answer the per-device quantile
-	// queries (≤1% rank error, TestFleetSketchQuantilesMatchExact).
-	energySk   *obs.QuantileSketch
-	missSk     *obs.QuantileSketch
+	cfg        Config
+	res        Result
 	byPlatform map[string]*GroupAgg
 	byWorkload map[string]*GroupAgg
 	seq        uint64
@@ -405,8 +404,6 @@ type aggregator struct {
 func newAggregator(cfg Config) *aggregator {
 	return &aggregator{
 		cfg:        cfg,
-		energySk:   obs.NewQuantileSketch(0),
-		missSk:     obs.NewQuantileSketch(0),
 		byPlatform: map[string]*GroupAgg{},
 		byWorkload: map[string]*GroupAgg{},
 	}
@@ -427,8 +424,6 @@ func (a *aggregator) commit(out *devOut) {
 	a.res.Jobs += d.Jobs
 	a.res.Misses += d.Misses
 	a.res.EnergyJ += d.EnergyJ
-	a.energySk.Add(d.EnergyJ)
-	a.missSk.Add(d.MissRate())
 	for _, g := range []*GroupAgg{
 		a.group(a.byPlatform, d.Spec.Platform),
 		a.group(a.byWorkload, d.Spec.Workload),
@@ -461,19 +456,28 @@ func (a *aggregator) emitEvents(events []obs.DecisionEvent) {
 }
 
 func (a *aggregator) result() *Result {
-	q := func(s *obs.QuantileSketch) Quantiles {
-		return Quantiles{
-			P50: s.Quantile(0.50),
-			P90: s.Quantile(0.90),
-			P95: s.Quantile(0.95),
-			P99: s.Quantile(0.99),
-		}
+	energies := make([]float64, len(a.res.PerDevice))
+	rates := make([]float64, len(a.res.PerDevice))
+	for i := range a.res.PerDevice {
+		energies[i] = a.res.PerDevice[i].EnergyJ
+		rates[i] = a.res.PerDevice[i].MissRate()
 	}
-	a.res.DeviceEnergyJ = q(a.energySk)
-	a.res.DeviceMissRate = q(a.missSk)
+	a.res.DeviceEnergyJ = quantiles(energies)
+	a.res.DeviceMissRate = quantiles(rates)
 	a.res.ByPlatform = sortedGroups(a.byPlatform)
 	a.res.ByWorkload = sortedGroups(a.byWorkload)
 	return &a.res
+}
+
+// quantiles sorts vals in place and reads the standard set off them.
+func quantiles(vals []float64) Quantiles {
+	slices.Sort(vals)
+	return Quantiles{
+		P50: stats.QuantileSorted(vals, 0.50),
+		P90: stats.QuantileSorted(vals, 0.90),
+		P95: stats.QuantileSorted(vals, 0.95),
+		P99: stats.QuantileSorted(vals, 0.99),
+	}
 }
 
 func sortedGroups(m map[string]*GroupAgg) []GroupAgg {

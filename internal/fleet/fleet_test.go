@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"math"
 	"sort"
 	"testing"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -287,12 +287,10 @@ func TestFleetBaselineGovernor(t *testing.T) {
 	}
 }
 
-// TestFleetSketchQuantilesMatchExact: the Result's sketch-backed
-// per-device distributions must sit within 1% rank error of the exact
-// quantiles computed from PerDevice — the acceptance bar the t-digest
-// was brought in to meet (a log-linear bucket histogram cannot promise
-// this when a distribution concentrates in one bucket).
-func TestFleetSketchQuantilesMatchExact(t *testing.T) {
+// TestFleetDeviceQuantilesExact: the Result's per-device distributions
+// are exactly stats.QuantileSorted over PerDevice's energies and miss
+// rates.
+func TestFleetDeviceQuantilesExact(t *testing.T) {
 	cfg := Config{
 		Devices:   600,
 		Platforms: []string{"a7", "x86"},
@@ -313,39 +311,22 @@ func TestFleetSketchQuantilesMatchExact(t *testing.T) {
 	}
 	sort.Float64s(energies)
 	sort.Float64s(rates)
-	// rankErr measures how far got's rank interval sits from p. A
-	// repeated value occupies a rank *range* (miss rates tie heavily at
-	// 0); any p inside the range is exact.
-	rankErr := func(sorted []float64, got, p float64) float64 {
-		n := float64(len(sorted))
-		lo := float64(sort.SearchFloat64s(sorted, got)) / n
-		hi := float64(sort.SearchFloat64s(sorted, math.Nextafter(got, math.Inf(1)))) / n
-		switch {
-		case p < lo:
-			return lo - p
-		case p > hi:
-			return p - hi
-		default:
-			return 0
+	exact := func(sorted []float64) Quantiles {
+		return Quantiles{
+			P50: stats.QuantileSorted(sorted, 0.50),
+			P90: stats.QuantileSorted(sorted, 0.90),
+			P95: stats.QuantileSorted(sorted, 0.95),
+			P99: stats.QuantileSorted(sorted, 0.99),
 		}
 	}
-	checks := []struct {
-		name   string
-		sorted []float64
-		q      Quantiles
-	}{
-		{"energy", energies, res.DeviceEnergyJ},
-		{"missrate", rates, res.DeviceMissRate},
+	if want := exact(energies); res.DeviceEnergyJ != want {
+		t.Errorf("DeviceEnergyJ = %+v, want %+v", res.DeviceEnergyJ, want)
 	}
-	for _, c := range checks {
-		for _, pq := range []struct {
-			p   float64
-			got float64
-		}{{0.50, c.q.P50}, {0.90, c.q.P90}, {0.95, c.q.P95}, {0.99, c.q.P99}} {
-			if err := rankErr(c.sorted, pq.got, pq.p); err > 0.01 {
-				t.Errorf("%s q%.0f: sketch %.6g rank error %.4f > 1%%",
-					c.name, pq.p*100, pq.got, err)
-			}
-		}
+	if want := exact(rates); res.DeviceMissRate != want {
+		t.Errorf("DeviceMissRate = %+v, want %+v", res.DeviceMissRate, want)
+	}
+	if rates[len(rates)-1] == 0 || energies[0] == energies[len(energies)-1] {
+		t.Errorf("feed too flat to check: miss rates up to %v, energies %v..%v",
+			rates[len(rates)-1], energies[0], energies[len(energies)-1])
 	}
 }

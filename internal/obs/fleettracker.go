@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/stats"
 )
 
 // FleetConfig parameterizes a FleetTracker. The zero value selects
@@ -27,8 +29,8 @@ type FleetConfig struct {
 const (
 	// fleetShards is the number of lock shards device state is spread
 	// over. More shards means less contention under concurrent ingest;
-	// determinism of snapshots is unaffected because shard sketches
-	// merge in fixed shard order.
+	// determinism of snapshots is unaffected because shard residual
+	// sketches merge in fixed shard order.
 	fleetShards = 32
 	// fleetMissTarget is the per-device deadline-miss budget the health
 	// score normalizes against; fleetDriftBudget is the
@@ -45,11 +47,6 @@ const (
 	// thresholds for the degraded and outlier classes.
 	fleetDegradedScore = 0.25
 	fleetOutlierScore  = 0.5
-	// fleetHistoryEvery appends one fleet history point (for dashboard
-	// quantile bands) every N completed jobs; fleetHistoryCap bounds
-	// the history ring.
-	fleetHistoryEvery = 512
-	fleetHistoryCap   = 256
 )
 
 // Device health classes.
@@ -86,18 +83,8 @@ type DeviceHealth struct {
 	Attribution string  `json:"attribution"`
 }
 
-// FleetPoint is one history sample backing the dashboard's
-// quantile-band sparklines.
-type FleetPoint struct {
-	Completed uint64  `json:"completed"`
-	MissRate  float64 `json:"miss_rate"`
-	ResidP50  float64 `json:"resid_p50"`
-	ResidP95  float64 `json:"resid_p95"`
-	ResidP99  float64 `json:"resid_p99"`
-}
-
-// SketchQuantiles is the standard dashboard quantile set read off a
-// merged sketch.
+// SketchQuantiles is the standard dashboard quantile set: read off
+// the merged residual sketch, or exactly off per-device values.
 type SketchQuantiles struct {
 	P50 float64 `json:"p50"`
 	P90 float64 `json:"p90"`
@@ -113,6 +100,20 @@ func sketchQuantiles(s *QuantileSketch) SketchQuantiles {
 		P90: nanToZero(s.Quantile(0.90)),
 		P95: nanToZero(s.Quantile(0.95)),
 		P99: nanToZero(s.Quantile(0.99)),
+	}
+}
+
+// sortedQuantiles reads the standard set exactly off ascending
+// values; no values read as zero, like an empty sketch.
+func sortedQuantiles(sorted []float64) SketchQuantiles {
+	if len(sorted) == 0 {
+		return SketchQuantiles{}
+	}
+	return SketchQuantiles{
+		P50: stats.QuantileSorted(sorted, 0.50),
+		P90: stats.QuantileSorted(sorted, 0.90),
+		P95: stats.QuantileSorted(sorted, 0.95),
+		P99: stats.QuantileSorted(sorted, 0.99),
 	}
 }
 
@@ -134,16 +135,15 @@ type FleetStatus struct {
 	// ResidualFrac is the distribution of |residual|/predicted across
 	// completed predicted jobs (stream-level, sketch-backed).
 	ResidualFrac SketchQuantiles `json:"residual_frac"`
-	// DeviceMissEWMA and DeviceEnergyPerJob are distributions *across
-	// devices* at snapshot time.
+	// DeviceMissEWMA and DeviceEnergyPerJob are exact distributions
+	// *across classified devices* at snapshot time.
 	DeviceMissEWMA     SketchQuantiles `json:"device_miss_ewma"`
 	DeviceEnergyPerJob SketchQuantiles `json:"device_energy_per_job"`
 	// Worst is the top-K devices by health score with attribution.
 	Worst []DeviceHealth `json:"worst,omitempty"`
-	// TopMiss is the heavy-hitter view of miss counts by device.
-	TopMiss []HeavyHit `json:"top_miss,omitempty"`
-	// History backs the dashboard sparklines and quantile bands.
-	History []FleetPoint `json:"history,omitempty"`
+	// TopMiss is the top-K devices by miss count (misses descending,
+	// device ascending), fresh devices included.
+	TopMiss []DeviceHealth `json:"top_miss,omitempty"`
 }
 
 type deviceState struct {
@@ -160,19 +160,19 @@ type deviceState struct {
 }
 
 type fleetShard struct {
-	mu     sync.Mutex
-	dev    map[string]*deviceState
-	resid  *QuantileSketch
-	missHH *HeavyHitters
+	mu    sync.Mutex
+	dev   map[string]*deviceState
+	resid *QuantileSketch
 }
 
 // FleetTracker is a sink that consumes device-labeled DecisionEvents
-// and maintains per-device health: miss-rate and residual-drift EWMAs,
-// an energy/job estimate, and stream-level sketches. State is sharded
-// by device hash so 32 concurrent writers (the fleet worker pool, or
-// parallel ingest requests) contend only per shard; Snapshot merges
-// shard sketches in fixed shard order, so a deterministic feed yields
-// deterministic snapshots.
+// and maintains per-device health: miss-rate and residual-drift EWMAs
+// and an energy/job estimate, plus one stream-level sketch of the
+// residual fraction. State is sharded by device hash so 32 concurrent
+// writers (the fleet worker pool, or parallel ingest requests) contend
+// only per shard; Snapshot merges shard sketches in fixed shard order
+// and reads every other figure exactly off device state, so a
+// deterministic feed yields deterministic snapshots.
 type FleetTracker struct {
 	cfg    FleetConfig
 	shards []*fleetShard
@@ -181,10 +181,6 @@ type FleetTracker struct {
 	events    atomic.Uint64
 	completed atomic.Uint64
 	misses    atomic.Uint64
-
-	histMu   sync.Mutex
-	history  []FleetPoint
-	histNext uint64 // completed-count threshold for the next point
 }
 
 // NewFleetTracker returns a tracker with the given configuration.
@@ -193,15 +189,13 @@ func NewFleetTracker(cfg FleetConfig) *FleetTracker {
 		cfg.TopK = 10
 	}
 	t := &FleetTracker{
-		cfg:      cfg,
-		shards:   make([]*fleetShard, fleetShards),
-		histNext: fleetHistoryEvery,
+		cfg:    cfg,
+		shards: make([]*fleetShard, fleetShards),
 	}
 	for i := range t.shards {
 		t.shards[i] = &fleetShard{
-			dev:    map[string]*deviceState{},
-			resid:  NewQuantileSketch(defaultCompression),
-			missHH: NewHeavyHitters(defaultHHCapacity),
+			dev:   map[string]*deviceState{},
+			resid: NewQuantileSketch(defaultCompression),
 		}
 	}
 	return t
@@ -211,7 +205,8 @@ func NewFleetTracker(cfg FleetConfig) *FleetTracker {
 // still aggregate somewhere visible.
 const deviceKey = "-"
 
-// Emit consumes one decision event. Safe for concurrent use.
+// Emit consumes one decision event. Safe for concurrent use: it
+// takes only its device's shard lock.
 func (t *FleetTracker) Emit(e *DecisionEvent) {
 	dev := e.Device
 	if dev == "" {
@@ -240,7 +235,6 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 		if e.Missed {
 			miss = 1
 			st.misses++
-			sh.missHH.Add(dev, 1)
 		}
 		st.missEWMA += fleetAlpha * (miss - st.missEWMA)
 		if e.Predicted && e.PredictedExecSec > 0 {
@@ -259,7 +253,7 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 	if e.Missed {
 		t.misses.Add(1)
 	}
-	t.maybeHistory(t.completed.Add(1))
+	t.completed.Add(1)
 }
 
 func (t *FleetTracker) energy(e *DecisionEvent) float64 {
@@ -271,36 +265,6 @@ func (t *FleetTracker) energy(e *DecisionEvent) float64 {
 	// the health score cares about even without platform power tables.
 	ghz := float64(e.FreqKHz) / 1e6
 	return ghz * ghz * e.ActualExecSec
-}
-
-// maybeHistory appends a fleet history point when the completed count
-// crosses the next threshold. The point snapshots the merged residual
-// sketch, so it takes every shard lock briefly; fleetHistoryEvery spaces
-// that cost out.
-func (t *FleetTracker) maybeHistory(done uint64) {
-	t.histMu.Lock()
-	if done < t.histNext {
-		t.histMu.Unlock()
-		return
-	}
-	t.histNext = done + fleetHistoryEvery
-	resid := t.mergedResiduals()
-	pt := FleetPoint{
-		Completed: done,
-		ResidP50:  nanToZero(resid.Quantile(0.50)),
-		ResidP95:  nanToZero(resid.Quantile(0.95)),
-		ResidP99:  nanToZero(resid.Quantile(0.99)),
-	}
-	if c := t.completed.Load(); c > 0 {
-		pt.MissRate = float64(t.misses.Load()) / float64(c)
-	}
-	if len(t.history) == fleetHistoryCap {
-		copy(t.history, t.history[1:])
-		t.history[len(t.history)-1] = pt
-	} else {
-		t.history = append(t.history, pt)
-	}
-	t.histMu.Unlock()
 }
 
 func nanToZero(v float64) float64 {
@@ -329,14 +293,11 @@ func (t *FleetTracker) Counts() (devices int, completed uint64) {
 	return int(t.devices.Load()), t.completed.Load()
 }
 
-// DeviceHealths returns every tracked device's scored state, sorted by
-// device ID. The energy component normalizes against the fleet median
-// energy/job, so it is only computable fleet-wide at read time.
-func (t *FleetTracker) DeviceHealths() []DeviceHealth {
-	return t.scoredDevices()
-}
-
-func (t *FleetTracker) scoredDevices() []DeviceHealth {
+// scoredDevices returns every tracked device's scored state, sorted by
+// device ID, and the ascending energy/job of the classified devices.
+// The energy component normalizes against that slice's median, so it
+// is only computable fleet-wide at read time.
+func (t *FleetTracker) scoredDevices() ([]DeviceHealth, []float64) {
 	all := make([]DeviceHealth, 0, t.devices.Load())
 	for _, sh := range t.shards {
 		sh.mu.Lock()
@@ -364,7 +325,7 @@ func (t *FleetTracker) scoredDevices() []DeviceHealth {
 
 	// Fleet median energy/job over classified devices anchors the
 	// energy-excess component.
-	var epj []float64
+	epj := make([]float64, 0, len(all))
 	for _, d := range all {
 		if d.Jobs >= fleetMinJobs {
 			epj = append(epj, d.EnergyPerJob)
@@ -372,13 +333,13 @@ func (t *FleetTracker) scoredDevices() []DeviceHealth {
 	}
 	medEPJ := 0.0
 	if len(epj) > 0 {
-		sortFloats(epj)
+		slices.Sort(epj)
 		medEPJ = epj[len(epj)/2]
 	}
 	for i := range all {
 		t.score(&all[i], medEPJ)
 	}
-	return all
+	return all, epj
 }
 
 // sat maps [0,∞) onto [0,1): x/(1+x). A component at exactly its
@@ -421,10 +382,9 @@ func (t *FleetTracker) score(d *DeviceHealth, medEPJ float64) {
 	}
 }
 
-// Snapshot computes the fleet summary: per-class counts, merged
-// sketch quantiles, the top-K worst devices (score descending, device
-// ascending — deterministic), heavy-hitter miss counts, and the
-// history ring.
+// Snapshot computes the fleet summary: per-class counts, the merged
+// residual sketch's quantiles, exact quantiles across classified
+// devices, the top-K worst devices and the top-K by miss count.
 func (t *FleetTracker) Snapshot() FleetStatus {
 	s := FleetStatus{
 		Events:    t.events.Load(),
@@ -435,14 +395,14 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		s.MissRate = float64(s.Misses) / float64(s.Completed)
 	}
 
-	all := t.scoredDevices()
+	all, epj := t.scoredDevices()
 	s.Devices = len(all)
-	missSk := NewQuantileSketch(defaultCompression)
-	epjSk := NewQuantileSketch(defaultCompression)
+	missEWMA := make([]float64, 0, len(epj))
 	for _, d := range all {
 		switch d.Class {
 		case ClassFresh:
 			s.Fresh++
+			continue
 		case ClassHealthy:
 			s.Healthy++
 		case ClassDegraded:
@@ -450,28 +410,17 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		case ClassOutlier:
 			s.Outliers++
 		}
-		if d.Jobs >= fleetMinJobs {
-			missSk.Add(d.MissEWMA)
-			epjSk.Add(d.EnergyPerJob)
-		}
+		missEWMA = append(missEWMA, d.MissEWMA)
 	}
-	s.DeviceMissEWMA = sketchQuantiles(missSk)
-	s.DeviceEnergyPerJob = sketchQuantiles(epjSk)
+	slices.Sort(missEWMA)
+	s.DeviceMissEWMA = sortedQuantiles(missEWMA)
+	s.DeviceEnergyPerJob = sortedQuantiles(epj)
 	s.ResidualFrac = sketchQuantiles(t.mergedResiduals())
 
-	s.Worst = worstDevices(all, t.cfg.TopK)
-
-	hh := NewHeavyHitters(defaultHHCapacity)
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		hh.Merge(sh.missHH)
-		sh.mu.Unlock()
-	}
-	s.TopMiss = hh.Top(t.cfg.TopK)
-
-	t.histMu.Lock()
-	s.History = append([]FleetPoint(nil), t.history...)
-	t.histMu.Unlock()
+	s.Worst = topDevices(all, t.cfg.TopK,
+		func(d *DeviceHealth) bool { return d.Class != ClassFresh }, worstFirst)
+	s.TopMiss = topDevices(all, t.cfg.TopK,
+		func(d *DeviceHealth) bool { return d.Misses > 0 }, mostMissesFirst)
 	return s
 }
 
@@ -485,11 +434,20 @@ func worstFirst(a, b *DeviceHealth) int {
 	return strings.Compare(a.Device, b.Device)
 }
 
-// worstDevices returns the k classified (non-fresh) devices of all
-// that rank first under worstFirst, in that order. It keeps the k that
-// rank first among those seen so far in a bounded heap of indices, so
-// it moves ints instead of sorting every ~150-byte record: O(n log k).
-func worstDevices(all []DeviceHealth, k int) []DeviceHealth {
+// mostMissesFirst orders the top-missing ranking: misses descending,
+// then device ID ascending, a total order like worstFirst.
+func mostMissesFirst(a, b *DeviceHealth) int {
+	if c := cmp.Compare(b.Misses, a.Misses); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Device, b.Device)
+}
+
+// topDevices returns the k devices of all that keep admits and that
+// rank first under before, in that order. It keeps the k that rank
+// first among those seen so far in a bounded heap of indices, so it
+// moves ints instead of sorting every ~150-byte record: O(n log k).
+func topDevices(all []DeviceHealth, k int, keep func(*DeviceHealth) bool, before func(a, b *DeviceHealth) int) []DeviceHealth {
 	h := make([]int, 0, min(k, len(all)))
 	// down restores the heap order below slot p: each slot ranks after
 	// its children, so h[0] is the kept device that ranks last.
@@ -499,10 +457,10 @@ func worstDevices(all []DeviceHealth, k int) []DeviceHealth {
 			if c >= len(h) {
 				return
 			}
-			if c+1 < len(h) && worstFirst(&all[h[c+1]], &all[h[c]]) > 0 {
+			if c+1 < len(h) && before(&all[h[c+1]], &all[h[c]]) > 0 {
 				c++
 			}
-			if worstFirst(&all[h[c]], &all[h[p]]) < 0 {
+			if before(&all[h[c]], &all[h[p]]) < 0 {
 				return
 			}
 			h[p], h[c] = h[c], h[p]
@@ -511,7 +469,7 @@ func worstDevices(all []DeviceHealth, k int) []DeviceHealth {
 	}
 	for i := range all {
 		switch {
-		case all[i].Class == ClassFresh:
+		case !keep(&all[i]):
 		case len(h) < k:
 			h = append(h, i)
 			if len(h) == k {
@@ -519,15 +477,26 @@ func worstDevices(all []DeviceHealth, k int) []DeviceHealth {
 					down(p)
 				}
 			}
-		case worstFirst(&all[i], &all[h[0]]) < 0:
+		case before(&all[i], &all[h[0]]) < 0:
 			h[0] = i
 			down(0)
 		}
 	}
-	slices.SortFunc(h, func(i, j int) int { return worstFirst(&all[i], &all[j]) })
+	slices.SortFunc(h, func(i, j int) int { return before(&all[i], &all[j]) })
 	out := make([]DeviceHealth, len(h))
 	for i, d := range h {
 		out[i] = all[d]
 	}
 	return out
+}
+
+// strHash is FNV-1a over the key's bytes — indexing a string allocates
+// nothing, unlike a []byte conversion. It picks a device's shard.
+func strHash(key string) uint64 {
+	h := fnvOffset64
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	return h
 }

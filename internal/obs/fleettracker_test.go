@@ -35,7 +35,8 @@ func TestFleetTrackerClassification(t *testing.T) {
 		tr.Emit(fleetEvent("drifty", false, 0.9))
 	}
 	byDev := map[string]DeviceHealth{}
-	for _, d := range tr.DeviceHealths() {
+	all, _ := tr.scoredDevices()
+	for _, d := range all {
 		byDev[d.Device] = d
 	}
 	if got := byDev["good"]; got.Class != ClassHealthy {
@@ -60,8 +61,8 @@ func TestFleetTrackerClassification(t *testing.T) {
 	if len(s.Worst) == 0 || s.Worst[0].Device != "missy" {
 		t.Errorf("Worst[0] = %+v, want missy first", s.Worst)
 	}
-	if len(s.TopMiss) == 0 || s.TopMiss[0].Key != "missy" || s.TopMiss[0].Count != 200 {
-		t.Errorf("TopMiss = %v, want missy=200 first", s.TopMiss)
+	if len(s.TopMiss) != 1 || s.TopMiss[0].Device != "missy" || s.TopMiss[0].Misses != 200 {
+		t.Errorf("TopMiss = %+v, want missy with 200 misses alone", s.TopMiss)
 	}
 	if s.ResidualFrac.P99 < 0.5 {
 		t.Errorf("ResidualFrac.P99 = %v, want ≥ 0.5 (drifty's 0.9 fraction)", s.ResidualFrac.P99)
@@ -93,9 +94,9 @@ func TestFleetTrackerUnlabeledDevice(t *testing.T) {
 	e := fleetEvent("", false, 0)
 	e.Device = ""
 	tr.Emit(e)
-	all := tr.DeviceHealths()
+	all, _ := tr.scoredDevices()
 	if len(all) != 1 || all[0].Device != deviceKey {
-		t.Fatalf("DeviceHealths = %+v, want single %q entry", all, deviceKey)
+		t.Fatalf("scoredDevices = %+v, want single %q entry", all, deviceKey)
 	}
 }
 
@@ -176,7 +177,7 @@ func TestFleetTrackerRace(t *testing.T) {
 		var lastDone uint64
 		for i := 0; i < 20; i++ {
 			_ = tr.Snapshot()
-			_ = tr.DeviceHealths()
+			_, _ = tr.scoredDevices()
 			dev, completed := tr.Counts()
 			if dev < lastDev || completed < lastDone || dev > 64 || completed > writers*perWriter {
 				t.Errorf("Counts = %d devices, %d completed after %d, %d", dev, completed, lastDev, lastDone)
@@ -198,20 +199,18 @@ func TestFleetTrackerRace(t *testing.T) {
 		t.Errorf("Counts = %d, %d; Snapshot has %d, %d", dev, completed, s.Devices, s.Completed)
 	}
 	var jobs int64
-	for _, d := range tr.DeviceHealths() {
+	all, _ := tr.scoredDevices()
+	for _, d := range all {
 		jobs += d.Jobs
 	}
 	if jobs != writers*perWriter {
 		t.Errorf("summed device jobs = %d, want %d", jobs, writers*perWriter)
 	}
-	if len(s.History) == 0 {
-		t.Errorf("history empty after %d completed jobs", s.Completed)
-	}
 }
 
 // TestFleetTrackerDeterministicSnapshot: the same serial feed always
-// produces the same snapshot (device ordering, quantiles, heavy
-// hitters) — the property fleet replay reports rely on.
+// produces the same snapshot (device ordering, quantiles, top-missing
+// devices) — the property fleet replay reports rely on.
 func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	build := func() FleetStatus {
 		tr := NewFleetTracker(FleetConfig{})
@@ -227,10 +226,33 @@ func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	}
 }
 
-// TestFleetTrackerWorstMatchesFullSort: Snapshot's top-K equals the
-// reference ranking — DeviceHealths without fresh devices, fully
-// sorted by score descending then device ascending, truncated — on a
-// feed where most devices tie on score with several others.
+// topMissBySort is the reference top-missing ranking: every device with
+// a miss, fresh ones included, fully sorted by misses descending then
+// device ascending, truncated to k.
+func topMissBySort(all []DeviceHealth, k int) []DeviceHealth {
+	var want []DeviceHealth
+	for _, d := range all {
+		if d.Misses > 0 {
+			want = append(want, d)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].Misses != want[j].Misses {
+			return want[i].Misses > want[j].Misses
+		}
+		return want[i].Device < want[j].Device
+	})
+	if len(want) > k {
+		want = want[:k]
+	}
+	return want
+}
+
+// TestFleetTrackerWorstMatchesFullSort: Snapshot's top-K rankings equal
+// their references — for Worst, scoredDevices without fresh devices,
+// fully sorted by score descending then device ascending, truncated;
+// for TopMiss, topMissBySort — on a feed where most devices tie on
+// score and miss count with several others.
 func TestFleetTrackerWorstMatchesFullSort(t *testing.T) {
 	// 300 devices in four behaviours (miss period, 0 = never; residual
 	// fraction), so each score is shared by dozens of devices. They are
@@ -258,7 +280,8 @@ func TestFleetTrackerWorstMatchesFullSort(t *testing.T) {
 			tr := NewFleetTracker(FleetConfig{TopK: topK})
 			feed(tr)
 			var want []DeviceHealth
-			for _, d := range tr.DeviceHealths() {
+			all, _ := tr.scoredDevices()
+			for _, d := range all {
 				if d.Class != ClassFresh {
 					want = append(want, d)
 				}
@@ -283,9 +306,36 @@ func TestFleetTrackerWorstMatchesFullSort(t *testing.T) {
 			if !reflect.DeepEqual(s.Worst, want) {
 				t.Errorf("Worst differs from the full sort:\n got %+v\nwant %+v", s.Worst, want)
 			}
+			if want := topMissBySort(all, topK); !reflect.DeepEqual(s.TopMiss, want) {
+				t.Errorf("TopMiss differs from the full sort:\n got %+v\nwant %+v", s.TopMiss, want)
+			}
 			if dev, completed := tr.Counts(); dev != s.Devices || completed != s.Completed {
 				t.Errorf("Counts = %d, %d; Snapshot has %d, %d", dev, completed, s.Devices, s.Completed)
 			}
 		})
 	}
+
+	// 2000 devices where dev-d misses d+1 jobs, each device's jobs fed
+	// in one run in ascending device order: the heaviest devices arrive
+	// last, after every earlier one. A fixed-size counter table that
+	// evicts its minimum would credit each newcomer with the evicted
+	// count and rank devices by that, not by their own misses.
+	t.Run("topmiss-ascending", func(t *testing.T) {
+		tr := NewFleetTracker(FleetConfig{})
+		for d := 0; d < 2000; d++ {
+			e := fleetEvent(fmt.Sprintf("dev-%d", d), true, 0.01)
+			for j := 0; j <= d; j++ {
+				tr.Emit(e)
+			}
+		}
+		all, _ := tr.scoredDevices()
+		want := topMissBySort(all, 10)
+		if len(want) != 10 || want[0].Device != "dev-1999" || want[0].Misses != 2000 ||
+			want[9].Device != "dev-1990" || want[9].Misses != 1991 {
+			t.Fatalf("reference ranking %+v, want dev-1999 (2000 misses) down to dev-1990 (1991)", want)
+		}
+		if s := tr.Snapshot(); !reflect.DeepEqual(s.TopMiss, want) {
+			t.Errorf("TopMiss differs from the full sort:\n got %+v\nwant %+v", s.TopMiss, want)
+		}
+	})
 }

@@ -1,33 +1,30 @@
-// Streaming sketches for fleet-scale aggregation: a merging t-digest
-// quantile sketch and a space-saving heavy-hitter sketch. Both hold a
-// fixed amount of memory regardless of how many observations they
-// absorb — the property that makes fleet observability possible at
-// all: a million devices cannot each keep a log, but every device's
-// residual can flow through a few kilobytes of centroids.
+// A streaming quantile sketch: a merging t-digest. It holds a fixed
+// amount of memory regardless of how many observations it absorbs,
+// which is what lets the fleet tracker summarize every ingested job's
+// residual without keeping a log: the per-event residual stream is
+// the one fleet distribution that per-device state cannot rebuild.
 //
-// Both sketches are deterministic: the state after N inserts is a pure
+// The sketch is deterministic: the state after N inserts is a pure
 // function of the insert sequence, and Merge is a pure function of the
-// two operand states. The fleet engine's commit stage feeds shards in
-// device-index order, so fleet-level sketch state — and every byte of
-// every report derived from it — is bit-stable across worker counts.
+// two operand states, so shards merged in a fixed order give
+// reproducible quantiles.
 //
 // Inserts are hot-path annotated and allocation-free (enforced by
-// dvfsvet statically and `make alloc-gate` at run time): the quantile
-// sketch buffers into a fixed array and compacts in place with its own
-// heapsort; the heavy-hitter sketch is a fixed entry table with
-// hash-then-string comparison, no map.
+// dvfsvet statically and `make alloc-gate` at run time): the sketch
+// buffers into a fixed array and compacts in place.
 package obs
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // sketch sizing defaults. compression 200 bounds the t-digest at
 // ~1.6 KB of centroids (2·compression float64 pairs) with q50/q95/q99
-// errors well under 1% on 100k-sample streams; 32 heavy-hitter slots
-// cover "top-10 worst devices" with headroom for churn.
+// errors well under 1% on 100k-sample streams.
 const (
 	defaultCompression = 200
 	sketchBufSize      = 256
-	defaultHHCapacity  = 32
 )
 
 // QuantileSketch is a merging t-digest: centroids sized by the scale
@@ -109,7 +106,7 @@ func (s *QuantileSketch) flush() {
 	if s.bufLen == 0 {
 		return
 	}
-	sortFloats(s.buf[:s.bufLen])
+	slices.Sort(s.buf[:s.bufLen])
 	s.compact(s.buf[:s.bufLen], nil)
 	s.bufLen = 0
 }
@@ -236,191 +233,4 @@ func (s *QuantileSketch) Quantile(p float64) float64 {
 		frac = 1
 	}
 	return s.mean[last] + frac*(s.max-s.mean[last])
-}
-
-// sortFloats is an in-place heapsort: deterministic, iterative, and
-// allocation-free, so the hot-path compaction can sort its buffer
-// without reaching into package sort.
-func sortFloats(a []float64) {
-	n := len(a)
-	for root := n/2 - 1; root >= 0; root-- {
-		siftDown(a, root, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDown(a, 0, end)
-	}
-}
-
-func siftDown(a []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && a[child+1] > a[child] {
-			child++
-		}
-		if a[root] >= a[child] {
-			return
-		}
-		a[root], a[child] = a[child], a[root]
-		root = child
-	}
-}
-
-// HeavyHit is one entry of a HeavyHitters sketch: Count is the upper
-// bound on the key's true count, Err the overestimate bound (true
-// count ≥ Count − Err).
-type HeavyHit struct {
-	Key   string `json:"key"`
-	Count uint64 `json:"count"`
-	Err   uint64 `json:"err"`
-}
-
-// HeavyHitters is a space-saving top-K sketch over string keys (device
-// IDs): fixed capacity, the minimum-count entry is evicted when a new
-// key arrives at a full table. Any key with true count above N/capacity
-// is guaranteed present. The zero value is not usable; call
-// NewHeavyHitters.
-type HeavyHitters struct {
-	keys  []string
-	hash  []uint64
-	count []uint64
-	err   []uint64
-	n     int
-}
-
-// NewHeavyHitters returns an empty sketch with the given capacity
-// (≤ 0 selects 32). Memory is fixed: capacity entries, no map.
-func NewHeavyHitters(capacity int) *HeavyHitters {
-	if capacity <= 0 {
-		capacity = defaultHHCapacity
-	}
-	return &HeavyHitters{
-		keys:  make([]string, capacity),
-		hash:  make([]uint64, capacity),
-		count: make([]uint64, capacity),
-		err:   make([]uint64, capacity),
-	}
-}
-
-// strHash is FNV-1a over the key's bytes — indexing a string allocates
-// nothing, unlike a []byte conversion.
-func strHash(key string) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// Add credits key with inc. Lookup compares the cached hash before the
-// string, so the common steady-state path (key already tracked) is a
-// scan of at most capacity word compares. Eviction replaces the
-// minimum-count entry (ties break toward the lexicographically larger
-// key, so eviction is deterministic) and inherits its count as the
-// new entry's error bound — the space-saving invariant.
-//
-//dvfs:hotpath
-func (h *HeavyHitters) Add(key string, inc uint64) {
-	hv := strHash(key)
-	for i := 0; i < h.n; i++ {
-		if h.hash[i] == hv && h.keys[i] == key {
-			h.count[i] += inc
-			return
-		}
-	}
-	if h.n < len(h.keys) {
-		i := h.n
-		h.n++
-		h.keys[i] = key
-		h.hash[i] = hv
-		h.count[i] = inc
-		h.err[i] = 0
-		return
-	}
-	mi := 0
-	for i := 1; i < h.n; i++ {
-		if h.count[i] < h.count[mi] ||
-			(h.count[i] == h.count[mi] && h.keys[i] > h.keys[mi]) {
-			mi = i
-		}
-	}
-	h.err[mi] = h.count[mi]
-	h.count[mi] += inc
-	h.keys[mi] = key
-	h.hash[mi] = hv
-}
-
-// Merge folds o into s: counts and error bounds sum for shared keys;
-// the union is re-ranked (count descending, key ascending) and
-// truncated to s's capacity. Deterministic regardless of either
-// operand's internal entry order.
-func (h *HeavyHitters) Merge(o *HeavyHitters) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	union := make([]HeavyHit, 0, h.n+o.n)
-	for i := 0; i < h.n; i++ {
-		union = append(union, HeavyHit{Key: h.keys[i], Count: h.count[i], Err: h.err[i]})
-	}
-	for i := 0; i < o.n; i++ {
-		found := false
-		for k := range union {
-			if union[k].Key == o.keys[i] {
-				union[k].Count += o.count[i]
-				union[k].Err += o.err[i]
-				found = true
-				break
-			}
-		}
-		if !found {
-			union = append(union, HeavyHit{Key: o.keys[i], Count: o.count[i], Err: o.err[i]})
-		}
-	}
-	sortHits(union)
-	h.n = 0
-	for _, e := range union {
-		if h.n == len(h.keys) {
-			break
-		}
-		i := h.n
-		h.n++
-		h.keys[i] = e.Key
-		h.hash[i] = strHash(e.Key)
-		h.count[i] = e.Count
-		h.err[i] = e.Err
-	}
-}
-
-// Top returns the n highest-count entries, count descending with
-// ascending-key tie-break (deterministic output for deterministic
-// feeds). n ≤ 0 returns every tracked entry.
-func (h *HeavyHitters) Top(n int) []HeavyHit {
-	out := make([]HeavyHit, 0, h.n)
-	for i := 0; i < h.n; i++ {
-		out = append(out, HeavyHit{Key: h.keys[i], Count: h.count[i], Err: h.err[i]})
-	}
-	sortHits(out)
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// sortHits orders by count descending, then key ascending — a total
-// order, so equal-count entries cannot reorder across runs. Insertion
-// sort: the slices here are at most a couple of capacities long.
-func sortHits(hits []HeavyHit) {
-	for i := 1; i < len(hits); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &hits[j-1], &hits[j]
-			if a.Count > b.Count || (a.Count == b.Count && a.Key <= b.Key) {
-				break
-			}
-			hits[j-1], hits[j] = hits[j], hits[j-1]
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -214,117 +213,5 @@ func TestSketchAddZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("QuantileSketch.Add allocated %.1f times per run", allocs)
-	}
-}
-
-// TestHeavyHittersZeroAlloc: the space-saving insert, including
-// steady-state eviction at a full table, must not allocate.
-func TestHeavyHittersZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("AllocsPerRun is not meaningful under the race detector")
-	}
-	h := NewHeavyHitters(8)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("dev-%03d", i)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(5000, func() {
-		h.Add(keys[i%len(keys)], 1)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("HeavyHitters.Add allocated %.1f times per run", allocs)
-	}
-}
-
-// TestHeavyHittersExact: under capacity the sketch is exact.
-func TestHeavyHittersExact(t *testing.T) {
-	h := NewHeavyHitters(8)
-	h.Add("a", 5)
-	h.Add("b", 3)
-	h.Add("a", 2)
-	h.Add("c", 3)
-	top := h.Top(0)
-	want := []HeavyHit{{Key: "a", Count: 7}, {Key: "b", Count: 3}, {Key: "c", Count: 3}}
-	if len(top) != len(want) {
-		t.Fatalf("Top = %v, want %v", top, want)
-	}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Errorf("Top[%d] = %v, want %v", i, top[i], want[i])
-		}
-	}
-}
-
-// TestHeavyHittersGuarantee: any key with true count > N/capacity must
-// be present, and reported counts must bracket the truth:
-// Count−Err ≤ true ≤ Count.
-func TestHeavyHittersGuarantee(t *testing.T) {
-	const capacity = 16
-	h := NewHeavyHitters(capacity)
-	r := rand.New(rand.NewSource(3))
-	truth := map[string]uint64{}
-	n := uint64(0)
-	for i := 0; i < 50_000; i++ {
-		var key string
-		if r.Intn(100) < 60 {
-			key = fmt.Sprintf("hot-%d", r.Intn(4))
-		} else {
-			key = fmt.Sprintf("cold-%d", r.Intn(5000))
-		}
-		h.Add(key, 1)
-		truth[key]++
-		n++
-	}
-	top := h.Top(0)
-	byKey := map[string]HeavyHit{}
-	for _, e := range top {
-		byKey[e.Key] = e
-		if tc := truth[e.Key]; e.Count < tc || e.Count-e.Err > tc {
-			t.Errorf("key %q: reported [%d−%d, %d] does not bracket true %d",
-				e.Key, e.Count, e.Err, e.Count, tc)
-		}
-	}
-	for key, tc := range truth {
-		if tc > n/capacity {
-			if _, ok := byKey[key]; !ok {
-				t.Errorf("key %q with true count %d > N/k=%d missing from sketch", key, tc, n/capacity)
-			}
-		}
-	}
-}
-
-// TestHeavyHittersMergeDeterminism: merging the same shard states in
-// the same order yields identical entries regardless of each shard's
-// internal slot layout, and merged counts still bracket the truth for
-// keys tracked by every shard.
-func TestHeavyHittersMergeDeterminism(t *testing.T) {
-	build := func(order []int) *HeavyHitters {
-		shards := make([]*HeavyHitters, 4)
-		for i := range shards {
-			shards[i] = NewHeavyHitters(16)
-		}
-		r := rand.New(rand.NewSource(11))
-		for i := 0; i < 20_000; i++ {
-			key := fmt.Sprintf("dev-%d", r.Intn(200))
-			shards[i%len(shards)].Add(key, 1)
-		}
-		out := NewHeavyHitters(16)
-		for _, i := range order {
-			out.Merge(shards[i])
-		}
-		return out
-	}
-	a := build([]int{0, 1, 2, 3})
-	b := build([]int{0, 1, 2, 3})
-	ta, tb := a.Top(0), b.Top(0)
-	if len(ta) != len(tb) {
-		t.Fatalf("entry counts differ: %d vs %d", len(ta), len(tb))
-	}
-	for i := range ta {
-		if ta[i] != tb[i] {
-			t.Errorf("entry %d differs across identical runs: %v vs %v", i, ta[i], tb[i])
-		}
 	}
 }

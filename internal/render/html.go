@@ -304,75 +304,6 @@ func (p *HTMLPage) TimeSeriesSpans(title string, timesMs []int64, vals []float64
 	p.body.WriteString("\"/></svg></div>\n")
 }
 
-// Band draws a quantile-band sparkline: a shaded region between the lo
-// and hi series with the mid series as a line — the fleet dashboard's
-// view of a distribution over time (e.g. residual p50–p99 with a p95
-// line). All three series must be the same length; the latest mid
-// value is printed after the chart. Non-finite inputs and empty or
-// mismatched series render nothing.
-func (p *HTMLPage) Band(title string, lo, mid, hi []float64, format string) {
-	n := len(mid)
-	if n == 0 || len(lo) != n || len(hi) != n {
-		return
-	}
-	minV, maxV := lo[0], hi[0]
-	for i := 0; i < n; i++ {
-		for _, v := range [3]float64{lo[i], mid[i], hi[i]} {
-			if v != v || v > 1e300 || v < -1e300 {
-				return
-			}
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
-		}
-	}
-	const (
-		w    = 240
-		h    = 36
-		padY = 4.0
-	)
-	span := maxV - minV
-	pt := func(i int, v float64) (float64, float64) {
-		x := 0.0
-		if n > 1 {
-			x = float64(i) / float64(n-1) * float64(w-2)
-		}
-		frac := 0.5
-		if span > 0 {
-			frac = (v - minV) / span
-		}
-		return x + 1, padY + (1-frac)*(float64(h)-2*padY)
-	}
-	fmt.Fprintf(&p.body, "<div class=\"spark\"><span class=\"lbl\">%s</span>",
-		html.EscapeString(title))
-	fmt.Fprintf(&p.body, "<svg width=\"%d\" height=\"%d\" role=\"img\"><polygon class=\"band\" points=\"", w, h)
-	// The band polygon walks lo left→right then hi right→left.
-	for i := 0; i < n; i++ {
-		x, y := pt(i, lo[i])
-		if i > 0 {
-			p.body.WriteString(" ")
-		}
-		fmt.Fprintf(&p.body, "%.1f,%.1f", x, y)
-	}
-	for i := n - 1; i >= 0; i-- {
-		x, y := pt(i, hi[i])
-		fmt.Fprintf(&p.body, " %.1f,%.1f", x, y)
-	}
-	p.body.WriteString("\"/><polyline class=\"line\" points=\"")
-	for i := 0; i < n; i++ {
-		x, y := pt(i, mid[i])
-		if i > 0 {
-			p.body.WriteString(" ")
-		}
-		fmt.Fprintf(&p.body, "%.1f,%.1f", x, y)
-	}
-	p.body.WriteString("\"/></svg>")
-	fmt.Fprintf(&p.body, "<span class=\"val\">"+format+"</span></div>\n", mid[n-1])
-}
-
 // WriteTo renders the complete document.
 func (p *HTMLPage) WriteTo(w io.Writer) (int64, error) {
 	var b strings.Builder
@@ -381,6 +312,9 @@ func (p *HTMLPage) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(&b, "<meta http-equiv=\"refresh\" content=\"%d\">\n", p.RefreshSec)
 	}
 	fmt.Fprintf(&b, "<title>%s</title>\n", html.EscapeString(p.Title))
+	// Every report embeds this stylesheet, so its bytes are part of
+	// every pinned HTML digest: editing any rule, even one no chart
+	// uses (svg .band), moves them all.
 	b.WriteString(`<style>
 body { font: 14px/1.45 system-ui, sans-serif; margin: 2rem auto; max-width: 64rem; color: #222; }
 h1 { font-size: 1.4rem; } h2 { font-size: 1.15rem; margin-top: 2rem; border-bottom: 1px solid #ddd; }

@@ -93,48 +93,6 @@ func TestHTMLPageSparklineAndRefresh(t *testing.T) {
 
 func inf() float64 { x := 0.0; return 1 / x }
 
-func TestHTMLPageBand(t *testing.T) {
-	p := NewHTMLPage("fleet")
-	lo := []float64{0.01, 0.02, 0.015}
-	mid := []float64{0.05, 0.06, 0.055}
-	hi := []float64{0.09, 0.11, 0.10}
-	p.Band("residual p50–p99", lo, mid, hi, "%.3f")
-	var b strings.Builder
-	p.WriteTo(&b)
-	out := b.String()
-	for _, want := range []string{
-		"polygon",          // the shaded band
-		`class="band"`,     //
-		"polyline",         // the mid line
-		"residual p50–p99", //
-		"0.055",            // latest mid value printed
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-
-	// Degenerate inputs render nothing.
-	p2 := NewHTMLPage("bad")
-	p2.Band("empty", nil, nil, nil, "%.0f")
-	p2.Band("mismatched", []float64{1}, []float64{1, 2}, []float64{1, 2}, "%.0f")
-	p2.Band("nan", []float64{1}, []float64{inf()}, []float64{2}, "%.0f")
-	var b2 strings.Builder
-	p2.WriteTo(&b2)
-	if strings.Contains(b2.String(), "polygon") {
-		t.Error("degenerate band inputs should render nothing")
-	}
-
-	// Deterministic bytes.
-	p3 := NewHTMLPage("fleet")
-	p3.Band("residual p50–p99", lo, mid, hi, "%.3f")
-	var b3 strings.Builder
-	p3.WriteTo(&b3)
-	if b.String() != b3.String() {
-		t.Error("identical bands rendered different bytes")
-	}
-}
-
 func TestHTMLPageEmptyBarChart(t *testing.T) {
 	p := NewHTMLPage("t")
 	p.BarChart("empty", nil, nil, "%.0f")

@@ -137,9 +137,9 @@ func decisionSection(p *render.HTMLPage, events []obs.DecisionEvent, start time.
 }
 
 // fleetSection renders the fleet snapshot: totals, the health
-// distribution, sketch-backed quantile bands over the ingest history,
-// the top-K worst devices with attribution, and heavy-hitter miss
-// counts.
+// distribution, the top-K worst devices with attribution, and the
+// top-K devices by miss count. The fleet's trends over time are the
+// History panels' (fleet miss rate, residual frac p95).
 func fleetSection(p *render.HTMLPage, snap *obs.FleetStatus) {
 	p.Section("Fleet overview")
 	rows := [][]string{
@@ -163,22 +163,6 @@ func fleetSection(p *render.HTMLPage, snap *obs.FleetStatus) {
 			float64(snap.Outliers), float64(snap.Fresh)},
 		"%.0f")
 
-	if len(snap.History) > 1 {
-		p.Section(fmt.Sprintf("Ingest history (%d samples)", len(snap.History)))
-		miss := make([]float64, len(snap.History))
-		lo := make([]float64, len(snap.History))
-		mid := make([]float64, len(snap.History))
-		hi := make([]float64, len(snap.History))
-		for i, pt := range snap.History {
-			miss[i] = 100 * pt.MissRate
-			lo[i] = pt.ResidP50
-			mid[i] = pt.ResidP95
-			hi[i] = pt.ResidP99
-		}
-		p.Sparkline("fleet miss rate", miss, "%.2f%%")
-		p.Band("residual frac p50–p99 (p95 line)", lo, mid, hi, "%.3f")
-	}
-
 	if len(snap.Worst) > 0 {
 		p.Section(fmt.Sprintf("Worst devices (top %d by health score)", len(snap.Worst)))
 		header := []string{"device", "platform", "workload", "jobs", "miss %", "miss ewma", "drift", "energy/job", "score", "class", "cause"}
@@ -200,17 +184,18 @@ func fleetSection(p *render.HTMLPage, snap *obs.FleetStatus) {
 	}
 
 	if len(snap.TopMiss) > 0 {
-		p.Section("Top deadline-missing devices (space-saving sketch)")
-		header := []string{"device", "misses ≤", "guaranteed ≥"}
-		hRows := make([][]string, 0, len(snap.TopMiss))
-		for _, h := range snap.TopMiss {
-			hRows = append(hRows, []string{
-				h.Key,
-				fmt.Sprintf("%d", h.Count),
-				fmt.Sprintf("%d", h.Count-h.Err),
+		p.Section("Top deadline-missing devices")
+		header := []string{"device", "jobs", "misses", "miss %"}
+		mRows := make([][]string, 0, len(snap.TopMiss))
+		for _, d := range snap.TopMiss {
+			mRows = append(mRows, []string{
+				d.Device,
+				fmt.Sprintf("%d", d.Jobs),
+				fmt.Sprintf("%d", d.Misses),
+				fmt.Sprintf("%.2f", 100*d.MissRate),
 			})
 		}
-		p.Table(header, hRows, []bool{false, true, true})
+		p.Table(header, mRows, []bool{false, true, true, true})
 	}
 }
 
@@ -414,6 +399,10 @@ var historyCharts = []historyChart{
 	{title: "residual frac p95", metric: "dvfsd_fleet_residual_frac",
 		labels: []tsdb.Label{{Name: "q", Value: "0.95"}}, format: "%.3f"},
 	{title: "worst device score", metric: "dvfsd_fleet_worst_score", format: "%.3f"},
+	{title: "model under-prediction rate", metric: "dvfsd_model_under_rate",
+		scale: 100, format: "%.1f%%"},
+	{title: "SLO burn rate (slow)", metric: "dvfsd_slo_burn_rate",
+		labels: []tsdb.Label{{Name: "window", Value: "slow"}}, format: "%.2f×"},
 	{title: "degraded devices", metric: "dvfsd_fleet_devices",
 		labels: []tsdb.Label{{Name: "class", Value: obs.ClassDegraded}},
 		agg:    tsdb.AggMax, format: "%.0f"},

@@ -259,9 +259,9 @@ func TestDashAgreesWithAPI(t *testing.T) {
 			t.Errorf("dashboard missing worst device %+v", d)
 		}
 	}
-	for _, h := range fleet.TopMiss {
-		if !hasRow(body, h.Key, fmt.Sprint(h.Count), fmt.Sprint(h.Count-h.Err)) {
-			t.Errorf("dashboard missing top-miss key %+v", h)
+	for _, d := range fleet.TopMiss {
+		if !hasRow(body, d.Device, fmt.Sprint(d.Jobs), fmt.Sprint(d.Misses)) {
+			t.Errorf("dashboard missing top-miss device %+v", d)
 		}
 	}
 	for _, st := range slo.Workloads {

@@ -29,7 +29,8 @@ func driftJobs(first, n int, residFrac float64) []obs.DecisionEvent {
 // the alert engine's builtin model_stale rule fires once the rule's For
 // has elapsed, then resolves after healthy jobs refill the window. The
 // monitor decides nothing itself: the engine owns the alert, and
-// /debug/dash shows the monitor's rates.
+// /debug/dash shows the monitor's rates and shades the firing interval
+// on the under-prediction rate's history panel.
 func TestModelStaleRuleFiresOnIngest(t *testing.T) {
 	reg, err := NewRegistry(RegistryOptions{Workers: 1})
 	if err != nil {
@@ -71,7 +72,9 @@ func TestModelStaleRuleFiresOnIngest(t *testing.T) {
 	}
 	sc := tsdb.NewScraper(store, metrics.Registry(), scrape, srv.SyncGauges)
 	sc.After = engine.Eval
-	t0 := time.Unix(1_700_000_000, 0)
+	// The clock starts a few minutes ago, so the dashboard's 15m
+	// history window holds every tick.
+	t0 := time.Now().Add(-5 * time.Minute).Truncate(time.Second)
 	var now time.Duration
 	tickPast := func(d time.Duration) {
 		for end := now + d; now <= end; now += scrape {
@@ -113,6 +116,18 @@ func TestModelStaleRuleFiresOnIngest(t *testing.T) {
 	// ring: ingest alone feeds the monitor.
 	if body := getDash(t, ts); !strings.Contains(body, "Prediction drift") || !strings.Contains(body, "<td>fleet:sha</td>") {
 		t.Error("/debug/dash shows no drift table for ingested residuals")
+	}
+	// A chart spans its samples, so a few more scrapes give the firing
+	// interval width on the panel of the signal that tripped it.
+	tickPast(3 * scrape)
+	resp, err := http.Get(ts.URL + "/debug/dash?window=15m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, panel, ok := strings.Cut(readAll(t, resp), "<h3>model under-prediction rate")
+	panel, _, _ = strings.Cut(panel, "</svg>")
+	if !ok || !strings.Contains(panel, `class="firing"`) {
+		t.Errorf("/debug/dash?window=15m shades no firing interval on the under-rate panel:\n%s", panel)
 	}
 
 	// A window of healthy jobs brings the rate to 0: the alert resolves.

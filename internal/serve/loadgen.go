@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/features"
 	"repro/internal/instrument"
+	"repro/internal/stats"
 	"repro/internal/taskir"
 	"repro/internal/workload"
 )
@@ -245,9 +245,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig, jobs []PredictJob) (*Report, e
 	}
 	if len(latencies) > 0 {
 		sort.Float64s(latencies)
-		rep.P50MS = percentile(latencies, 0.50) * 1e3
-		rep.P95MS = percentile(latencies, 0.95) * 1e3
-		rep.P99MS = percentile(latencies, 0.99) * 1e3
+		rep.P50MS = stats.QuantileSorted(latencies, 0.50) * 1e3
+		rep.P95MS = stats.QuantileSorted(latencies, 0.95) * 1e3
+		rep.P99MS = stats.QuantileSorted(latencies, 0.99) * 1e3
 		rep.MaxMS = latencies[len(latencies)-1] * 1e3
 		sum := 0.0
 		for _, l := range latencies {
@@ -256,21 +256,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig, jobs []PredictJob) (*Report, e
 		rep.MeanMS = sum / float64(len(latencies)) * 1e3
 	}
 	return rep, nil
-}
-
-// percentile returns the p-quantile of sorted values (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // TrainRemote asks the daemon to train a model and waits for the
