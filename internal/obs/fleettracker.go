@@ -293,10 +293,12 @@ func (t *FleetTracker) Counts() (devices int, completed uint64) {
 	return int(t.devices.Load()), t.completed.Load()
 }
 
-// scoredDevices returns every tracked device's scored state, sorted by
-// device ID, and the ascending energy/job of the classified devices.
-// The energy component normalizes against that slice's median, so it
-// is only computable fleet-wide at read time.
+// scoredDevices returns every tracked device's scored state, in no
+// particular order, and the ascending energy/job of the classified
+// devices. The energy component normalizes against that slice's
+// median, so it is only computable fleet-wide at read time. Nothing
+// read from the devices depends on their order: the distributions
+// sort their own values and the rankings sort under total orders.
 func (t *FleetTracker) scoredDevices() ([]DeviceHealth, []float64) {
 	all := make([]DeviceHealth, 0, t.devices.Load())
 	for _, sh := range t.shards {
@@ -321,7 +323,6 @@ func (t *FleetTracker) scoredDevices() ([]DeviceHealth, []float64) {
 		}
 		sh.mu.Unlock()
 	}
-	slices.SortFunc(all, func(a, b DeviceHealth) int { return strings.Compare(a.Device, b.Device) })
 
 	// Fleet median energy/job over classified devices anchors the
 	// energy-excess component.

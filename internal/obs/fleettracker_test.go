@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -209,7 +211,7 @@ func TestFleetTrackerRace(t *testing.T) {
 }
 
 // TestFleetTrackerDeterministicSnapshot: the same serial feed always
-// produces the same snapshot (device ordering, quantiles, top-missing
+// produces the same snapshot (worst-device ranking, quantiles, top-missing
 // devices) — the property fleet replay reports rely on.
 func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	build := func() FleetStatus {
@@ -338,4 +340,52 @@ func TestFleetTrackerWorstMatchesFullSort(t *testing.T) {
 			t.Errorf("TopMiss differs from the full sort:\n got %+v\nwant %+v", s.TopMiss, want)
 		}
 	})
+}
+
+// Fleet aggregates do not change when devices are permuted: two
+// trackers get every device's events in the same per-device order,
+// interleaved across devices in different orders, and return equal
+// snapshots. Each shard sees fewer residuals than the sketch buffers
+// before its first compaction, so the residual sketch holds each
+// shard's exact multiset, which no interleaving changes either.
+func TestFleetTrackerSnapshotIgnoresDeviceOrder(t *testing.T) {
+	const devices, maxJobs = 150, 19
+	rng := rand.New(rand.NewSource(11))
+	events := make([][]*DecisionEvent, devices)
+	for d := range events {
+		for j := 0; j < 3+d%(maxJobs-2); j++ {
+			e := fleetEvent(fmt.Sprintf("dev-%03d", d), rng.Intn(2+d%9) == 0, rng.Float64()*float64(d%4)*0.4)
+			e.FreqKHz = int64(600_000 + 200_000*(d%5))
+			events[d] = append(events[d], e)
+		}
+	}
+	snapshot := func(order []int) FleetStatus {
+		tr := NewFleetTracker(FleetConfig{TopK: 10})
+		for j := 0; j < maxJobs; j++ {
+			for _, d := range order {
+				if j < len(events[d]) {
+					tr.Emit(events[d][j])
+				}
+			}
+		}
+		for i, sh := range tr.shards {
+			if n := sh.resid.Count(); n >= sketchBufSize {
+				t.Fatalf("shard %d holds %v residuals, want fewer than %d", i, n, sketchBufSize)
+			}
+		}
+		return tr.Snapshot()
+	}
+	order := rng.Perm(devices)
+	slices.Sort(order)
+	want := snapshot(order)
+	if want.Outliers+want.Degraded == 0 || want.Fresh == 0 || len(want.TopMiss) != 10 {
+		t.Fatalf("feed gives %d outliers, %d degraded, %d fresh, %d top-missing; want some of each",
+			want.Outliers, want.Degraded, want.Fresh, len(want.TopMiss))
+	}
+	for trial := 0; trial < 4; trial++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got := snapshot(order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("permutation %d changed the snapshot:\n got %+v\nwant %+v", trial, got, want)
+		}
+	}
 }

@@ -88,12 +88,7 @@ func (e *Env) UndefinedReads() []string {
 	if len(e.undefReads) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(e.undefReads))
-	for n := range e.undefReads {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(e.undefReads)
 }
 
 // Set assigns name. Global names write through to the global layer
@@ -117,16 +112,6 @@ func (e *Env) SetParams(params map[string]int64) {
 // globals intact.
 func (e *Env) ResetLocals() {
 	e.locals = map[string]int64{}
-}
-
-// GlobalsSnapshot returns a copy of the global layer, for tests that
-// verify slice side-effect isolation.
-func (e *Env) GlobalsSnapshot() map[string]int64 {
-	snap := make(map[string]int64, len(e.globals))
-	for k, v := range e.globals {
-		snap[k] = v
-	}
-	return snap
 }
 
 // String renders the environment deterministically for debugging.

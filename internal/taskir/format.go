@@ -2,7 +2,6 @@ package taskir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -13,15 +12,8 @@ import (
 func Format(p *Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "task %s(%s) {\n", p.Name, strings.Join(p.Params, ", "))
-	if len(p.Globals) > 0 {
-		names := make([]string, 0, len(p.Globals))
-		for g := range p.Globals {
-			names = append(names, g)
-		}
-		sort.Strings(names)
-		for _, g := range names {
-			fmt.Fprintf(&b, "  global %s = %d\n", g, p.Globals[g])
-		}
+	for _, g := range sortedKeys(p.Globals) {
+		fmt.Fprintf(&b, "  global %s = %d\n", g, p.Globals[g])
 	}
 	formatBlock(&b, p.Body, 1)
 	b.WriteString("}\n")
@@ -54,12 +46,7 @@ func formatBlock(b *strings.Builder, stmts []Stmt, depth int) {
 			fmt.Fprintf(b, "%s}\n", ind)
 		case *Call:
 			fmt.Fprintf(b, "%scall#%d (*%s) {\n", ind, st.ID, st.Target)
-			addrs := make([]int64, 0, len(st.Funcs))
-			for a := range st.Funcs {
-				addrs = append(addrs, a)
-			}
-			sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-			for _, a := range addrs {
+			for _, a := range sortedKeys(st.Funcs) {
 				if len(st.Funcs[a]) == 0 {
 					continue
 				}

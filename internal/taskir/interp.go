@@ -2,7 +2,8 @@ package taskir
 
 import (
 	"errors"
-	"fmt"
+	"slices"
+	"sync"
 )
 
 // Work is the abstract cost of executing a job: CPU work units that
@@ -18,13 +19,6 @@ type Work struct {
 	// Stmts counts executed IR statements (loop iterations included);
 	// it measures interpreter footprint, e.g. for slice size stats.
 	Stmts int64
-}
-
-// Add accumulates other into w.
-func (w *Work) Add(other Work) {
-	w.CPU += other.CPU
-	w.MemSec += other.MemSec
-	w.Stmts += other.Stmts
 }
 
 // TimeAt returns the execution time in seconds at frequency f (Hz).
@@ -89,24 +83,30 @@ func Run(p *Program, env *Env, opts RunOptions) (Work, error) {
 }
 
 // Run executes one job of the lowered program in env and returns the
-// work performed. The frame's slots are filled from env's layers on
-// entry, and env's maps are brought up to date on every return, be it
-// success, ErrStepLimit or a while guard, so afterwards env reads as
-// if each access had gone to it directly. If the program's Body was
-// edited after lowering, Run lowers the current body for this call
-// rather than run stale code.
+// work performed, calling the compiled closures over a frame of slots
+// taken from a pool, so a run allocates nothing of its own once the
+// pool holds a frame large enough. The slots are filled from env's
+// layers on entry, and env's maps are brought up to date on every
+// return, be it success, ErrStepLimit or a while guard, so afterwards
+// env reads as if each access had gone to it directly. If the
+// program's Body was edited after lowering, Run lowers the current
+// body for this call rather than run stale code.
 func (l *Lowered) Run(env *Env, opts RunOptions) (Work, error) {
-	if !l.current() {
+	if !slices.Equal(l.prog.Body, l.src) {
 		l = Lower(l.prog)
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
+	f := frames.Get().(*frame)
+	f.bind(l.names, env)
+	f.rec, f.work, f.remaining = opts.Recorder, Work{}, opts.MaxSteps
+	if f.remaining == 0 {
+		f.remaining = defaultMaxSteps
 	}
-	f := frame{slots: bind(l.names, env), rec: opts.Recorder, remaining: maxSteps}
-	err := f.block(l.body)
-	unbind(l.names, f.slots, env)
-	return f.work, err
+	err := l.body.run(f)
+	f.unbind(l.names, env)
+	w := f.work
+	f.rec = nil
+	frames.Put(f)
+	return w, err
 }
 
 // Slot state bits.
@@ -137,11 +137,27 @@ type slotVal struct {
 	flags       uint8
 }
 
-// bind builds a run's slots from env's layers.
-func bind(names []string, env *Env) []slotVal {
-	slots := make([]slotVal, len(names))
+// frame is the per-run state of a lowered program. Closures receive
+// it by pointer, which moves it to the heap, so runs reuse frames and
+// their slot arrays through a pool.
+type frame struct {
+	slots     []slotVal
+	rec       FeatureRecorder
+	work      Work
+	remaining int64
+}
+
+var frames = sync.Pool{New: func() any { return new(frame) }}
+
+// bind fills the frame's slots from env's layers.
+func (f *frame) bind(names []string, env *Env) {
+	if cap(f.slots) < len(names) {
+		f.slots = make([]slotVal, len(names))
+	}
+	f.slots = f.slots[:len(names)]
 	for i, name := range names {
-		v := &slots[i]
+		v := &f.slots[i]
+		*v = slotVal{}
 		if x, ok := env.locals[name]; ok {
 			v.val = x
 			v.flags = slotDefined | slotLocal
@@ -153,14 +169,13 @@ func bind(names []string, env *Env) []slotVal {
 			v.flags |= slotWritesGlobal
 		}
 	}
-	return slots
 }
 
 // unbind writes a run's changed layers and its undefined reads back
 // into env.
-func unbind(names []string, slots []slotVal, env *Env) {
-	for i := range slots {
-		v := &slots[i]
+func (f *frame) unbind(names []string, env *Env) {
+	for i := range f.slots {
+		v := &f.slots[i]
 		if v.flags&slotGlobalDirty != 0 {
 			env.globals[names[i]] = v.global
 		}
@@ -171,14 +186,6 @@ func unbind(names []string, slots []slotVal, env *Env) {
 			env.undefReads[names[i]] = true
 		}
 	}
-}
-
-// frame is the per-run state of a lowered program.
-type frame struct {
-	slots     []slotVal
-	rec       FeatureRecorder
-	work      Work
-	remaining int64
 }
 
 // get reads a slot; an undefined read yields zero and is marked.
@@ -206,122 +213,36 @@ func (f *frame) set(s int32, x int64) {
 	}
 }
 
-func (f *frame) eval(e *lexpr) int64 {
-	switch e.kind {
-	case exprConst:
-		return e.val
-	case exprVar:
-		return f.get(e.slot)
-	case exprNot:
-		return b2i(f.eval(e.l) == 0)
-	}
-	// Most operands are constants or variables: read those in place
-	// rather than through a recursive call.
-	var l, r int64
-	switch x := e.l; x.kind {
-	case exprConst:
-		l = x.val
-	case exprVar:
-		l = f.get(x.slot)
-	default:
-		l = f.eval(x)
-	}
-	switch x := e.r; x.kind {
-	case exprConst:
-		r = x.val
-	case exprVar:
-		r = f.get(x.slot)
-	default:
-		r = f.eval(x)
-	}
-	return e.op.apply(l, r)
-}
-
-func (f *frame) block(stmts []lstmt) error {
-	for i := range stmts {
-		if err := f.stmt(&stmts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// iter charges one loop iteration and counts it against the step
-// budget.
-func (f *frame) iter() error {
-	f.work.CPU += LoopIterCostCPU
-	f.remaining--
-	if f.remaining < 0 {
-		return ErrStepLimit
-	}
-	return nil
-}
-
-func (f *frame) stmt(s *lstmt) error {
+// step charges one executed statement and reports whether the step
+// budget still holds.
+func (f *frame) step() bool {
 	f.work.Stmts++
 	f.work.CPU += StmtCostCPU
 	f.remaining--
-	if f.remaining < 0 {
-		return ErrStepLimit
-	}
-	switch s.op {
-	case opAssign:
-		f.set(s.slot, f.eval(s.x))
-	case opCompute:
-		f.work.CPU += s.cpu
-		f.work.MemSec += s.mem
-	case opComputeScaled:
-		if n := f.eval(s.x); n > 0 {
-			f.work.CPU += s.cpu * float64(n)
-			f.work.MemSec += s.mem * float64(n) * 1e-9
+	return f.remaining >= 0
+}
+
+// iter charges one loop iteration and reports whether the step budget
+// still holds.
+func (f *frame) iter() bool {
+	f.work.CPU += LoopIterCostCPU
+	f.remaining--
+	return f.remaining >= 0
+}
+
+// loop runs n iterations of a counted loop's body, setting the index
+// slot (-1: none) before each.
+func (f *frame) loop(n int64, slot int32, body block) error {
+	for i := int64(0); i < n; i++ {
+		if !f.iter() {
+			return ErrStepLimit
 		}
-	case opIf:
-		if f.eval(s.x) != 0 {
-			return f.block(s.body)
+		if slot >= 0 {
+			f.set(slot, i)
 		}
-		return f.block(s.alt)
-	case opWhile:
-		for i := int64(0); f.eval(s.x) != 0; i++ {
-			if i >= s.maxIter {
-				return fmt.Errorf("taskir: while#%d exceeded %d iterations", s.id, s.maxIter)
-			}
-			if err := f.iter(); err != nil {
-				return err
-			}
-			if err := f.block(s.body); err != nil {
-				return err
-			}
+		if err := body.run(f); err != nil {
+			return err
 		}
-	case opLoop:
-		n := f.eval(s.x)
-		for i := int64(0); i < n; i++ {
-			if err := f.iter(); err != nil {
-				return err
-			}
-			if s.slot >= 0 {
-				f.set(s.slot, i)
-			}
-			if err := f.block(s.body); err != nil {
-				return err
-			}
-		}
-	case opCall:
-		addr := f.eval(s.x)
-		for i := range s.funcs {
-			if s.funcs[i].addr == addr {
-				return f.block(s.funcs[i].body)
-			}
-		}
-	case opFeatAdd:
-		if f.rec != nil {
-			f.rec.AddFeature(s.id, f.eval(s.x))
-		}
-	case opFeatCall:
-		if f.rec != nil {
-			f.rec.RecordCall(s.id, f.eval(s.x))
-		}
-	default:
-		return s.err
 	}
 	return nil
 }

@@ -44,13 +44,14 @@ func TestJSONRoundTripPreservesBehaviour(t *testing.T) {
 	}
 	params := map[string]int64{"p0": 3, "p1": -2, "p2": 9}
 	run := func(prog *Program) (Work, map[string]int64) {
-		env := NewEnv(map[string]int64{"g0": 1, "g1": 4})
+		globals := map[string]int64{"g0": 1, "g1": 4}
+		env := NewEnv(globals)
 		env.SetParams(params)
 		w, err := Run(prog, env, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w, env.GlobalsSnapshot()
+		return w, globals
 	}
 	w1, g1 := run(p)
 	w2, g2 := run(q)

@@ -17,8 +17,9 @@
 package taskir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -185,11 +186,7 @@ func (s *Loop) String() string {
 	return fmt.Sprintf("loop#%d (%s) {%d stmts}", s.ID, s.Count, len(s.Body))
 }
 func (s *Call) String() string {
-	addrs := make([]int64, 0, len(s.Funcs))
-	for a := range s.Funcs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := sortedKeys(s.Funcs)
 	parts := make([]string, len(addrs))
 	for i, a := range addrs {
 		parts[i] = fmt.Sprintf("%d", a)
@@ -198,6 +195,16 @@ func (s *Call) String() string {
 }
 func (s *FeatAdd) String() string  { return fmt.Sprintf("feature[%d] += %s", s.FID, s.Amount) }
 func (s *FeatCall) String() string { return fmt.Sprintf("feature[%d] = addr(%s)", s.FID, s.Target) }
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // Validate checks structural invariants: globals and params must not
 // collide, every variable read must be a param, global, or previously
@@ -227,6 +234,18 @@ func (p *Program) Validate() error {
 		}
 		return nil
 	}
+	// control checks a control-flow statement's expression, then that
+	// its ID is unique.
+	control := func(id int, e Expr) error {
+		if err := checkExpr(e); err != nil {
+			return err
+		}
+		if seenFID[id] {
+			return fmt.Errorf("taskir: duplicate control-flow ID %d", id)
+		}
+		seenFID[id] = true
+		return nil
+	}
 	var walk func(stmts []Stmt) error
 	walk = func(stmts []Stmt) error {
 		for _, s := range stmts {
@@ -248,13 +267,9 @@ func (p *Program) Validate() error {
 					return err
 				}
 			case *If:
-				if err := checkExpr(st.Cond); err != nil {
+				if err := control(st.ID, st.Cond); err != nil {
 					return err
 				}
-				if seenFID[st.ID] {
-					return fmt.Errorf("taskir: duplicate control-flow ID %d", st.ID)
-				}
-				seenFID[st.ID] = true
 				if err := walk(st.Then); err != nil {
 					return err
 				}
@@ -262,24 +277,16 @@ func (p *Program) Validate() error {
 					return err
 				}
 			case *While:
-				if err := checkExpr(st.Cond); err != nil {
+				if err := control(st.ID, st.Cond); err != nil {
 					return err
 				}
-				if seenFID[st.ID] {
-					return fmt.Errorf("taskir: duplicate control-flow ID %d", st.ID)
-				}
-				seenFID[st.ID] = true
 				if err := walk(st.Body); err != nil {
 					return err
 				}
 			case *Loop:
-				if err := checkExpr(st.Count); err != nil {
+				if err := control(st.ID, st.Count); err != nil {
 					return err
 				}
-				if seenFID[st.ID] {
-					return fmt.Errorf("taskir: duplicate control-flow ID %d", st.ID)
-				}
-				seenFID[st.ID] = true
 				if st.IndexVar != "" {
 					vars[st.IndexVar] = true
 				}
@@ -287,19 +294,10 @@ func (p *Program) Validate() error {
 					return err
 				}
 			case *Call:
-				if err := checkExpr(st.Target); err != nil {
+				if err := control(st.ID, st.Target); err != nil {
 					return err
 				}
-				if seenFID[st.ID] {
-					return fmt.Errorf("taskir: duplicate control-flow ID %d", st.ID)
-				}
-				seenFID[st.ID] = true
-				addrs := make([]int64, 0, len(st.Funcs))
-				for a := range st.Funcs {
-					addrs = append(addrs, a)
-				}
-				sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-				for _, a := range addrs {
+				for _, a := range sortedKeys(st.Funcs) {
 					if err := walk(st.Funcs[a]); err != nil {
 						return err
 					}

@@ -70,6 +70,53 @@ func TestExprEval(t *testing.T) {
 	}
 }
 
+// The compiled arithmetic must agree with Op.apply, the definition
+// Bin.Eval and the analysis layer's constant folding compute through.
+// Each one-statement program runs one operator with each operand a
+// constant, a slot or a nested expression, on either side, over edge
+// values that include division and modulo by zero and MinInt64 / -1.
+func TestCompiledArithmeticMatchesApply(t *testing.T) {
+	edges := []int64{0, 1, -1, 7, -3, math.MinInt64, math.MaxInt64}
+	// shapes builds an operand reading v as a constant, as the slot of
+	// param name, or as a nested expression over that slot.
+	shapes := []func(name string, v int64) Expr{
+		func(_ string, v int64) Expr { return Const(v) },
+		func(name string, _ int64) Expr { return Var(name) },
+		func(name string, _ int64) Expr { return Sub(Var(name), Const(0)) },
+	}
+	run := func(e Expr, a, b int64) int64 {
+		p := &Program{Name: "arith", Params: []string{"a", "b"}, Body: []Stmt{&Assign{Dst: "out", Expr: e}}}
+		env := NewEnv(nil)
+		env.SetParams(map[string]int64{"a": a, "b": b})
+		if _, err := Lower(p).Run(env, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return env.Get("out")
+	}
+	for op := OpAdd; op <= OpOr; op++ {
+		for li, lshape := range shapes {
+			for ri, rshape := range shapes {
+				for _, a := range edges {
+					for _, b := range edges {
+						e := &Bin{Op: op, L: lshape("a", a), R: rshape("b", b)}
+						if got, want := run(e, a, b), op.apply(a, b); got != want {
+							t.Errorf("%s with a=%d b=%d (shapes %d,%d) = %d, want %d", e, a, b, li, ri, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, shape := range shapes {
+		for _, a := range edges {
+			e := &Not{shape("a", a)}
+			if got, want := run(e, a, 0), b2i(a == 0); got != want {
+				t.Errorf("%s with a=%d = %d, want %d", e, a, got, want)
+			}
+		}
+	}
+}
+
 func TestExprVars(t *testing.T) {
 	e := Add(Mul(Var("a"), Var("b")), &Not{Var("a")})
 	got := ExprVars(e)

@@ -18,7 +18,8 @@ const benchJobs = 64
 // program with a feature recorder (core.Build's profiling runs) and
 // the frozen prediction slice keeping every feature (the predictor run
 // before each job). ns/stmt is the run time divided by the statements
-// executed; allocs/op counts the per-job environment and frame.
+// executed; allocs/op counts the per-job environment (a run's frame
+// comes from a pool).
 func BenchmarkRun(b *testing.B) {
 	for _, w := range All() {
 		ip := instrument.Instrument(w.Prog)
