@@ -66,9 +66,11 @@ func (b *Bin) Eval(env *Env) int64 {
 	return b.Op.apply(b.L.Eval(env), b.R.Eval(env))
 }
 
-// apply is the one definition of binary-operator arithmetic: Bin.Eval,
-// the slot interpreter, and (through Bin.Eval) the analysis layer's
-// constant folding all compute through it, so they cannot disagree.
+// apply is the one definition of binary-operator arithmetic. Bin.Eval
+// and (through Bin.Eval) the analysis layer's constant folding compute
+// through it, as do the compiled closures for operators they do not
+// compute inline; TestCompiledArithmeticMatchesApply holds the inline
+// ones equal to it.
 func (op Op) apply(l, r int64) int64 {
 	switch op {
 	case OpAdd:
